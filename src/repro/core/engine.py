@@ -34,7 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator
 
-from repro.core.errors import LakeError
+from repro.core.errors import ConfigError, LakeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import DiscoverySystem
@@ -66,6 +66,11 @@ class QueryRequest:
     value_column: int | None = None
     threshold: float | None = None
     explain: bool = False
+
+    def __post_init__(self) -> None:
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ConfigError(f"k must be an int >= 1, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,11 @@ class Engine(ABC):
     ``kind`` / ``items_key``
         Introspection: the index family shown by ``repro inspect`` and the
         ``stats()`` key holding the primary cardinality.
+
+    An adapter that holds one index object stores it in :attr:`raw` from
+    ``build`` and inherits the rest: ``is_built()`` is ``raw is not None``,
+    ``stats()`` is ``raw.stats()``, and the snapshot payload is ``raw``
+    itself.  Adapters holding other state override those four.
     """
 
     name: ClassVar[str]
@@ -166,21 +176,24 @@ class Engine(ABC):
 
     def __init__(self) -> None:
         self.ctx: EngineContext | None = None
+        #: The underlying index object (``None`` until built or restored).
+        self.raw: Any = None
 
     # -- offline -----------------------------------------------------------------
     @abstractmethod
     def build(self, ctx: EngineContext) -> None:
-        """Build this engine's index over ``ctx.lake``.  Must be a no-op
-        (leaving the engine unbuilt) when its inputs are unavailable."""
+        """Build this engine's index over ``ctx.lake`` into :attr:`raw`.
+        Must be a no-op (leaving the engine unbuilt) when its inputs are
+        unavailable."""
 
-    @abstractmethod
     def is_built(self) -> bool:
         """Whether this engine can serve queries right now."""
+        return self.raw is not None
 
     # -- introspection -----------------------------------------------------------
-    @abstractmethod
     def stats(self) -> dict:
         """Structural introspection numbers (JSON-serializable)."""
+        return self.raw.stats()
 
     def items(self, stats: dict) -> int:
         """Primary cardinality for ``index_stats`` (from ``stats()``)."""
@@ -197,11 +210,6 @@ class Engine(ABC):
         return self.raw
 
     # -- online ------------------------------------------------------------------
-    @property
-    def raw(self) -> Any:
-        """The underlying index object (or ``None`` before ``build``)."""
-        return None
-
     def accepts(self, request: QueryRequest) -> bool:
         """Whether ``request`` carries enough input for this engine."""
         return False
@@ -213,13 +221,14 @@ class Engine(ABC):
         raise LakeError(f"engine {self.name!r} does not serve queries")
 
     # -- snapshots ---------------------------------------------------------------
-    @abstractmethod
     def to_payload(self) -> Any:
         """Pickle-ready state for the snapshot payload."""
+        return self.raw
 
-    @abstractmethod
     def from_payload(self, payload: Any, ctx: EngineContext) -> None:
         """Restore the state produced by :meth:`to_payload`."""
+        self.ctx = ctx
+        self.raw = payload
 
     # -- description -------------------------------------------------------------
     def describe(self) -> dict[str, Any]:
@@ -232,6 +241,12 @@ class Engine(ABC):
             "query_label": self.query_label,
             "kind": self.kind_of(),
         }
+
+
+def as_pair(out: Any, explain: bool) -> tuple[list, "ExplainReport | None"]:
+    """``(hits, report-or-None)`` from a ``repro.search`` call made with
+    ``explain=explain`` (which returns the pair itself only when asked)."""
+    return out if explain else (out, None)
 
 
 class EngineRegistry:

@@ -7,7 +7,6 @@ stages by name (useful on very large lakes).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 from repro.core.config import DiscoveryConfig
@@ -28,26 +27,11 @@ def run_pipeline(
 ) -> DiscoverySystem:
     """Build a DiscoverySystem, reporting each stage's duration.
 
-    ``skip`` disables stages by name (from STAGES) — every stage,
-    including the index stages; ``jobs`` overrides
+    ``skip`` disables stages by name (from STAGES), exactly as
+    ``DiscoverySystem.build(skip=...)`` does; ``jobs`` overrides
     ``config.build_jobs``; ``progress(stage, seconds)`` is called after
-    each stage completes.  The caller's ``config`` is never mutated: the
-    pipeline works on a copy.
+    each stage completes.  The caller's ``config`` is never mutated.
     """
-    # Copy before touching enable_* flags — mutating the caller's config
-    # object would leak this run's skips into unrelated systems.
-    config = replace(config) if config is not None else DiscoveryConfig()
-    skip = set(skip or ())
-    unknown = skip - set(STAGES)
-    if unknown:
-        raise ValueError(f"unknown stages to skip: {sorted(unknown)}")
-    if "embeddings" in skip:
-        config.enable_embeddings = False
-    if "domains" in skip:
-        config.enable_domains = False
-    if "annotation" in skip:
-        config.enable_annotation = False
-
     system = DiscoverySystem(lake, config, ontology)
     system.build(jobs=jobs, skip=skip)
     if progress is not None:

@@ -10,10 +10,16 @@ Every search method lives behind the :mod:`repro.core.engine` protocol:
 the offline stage DAG, the per-engine snapshot payloads, the
 ``index_stats()`` introspection, and the ``repro engines`` listing are all
 derived from the :data:`~repro.core.engine.REGISTRY` rather than wired by
-hand.  The classic ``keyword_search`` / ``joinable_search`` / ... methods
-remain as thin facade shims with their historical signatures and results;
-:meth:`DiscoverySystem.search` is the registry-native federated entry
-point that fans one request across engines and merges the rankings.
+hand.  The per-method ``keyword_search`` / ``joinable_search`` / ...
+methods only turn their arguments into a
+:class:`~repro.core.engine.QueryRequest` and pick the engine; one private
+query path does the rest (availability, input checks, span, query-log
+record, ``Engine.query``).  :meth:`DiscoverySystem.search` fans one request
+across engines and merges the rankings.
+
+An unbuilt engine raises :class:`LakeError` with a message derived from
+its registry declarations: its stage was skipped at build time, or one of
+the stages it ``depends_on`` did not run.
 
 Offline: ``build()`` runs the understanding + indexing pipeline.
 Online: ``keyword_search``, ``joinable_search``, ``unionable_search``,
@@ -67,6 +73,13 @@ STAGE_DEPS: dict[str, tuple[str, ...]] = REGISTRY.stage_deps()
 #: standard k=60 from the Cormack/Clarke/Buettcher RRF paper).
 RRF_K = 60
 
+#: ``method=`` of :meth:`DiscoverySystem.joinable_search` -> engine name.
+JOIN_METHODS = {"exact": "josie", "containment": "lshensemble"}
+
+#: ``method=`` values of :meth:`DiscoverySystem.unionable_search`, each
+#: also the engine's registry name.
+UNION_METHODS = ("tus", "santos", "starmie")
+
 
 class _QueryCapture:
     """Mutable holder threaded through ``_query_span``: the active span
@@ -78,11 +91,6 @@ class _QueryCapture:
         self.span = None
         self.results: list[tuple[str, float]] = []
         self.funnel: dict[str, int] = {}
-
-    def set(self, key, value) -> "_QueryCapture":
-        """Attach a span attribute (no-op span while tracing is off)."""
-        self.span.set(key, value)
-        return self
 
     def finish(self, hits: list, report: ExplainReport | None = None) -> None:
         """Record the query outcome: hit count attr, result summary, and
@@ -141,48 +149,6 @@ class DiscoverySystem:
         self.skipped_stages: set[str] = set()
         #: Where the built state came from: a live build or a snapshot.
         self.provenance: dict = {}
-
-    # -- legacy views over the engine adapters (facade back-compat) -----------------
-
-    @property
-    def _keyword(self):
-        return self.engines["keyword"].raw
-
-    @property
-    def _joinable(self):
-        return self.engines["josie"].raw
-
-    @property
-    def _tus(self):
-        return self.engines["tus"].raw
-
-    @property
-    def _starmie(self):
-        return self.engines["starmie"].raw
-
-    @property
-    def _santos(self):
-        return self.engines["santos"].raw
-
-    @property
-    def _correlated(self):
-        return self.engines["qcr"].raw
-
-    @property
-    def _pexeso(self):
-        return self.engines["pexeso"].raw
-
-    @property
-    def _mate(self):
-        return self.engines["mate"].raw
-
-    @property
-    def _org(self):
-        return self.engines["organization"].organization
-
-    @property
-    def _table_vectors(self) -> dict:
-        return self.engines["organization"].table_vectors
 
     def _configure_sampler(self) -> None:
         """Apply this config's trace-sampling knobs to the process-wide
@@ -332,17 +298,6 @@ class DiscoverySystem:
                 "DiscoverySystem is not built yet: call build() first"
             )
 
-    def _require_engine(self, obj, stage: str, unavailable: str):
-        """Return a built engine, or raise a clear :class:`LakeError`
-        naming the skipped stage (never an ``AttributeError`` on None)."""
-        if obj is not None:
-            return obj
-        if stage in self.skipped_stages:
-            raise LakeError(
-                f"stage {stage!r} was skipped at build time: {unavailable}"
-            )
-        raise LakeError(f"stage {stage!r} did not run: {unavailable}")
-
     # -- snapshots ---------------------------------------------------------------------
 
     def save(self, directory):
@@ -459,6 +414,92 @@ class DiscoverySystem:
                 )
             )
 
+    def _ready(self, name: str):
+        """The built engine ``name``, or a :class:`LakeError` derived from
+        its declarations: its own stage skipped at build time, else the
+        first of its ``depends_on`` stages that did not run."""
+        self._require_built()
+        engine = self.engines[name]
+        if engine.is_built():
+            return engine
+        what = f"{name} unavailable"
+        if engine.stage in self.skipped_stages:
+            raise LakeError(
+                f"stage {engine.stage!r} was skipped at build time: {what}"
+            )
+        ran = self.stats.stage_seconds
+        missing = next(
+            (s for s in (*engine.depends_on, engine.stage) if s not in ran),
+            None,
+        )
+        if missing is None:
+            raise LakeError(f"engine {name!r} built no index: {what}")
+        raise LakeError(f"stage {missing!r} did not run: {what}")
+
+    def _query(
+        self,
+        name: str | None,
+        request: QueryRequest,
+        label: str,
+        query_repr: str,
+        **span_attrs,
+    ):
+        """The one online query path behind every ``*_search`` facade:
+        a ``query.<label>`` span and query-log record around the
+        availability and input checks and ``engine.query``.
+
+        ``name`` is ``None`` when the caller's ``method`` names no engine.
+        Returns ``hits``, or ``(hits, ExplainReport)`` with
+        ``request.explain``.
+        """
+        self._require_built()
+        with self._query_span(
+            label, query_repr=query_repr, k=request.k, **span_attrs
+        ) as q:
+            if name is None:
+                raise ValueError(
+                    f"unknown {label} method {span_attrs.get('method')!r}"
+                )
+            engine = self._ready(name)
+            if not engine.accepts(request):
+                raise ConfigError(
+                    f"engine {name!r} cannot serve this request: "
+                    "missing query input"
+                )
+            self._check_columns(request)
+            hits, report = engine.query(request)
+            q.finish(hits, report)
+        return (hits, report) if request.explain else hits
+
+    @staticmethod
+    def _check_columns(request: QueryRequest) -> None:
+        """Column indexes in ``request`` must address ``request.table``."""
+        if request.table is None:
+            return
+        width = request.table.num_cols
+        for i in (
+            *(request.key_columns or ()),
+            request.key_column,
+            request.value_column,
+        ):
+            if i is not None and not 0 <= i < width:
+                raise LakeError(
+                    f"column {i} outside table {request.table.name!r} "
+                    f"({width} columns)"
+                )
+
+    def _column_query(self, column: Column | ColumnRef):
+        """``(column, exclude_table, query_repr)`` for a join-style query:
+        a :class:`ColumnRef` resolves against the lake and excludes its
+        own table."""
+        if isinstance(column, ColumnRef):
+            return self.lake.column(column), column.table, str(column)
+        return column, None, f"column<{getattr(column, 'name', '?')}>"
+
+    def _table(self, query: Table | str) -> Table:
+        """A table given by name or by value."""
+        return self.lake.table(query) if isinstance(query, str) else query
+
     # -- online: table search engine ---------------------------------------------------
 
     def keyword_search(self, query: str, k: int = 10, explain: bool = False):
@@ -466,19 +507,13 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        engine = self.engines["keyword"]
-        self._require_engine(
-            engine.raw, "keyword_index", "keyword search unavailable"
+        return self._query(
+            "keyword",
+            QueryRequest(text=query, k=k, explain=explain),
+            "keyword",
+            query,
+            query=query,
         )
-        with self._query_span(
-            engine.query_label, query_repr=query, query=query, k=k
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(text=query, k=k, explain=explain)
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
 
     def joinable_search(
         self,
@@ -493,38 +528,20 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        self._require_engine(
-            self.engines["josie"].raw,
-            "join_index",
-            "joinable search unavailable",
+        column, exclude, query_repr = self._column_query(column)
+        return self._query(
+            JOIN_METHODS.get(method),
+            QueryRequest(
+                column=column,
+                k=k,
+                exclude_table=exclude,
+                threshold=threshold,
+                explain=explain,
+            ),
+            "join",
+            query_repr,
+            method=method,
         )
-        exclude = None
-        query_repr = f"column<{getattr(column, 'name', '?')}>"
-        if isinstance(column, ColumnRef):
-            exclude = column.table
-            query_repr = str(column)
-            column = self.lake.column(column)
-        with self._query_span(
-            "join", query_repr=query_repr, method=method, k=k
-        ) as q:
-            if method == "exact":
-                engine = self.engines["josie"]
-            elif method == "containment":
-                engine = self.engines["lshensemble"]
-            else:
-                raise ValueError(f"unknown join method {method!r}")
-            hits, report = engine.query(
-                QueryRequest(
-                    column=column,
-                    k=k,
-                    exclude_table=exclude,
-                    threshold=threshold,
-                    explain=explain,
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
 
     def fuzzy_joinable_search(
         self, column: Column | ColumnRef, k: int = 10, explain: bool = False
@@ -533,31 +550,15 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        engine = self.engines["pexeso"]
-        if not engine.is_built():
-            if "union_index" in self.skipped_stages:
-                raise LakeError(
-                    "stage 'union_index' was skipped at build time: "
-                    "fuzzy join unavailable"
-                )
-            raise LakeError("embeddings disabled: fuzzy join unavailable")
-        exclude = None
-        query_repr = f"column<{getattr(column, 'name', '?')}>"
-        if isinstance(column, ColumnRef):
-            exclude = column.table
-            query_repr = str(column)
-            column = self.lake.column(column)
-        with self._query_span(
-            engine.query_label, query_repr=query_repr, k=k
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(
-                    column=column, k=k, exclude_table=exclude, explain=explain
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        column, exclude, query_repr = self._column_query(column)
+        return self._query(
+            "pexeso",
+            QueryRequest(
+                column=column, k=k, exclude_table=exclude, explain=explain
+            ),
+            "fuzzy_join",
+            query_repr,
+        )
 
     def multi_attribute_search(
         self,
@@ -570,27 +571,16 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        engine = self.engines["mate"]
-        self._require_engine(
-            engine.raw, "mate_index", "multi-attribute search unavailable"
+        key_columns = tuple(key_columns)
+        return self._query(
+            "mate",
+            QueryRequest(
+                table=query, key_columns=key_columns, k=k, explain=explain
+            ),
+            "multi_attribute",
+            f"{query.name}{list(key_columns)}",
+            key_columns=key_columns,
         )
-        with self._query_span(
-            engine.query_label,
-            query_repr=f"{query.name}{key_columns}",
-            key_columns=tuple(key_columns),
-            k=k,
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(
-                    table=query,
-                    key_columns=tuple(key_columns),
-                    k=k,
-                    explain=explain,
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
 
     def unionable_search(
         self,
@@ -603,44 +593,15 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        if isinstance(query, str):
-            query = self.lake.table(query)
-        with self._query_span(
-            "union", query_repr=query.name, method=method, table=query.name, k=k
-        ) as q:
-            if method == "tus":
-                engine = self.engines["tus"]
-                self._require_engine(
-                    engine.raw, "union_index", "TUS unavailable"
-                )
-            elif method == "santos":
-                engine = self.engines["santos"]
-                if not engine.is_built():
-                    if "union_index" in self.skipped_stages:
-                        raise LakeError(
-                            "stage 'union_index' was skipped at build "
-                            "time: SANTOS unavailable"
-                        )
-                    raise LakeError("no ontology: SANTOS unavailable")
-            elif method == "starmie":
-                engine = self.engines["starmie"]
-                if not engine.is_built():
-                    if "union_index" in self.skipped_stages:
-                        raise LakeError(
-                            "stage 'union_index' was skipped at build "
-                            "time: Starmie unavailable"
-                        )
-                    raise LakeError(
-                        "embeddings disabled: Starmie unavailable"
-                    )
-            else:
-                raise ValueError(f"unknown union method {method!r}")
-            hits, report = engine.query(
-                QueryRequest(table=query, k=k, explain=explain)
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        query = self._table(query)
+        return self._query(
+            method if method in UNION_METHODS else None,
+            QueryRequest(table=query, k=k, explain=explain),
+            "union",
+            query.name,
+            method=method,
+            table=query.name,
+        )
 
     def correlated_search(
         self,
@@ -654,32 +615,20 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        if isinstance(query, str):
-            query = self.lake.table(query)
-        engine = self.engines["qcr"]
-        self._require_engine(
-            engine.raw,
-            "correlation_index",
-            "correlated search unavailable",
-        )
-        with self._query_span(
-            engine.query_label,
-            query_repr=f"{query.name}[{key_column},{value_column}]",
+        query = self._table(query)
+        return self._query(
+            "qcr",
+            QueryRequest(
+                table=query,
+                key_column=key_column,
+                value_column=value_column,
+                k=k,
+                explain=explain,
+            ),
+            "correlated",
+            f"{query.name}[{key_column},{value_column}]",
             table=query.name,
-            k=k,
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(
-                    table=query,
-                    key_column=key_column,
-                    value_column=value_column,
-                    k=k,
-                    explain=explain,
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        )
 
     # -- online: federated dispatch ----------------------------------------------------
 
@@ -762,7 +711,7 @@ class DiscoverySystem:
                         RRF_K + rank
                     )
                     sources.setdefault(table, {})[engine.name] = rank
-            q.set("engines_asked", asked)
+            q.span.set("engines_asked", asked)
             merged = sorted(
                 FederatedHit(t, scores[t], sources[t]) for t in scores
             )[:k]
@@ -773,35 +722,22 @@ class DiscoverySystem:
 
     def organization(self) -> Organization:
         """The lake-wide navigation hierarchy (§2.6)."""
-        self._require_built()
-        if self._org is None:
-            if "navigation" in self.skipped_stages:
-                raise LakeError(
-                    "stage 'navigation' was skipped at build time: "
-                    "navigation unavailable"
-                )
-            raise LakeError("embeddings disabled: navigation unavailable")
-        return self._org
+        return self._ready("organization").raw
 
     def navigate(self, intent_text: str) -> list[str]:
         """Navigate the organization toward free-text intent; returns the
         tables at the reached node."""
-        self._require_built()
-        engine = self.engines["organization"]
-        if not engine.is_built() or self.space is None:
-            if "navigation" in self.skipped_stages:
-                raise LakeError(
-                    "stage 'navigation' was skipped at build time: "
-                    "navigation unavailable"
-                )
-            raise LakeError("embeddings disabled: navigation unavailable")
-        tables, _ = engine.query(QueryRequest(text=intent_text))
+        tables, _ = self._ready("organization").query(
+            QueryRequest(text=intent_text)
+        )
         return tables
 
     def explore_results(self, tables: list[str]) -> Organization:
         """RONIN-style online organization of a search result set (§2.6)."""
         self._require_built()
-        return RoninExplorer(self._table_vectors).organize_results(tables)
+        return RoninExplorer(
+            self.engines["organization"].table_vectors
+        ).organize_results(tables)
 
     def knowledge_graph(self) -> EnterpriseKnowledgeGraph:
         """Aurum-style EKG over the lake, built lazily (§2.6)."""

@@ -22,15 +22,12 @@ class JaccardLshEngine(JoinIndexEngine):
     kind = "banded-lsh"
     items_key = "keys"
 
-    def stats(self) -> dict:
-        return self._search.jaccard_lsh.stats()
-
     def memory_object(self) -> Any:
-        return self._search.jaccard_lsh
+        return self.raw.jaccard_lsh
 
     def query(self, request: QueryRequest):
         hits = sorted(
-            self._search.jaccard_baseline(
+            self.raw.jaccard_baseline(
                 request.column, exclude_table=request.exclude_table
             )
         )[: request.k]

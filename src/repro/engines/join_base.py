@@ -11,8 +11,6 @@ engines pointing at the same object across a save/load round-trip).
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import Engine, EngineContext, QueryRequest
 from repro.search.joinable import JoinableSearch, JoinSearchConfig
 
@@ -33,32 +31,18 @@ def shared_joinable(ctx: EngineContext) -> JoinableSearch:
 
 
 class JoinIndexEngine(Engine):
-    """Base adapter for engines backed by the shared JoinableSearch."""
+    """Base adapter for engines backed by the shared JoinableSearch; each
+    subclass reports (``stats``/``memory_object``) its own structure."""
 
     stage = "join_index"
     query_label = "join"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._search: JoinableSearch | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self._search = shared_joinable(ctx)
-
-    def is_built(self) -> bool:
-        return self._search is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._search
+        self.raw = shared_joinable(ctx)
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.column is not None
 
-    def to_payload(self) -> Any:
-        return self._search
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._search = payload
+    def stats(self) -> dict:
+        return self.memory_object().stats()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.engine import QueryRequest, register_engine
+from repro.core.engine import QueryRequest, as_pair, register_engine
 from repro.engines.join_base import JoinIndexEngine
 
 
@@ -16,23 +16,16 @@ class JosieEngine(JoinIndexEngine):
     kind = "inverted+sets"
     items_key = "sets"
 
-    def stats(self) -> dict:
-        return self._search.josie.stats()
-
     def memory_object(self) -> Any:
-        return self._search.josie
+        return self.raw.josie
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._search.exact_topk(
+        return as_pair(
+            self.raw.exact_topk(
                 request.column,
                 request.k,
                 exclude_table=request.exclude_table,
-                explain=True,
-            )
-        return (
-            self._search.exact_topk(
-                request.column, request.k, exclude_table=request.exclude_table
+                explain=request.explain,
             ),
-            None,
+            request.explain,
         )

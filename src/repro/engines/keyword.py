@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
+    as_pair,
     register_engine,
 )
 from repro.search.keyword import KeywordSearchEngine
@@ -23,36 +22,16 @@ class KeywordEngine(Engine):
     kind = "bm25"
     items_key = "documents"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._index: KeywordSearchEngine | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self._index = KeywordSearchEngine()
-        self._index.index_lake(ctx.lake)
-
-    def is_built(self) -> bool:
-        return self._index is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._index
-
-    def stats(self) -> dict:
-        return self._index.stats()
+        self.raw = KeywordSearchEngine()
+        self.raw.index_lake(ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return bool(request.text)
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._index.search(request.text, request.k, explain=True)
-        return self._index.search(request.text, request.k), None
-
-    def to_payload(self) -> Any:
-        return self._index
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._index = payload
+        return as_pair(
+            self.raw.search(request.text, request.k, explain=request.explain),
+            request.explain,
+        )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.engine import QueryRequest, register_engine
+from repro.core.engine import QueryRequest, as_pair, register_engine
 from repro.engines.join_base import JoinIndexEngine
 from repro.search.explain import summarize_results
 
@@ -18,29 +18,26 @@ class LshEnsembleEngine(JoinIndexEngine):
     kind = "partitioned-lsh"
     items_key = "keys"
 
-    def stats(self) -> dict:
-        return self._search.ensemble.stats()
-
     def memory_object(self) -> Any:
-        return self._search.ensemble
+        return self.raw.ensemble
 
     def query(self, request: QueryRequest):
         threshold = (
             request.threshold or self.ctx.config.containment_threshold
         )
-        if request.explain:
-            hits, report = self._search.containment(
+        hits, report = as_pair(
+            self.raw.containment(
                 request.column,
                 threshold,
                 exclude_table=request.exclude_table,
-                explain=True,
-            )
-            hits = hits[: request.k]
+                explain=request.explain,
+            ),
+            request.explain,
+        )
+        # Containment has no k: trim here and close the funnel with it.
+        hits = hits[: request.k]
+        if report is not None:
             report.k = request.k
             report.stage("returned", len(hits))
             report.results = summarize_results(hits)
-            return hits, report
-        hits = self._search.containment(
-            request.column, threshold, exclude_table=request.exclude_table
-        )[: request.k]
-        return hits, None
+        return hits, report

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
+    as_pair,
     register_engine,
 )
 from repro.search.mate import MateIndex
@@ -23,42 +22,21 @@ class MateEngine(Engine):
     kind = "super-key"
     items_key = "rows"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._index: MateIndex | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self._index = MateIndex()
-        self._index.index_lake(ctx.lake)
-
-    def is_built(self) -> bool:
-        return self._index is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._index
-
-    def stats(self) -> dict:
-        return self._index.stats()
+        self.raw = MateIndex()
+        self.raw.index_lake(ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.table is not None and bool(request.key_columns)
 
     def query(self, request: QueryRequest):
-        key_columns = list(request.key_columns)
-        if request.explain:
-            return self._index.search(
-                request.table, key_columns, request.k, explain=True
-            )
-        return (
-            self._index.search(request.table, key_columns, request.k),
-            None,
+        return as_pair(
+            self.raw.search(
+                request.table,
+                list(request.key_columns),
+                request.k,
+                explain=request.explain,
+            ),
+            request.explain,
         )
-
-    def to_payload(self) -> Any:
-        return self._index
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._index = payload

@@ -16,7 +16,8 @@ from repro.graph.organize import Organization
 
 @register_engine
 class NavigationEngine(Engine):
-    """The lake-wide navigation hierarchy over table embedding vectors."""
+    """The lake-wide navigation hierarchy (:attr:`raw`, an
+    :class:`Organization`) over table embedding vectors."""
 
     name = "organization"
     stage = "navigation"
@@ -27,8 +28,7 @@ class NavigationEngine(Engine):
 
     def __init__(self) -> None:
         super().__init__()
-        self._org: Organization | None = None
-        self._table_vectors: dict = {}
+        self.table_vectors: dict = {}
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
@@ -40,32 +40,17 @@ class NavigationEngine(Engine):
                 for _, col in table.text_columns()
                 for v in col.non_null_values()[:50]
             ]
-            self._table_vectors[table.name] = ctx.space.embed_set(values)
-        if self._table_vectors:
+            self.table_vectors[table.name] = ctx.space.embed_set(values)
+        if self.table_vectors:
             cfg = ctx.config
-            self._org = Organization.build(
-                self._table_vectors,
+            self.raw = Organization.build(
+                self.table_vectors,
                 branching=cfg.org_branching,
                 max_leaf_size=cfg.org_max_leaf,
             )
 
-    def is_built(self) -> bool:
-        return self._org is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._org
-
-    @property
-    def organization(self) -> Organization | None:
-        return self._org
-
-    @property
-    def table_vectors(self) -> dict:
-        return self._table_vectors
-
     def stats(self) -> dict:
-        return {"tables": len(self._table_vectors)}
+        return {"tables": len(self.table_vectors)}
 
     def items(self, stats: dict) -> int:
         return int(stats["tables"])
@@ -74,13 +59,13 @@ class NavigationEngine(Engine):
         """Navigate toward free-text intent; hits are the (unscored)
         table names at the reached node."""
         intent = self.ctx.space.embed_set(request.text.lower().split())
-        _, tables = self._org.navigate(intent)
+        _, tables = self.raw.navigate(intent)
         return tables, None
 
     def to_payload(self) -> Any:
-        return {"org": self._org, "table_vectors": self._table_vectors}
+        return {"org": self.raw, "table_vectors": self.table_vectors}
 
     def from_payload(self, payload: Any, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self._org = payload["org"]
-        self._table_vectors = payload["table_vectors"]
+        self.raw = payload["org"]
+        self.table_vectors = payload["table_vectors"]

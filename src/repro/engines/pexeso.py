@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
+    as_pair,
     register_engine,
 )
 from repro.search.pexeso import PexesoIndex
@@ -24,49 +23,24 @@ class PexesoEngine(Engine):
     kind = "vector-block"
     items_key = "columns"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._index: PexesoIndex | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        # Mirrors the legacy union stage: PEXESO is built only when the
-        # contextual encoder (and thus the embedding space) exists.
+        # PEXESO is built only when the contextual encoder (and thus the
+        # embedding space) exists.
         if ctx.encoder is None or ctx.space is None:
             return
-        self._index = PexesoIndex(ctx.space).build(ctx.lake)
-
-    def is_built(self) -> bool:
-        return self._index is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._index
-
-    def stats(self) -> dict:
-        return self._index.stats()
+        self.raw = PexesoIndex(ctx.space).build(ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.column is not None
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._index.search(
+        return as_pair(
+            self.raw.search(
                 request.column,
                 request.k,
                 exclude_table=request.exclude_table,
-                explain=True,
-            )
-        return (
-            self._index.search(
-                request.column, request.k, exclude_table=request.exclude_table
+                explain=request.explain,
             ),
-            None,
+            request.explain,
         )
-
-    def to_payload(self) -> Any:
-        return self._index
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._index = payload

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
+    as_pair,
     register_engine,
 )
 from repro.search.correlated import CorrelatedSearch
@@ -24,25 +23,11 @@ class QcrEngine(Engine):
     kind = "correlation-sketch"
     items_key = "sketches"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._search: CorrelatedSearch | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self._search = CorrelatedSearch(
+        self.raw = CorrelatedSearch(
             sketch_size=ctx.config.qcr_sketch_size
         ).build(ctx.lake)
-
-    def is_built(self) -> bool:
-        return self._search is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._search
-
-    def stats(self) -> dict:
-        return self._search.stats()
 
     def accepts(self, request: QueryRequest) -> bool:
         return (
@@ -52,27 +37,13 @@ class QcrEngine(Engine):
         )
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._search.search(
+        return as_pair(
+            self.raw.search(
                 request.table,
                 request.key_column,
                 request.value_column,
                 request.k,
-                explain=True,
-            )
-        return (
-            self._search.search(
-                request.table,
-                request.key_column,
-                request.value_column,
-                request.k,
+                explain=request.explain,
             ),
-            None,
+            request.explain,
         )
-
-    def to_payload(self) -> Any:
-        return self._search
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._search = payload

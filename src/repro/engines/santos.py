@@ -3,15 +3,13 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
+    as_pair,
     register_engine,
 )
-from repro.search.explain import ExplainReport, summarize_results
 from repro.search.union_santos import SantosUnionSearch
 
 
@@ -25,22 +23,11 @@ class SantosEngine(Engine):
     query_label = "union"
     kind = "semantic-graph"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._search: SantosUnionSearch | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         if ctx.ontology is None:
             return
-        self._search = SantosUnionSearch(ctx.lake, ctx.ontology).build()
-
-    def is_built(self) -> bool:
-        return self._search is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._search
+        self.raw = SantosUnionSearch(ctx.lake, ctx.ontology).build()
 
     def stats(self) -> dict:
         return {"tables": self.ctx.system.stats.tables}
@@ -52,21 +39,7 @@ class SantosEngine(Engine):
         return request.table is not None
 
     def query(self, request: QueryRequest):
-        hits = self._search.search(request.table, request.k)
-        if request.explain:
-            # SANTOS has no internal funnel; synthesize the summary report
-            # the facade always produced.
-            report = ExplainReport(
-                "santos", query=request.table.name, k=request.k
-            )
-            report.stage("returned", len(hits))
-            report.results = summarize_results(hits)
-            return hits, report
-        return hits, None
-
-    def to_payload(self) -> Any:
-        return self._search
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._search = payload
+        return as_pair(
+            self.raw.search(request.table, request.k, explain=request.explain),
+            request.explain,
+        )

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
+    as_pair,
     register_engine,
 )
 from repro.search.union_tus import TableUnionSearch, TusConfig
@@ -24,41 +23,21 @@ class TusEngine(Engine):
     kind = "minhash+lsh"
     items_key = "minhashes"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._search: TableUnionSearch | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         cfg = ctx.config
-        self._search = TableUnionSearch(
+        self.raw = TableUnionSearch(
             ctx.lake,
             ontology=ctx.ontology,
             space=ctx.space,
             config=TusConfig(measure=cfg.union_measure, num_perm=cfg.num_perm),
         ).build()
 
-    def is_built(self) -> bool:
-        return self._search is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._search
-
-    def stats(self) -> dict:
-        return self._search.stats()
-
     def accepts(self, request: QueryRequest) -> bool:
         return request.table is not None
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._search.search(request.table, request.k, explain=True)
-        return self._search.search(request.table, request.k), None
-
-    def to_payload(self) -> Any:
-        return self._search
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._search = payload
+        return as_pair(
+            self.raw.search(request.table, request.k, explain=request.explain),
+            request.explain,
+        )

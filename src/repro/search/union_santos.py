@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import Table
+from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
 from repro.understanding.annotate import synthesize_kb
 
@@ -144,8 +145,12 @@ class SantosUnionSearch:
             )
         return w * rel_score + (1 - w) * cls_score
 
-    def search(self, query: Table, k: int = 10) -> list[TableResult]:
-        """Top-k tables by relationship-intent match."""
+    def search(self, query: Table, k: int = 10, explain: bool = False):
+        """Top-k tables by relationship-intent match.
+
+        With ``explain=True`` returns ``(hits, ExplainReport)``; SANTOS has
+        no internal funnel, so the report holds the returned count only.
+        """
         if not self._built:
             raise RuntimeError("call build() before searching")
         query_sem = self._semantics.get(query.name) or self._table_semantics(query)
@@ -156,7 +161,13 @@ class SantosUnionSearch:
             s = self.score(query_sem, cand_sem)
             if s > 0:
                 results.append(TableResult(name, s))
-        return sorted(results)[:k]
+        hits = sorted(results)[:k]
+        if explain:
+            report = ExplainReport("santos", query=query.name, k=k)
+            report.stage("returned", len(hits))
+            report.results = summarize_results(hits)
+            return hits, report
+        return hits
 
 
 class ColumnOnlySantosBaseline(SantosUnionSearch):

@@ -47,8 +47,13 @@ class EmbeddingSpace:
         return self.vectors[i] if i is not None else None
 
     def embed_set(self, values, sample: int = 200) -> np.ndarray:
-        """Mean vector of (a sample of) the values; zero vector if none known."""
-        vals = list(values)
+        """Mean vector of (a sample of) the values; zero vector if none known.
+
+        Values are summed in sorted order, so the result does not depend on
+        the iteration order of ``values`` (a set's varies with the hash
+        seed, and float addition is not associative).
+        """
+        vals = sorted(values)
         if len(vals) > sample:
             vals = random.Random(0).sample(vals, sample)
         acc = np.zeros(self.dim)

@@ -37,6 +37,14 @@ class TestEmbeddingSpace:
         v = space.embed_set(["a", "b"])
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    def test_embed_set_independent_of_iteration_order(self):
+        words = [f"w{i}" for i in range(60)]
+        rng = np.random.default_rng(3)
+        space = EmbeddingSpace(words, rng.normal(size=(60, 8)))
+        forward = space.embed_set(frozenset(words))
+        backward = space.embed_set(list(reversed(words)))
+        assert forward.tobytes() == backward.tobytes()
+
     def test_cosine_oov_zero(self):
         space = EmbeddingSpace(["a"], np.ones((1, 2)))
         assert space.cosine("a", "zzz") == 0.0

@@ -99,7 +99,9 @@ class TestFacadeParity:
         )
         assert report is None
         expected = sorted(
-            system._joinable.jaccard_baseline(column, exclude_table=qname)
+            system.engines["jaccard_lsh"].raw.jaccard_baseline(
+                column, exclude_table=qname
+            )
         )[:5]
         assert direct == expected
 
@@ -174,17 +176,13 @@ class TestFacadeParity:
             ColumnRef(qname, 0)
         )[:5]
 
-    def test_legacy_private_views_alias_adapters(self, system):
-        """The read-only back-compat properties see the adapters' state."""
-        assert system._keyword is system.engines["keyword"].raw
-        assert system._joinable is system.engines["josie"].raw
-        # The three join engines share one JoinableSearch instance.
+    def test_join_engines_share_one_index(self, system):
+        """The three join engines share one JoinableSearch instance."""
         assert (
             system.engines["josie"].raw
             is system.engines["lshensemble"].raw
             is system.engines["jaccard_lsh"].raw
         )
-        assert system._org is system.engines["organization"].organization
 
 
 class TestSnapshotRoundTrip:

@@ -11,9 +11,11 @@ import logging
 import pytest
 
 from repro.core.config import DiscoveryConfig
+from repro.core.engine import REGISTRY
 from repro.core.errors import LakeError
 from repro.core.pipeline import run_pipeline
 from repro.core.system import DiscoverySystem
+from repro.datalake.table import ColumnRef
 from repro.obs import SAMPLER
 
 
@@ -44,6 +46,28 @@ class TestConfigNotMutated:
         assert system.space is None
 
 
+#: One facade call per registered query-serving engine, on ``tiny_lake``.
+FACADE_CALLS = {
+    "keyword": lambda s: s.keyword_search("cities"),
+    "josie": lambda s: s.joinable_search(ColumnRef("cities", 0)),
+    "lshensemble": lambda s: s.joinable_search(
+        ColumnRef("cities", 0), method="containment"
+    ),
+    "jaccard_lsh": lambda s: s.search(
+        ColumnRef("cities", 0), engines=["jaccard_lsh"]
+    ),
+    "tus": lambda s: s.unionable_search("cities", method="tus"),
+    "starmie": lambda s: s.unionable_search("cities", method="starmie"),
+    "pexeso": lambda s: s.fuzzy_joinable_search(ColumnRef("cities", 0)),
+    "santos": lambda s: s.unionable_search("cities", method="santos"),
+    "qcr": lambda s: s.correlated_search("cities", 0, 2),
+    "mate": lambda s: s.multi_attribute_search(
+        s.lake.table("cities"), [0, 1]
+    ),
+    "organization": lambda s: s.navigate("city"),
+}
+
+
 class TestIndexStageSkips:
     def test_skipped_index_stages_not_built(self, tiny_lake):
         system = run_pipeline(
@@ -51,12 +75,12 @@ class TestIndexStageSkips:
             DiscoveryConfig(enable_embeddings=False),
             skip={"keyword_index", "mate_index", "correlation_index"},
         )
-        assert system._keyword is None
-        assert system._mate is None
-        assert system._correlated is None
+        assert system.engines["keyword"].raw is None
+        assert system.engines["mate"].raw is None
+        assert system.engines["qcr"].raw is None
         assert "keyword_index" not in system.stats.stage_seconds
         # Non-skipped stages still ran.
-        assert system._joinable is not None
+        assert system.engines["josie"].raw is not None
 
     def test_skipped_engines_raise_lake_error(self, tiny_lake):
         system = run_pipeline(
@@ -75,8 +99,6 @@ class TestIndexStageSkips:
         with pytest.raises(LakeError, match="keyword_index.*skipped"):
             system.keyword_search("anything")
         with pytest.raises(LakeError, match="join_index.*skipped"):
-            from repro.datalake.table import ColumnRef
-
             system.joinable_search(ColumnRef(table, 0))
         with pytest.raises(LakeError, match="union_index.*skipped"):
             system.unionable_search(table, method="tus")
@@ -92,6 +114,23 @@ class TestIndexStageSkips:
             system.organization()
         with pytest.raises(LakeError, match="navigation.*skipped"):
             system.navigate("anything")
+
+    @pytest.mark.parametrize("cls", REGISTRY.all(), ids=lambda c: c.name)
+    def test_unbuilt_engine_names_missing_stage(self, tiny_lake, cls):
+        """With embeddings off, each engine's facade call either serves or
+        raises a LakeError naming the first stage it depends on that did
+        not run."""
+        system = DiscoverySystem(
+            tiny_lake, DiscoveryConfig(enable_embeddings=False)
+        ).build()
+        call = FACADE_CALLS[cls.name]
+        if system.engines[cls.name].is_built():
+            call(system)
+            return
+        ran = system.stats.stage_seconds
+        missing = next(s for s in cls.depends_on if s not in ran)
+        with pytest.raises(LakeError, match=f"stage '{missing}' did not run"):
+            call(system)
 
     def test_unknown_skip_still_rejected(self, tiny_lake):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ pipeline or the online APIs.
 import pytest
 
 from repro.core.config import DiscoveryConfig
+from repro.core.errors import ConfigError, LakeError
 from repro.core.system import DiscoverySystem
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef, Table
@@ -101,11 +102,11 @@ class TestPipelineSurvives:
 
 class TestDegenerateQueries:
     def test_empty_column_query(self, system):
-        res = system._joinable.exact_topk(Column("empty", []), k=3)
+        res = system.engines["josie"].raw.exact_topk(Column("empty", []), k=3)
         assert res == []
 
     def test_all_null_column_query(self, system):
-        res = system._joinable.exact_topk(
+        res = system.engines["josie"].raw.exact_topk(
             Column("nulls", ["", "NA", "null"]), k=3
         )
         assert res == []
@@ -114,15 +115,71 @@ class TestDegenerateQueries:
         numeric_only = Table.from_dict(
             "nums", {"a": ["1", "2"], "b": ["3", "4"]}
         )
-        res = system._tus.search(numeric_only, k=3)
+        res = system.engines["tus"].raw.search(numeric_only, k=3)
         assert res == []
 
     def test_starmie_query_numeric_only(self, system):
         numeric_only = Table.from_dict(
             "nums2", {"a": ["1", "2"], "b": ["3", "4"]}
         )
-        res = system._starmie.search(numeric_only, k=3)
+        res = system.engines["starmie"].raw.search(numeric_only, k=3)
         assert res == []
+
+
+class TestQueryValidation:
+    """Malformed queries fail at the facade with a library error, not with
+    list-sliced hits, a silent ``[]``, or a raw ``IndexError``."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda s: s.keyword_search("city", k=-1), ConfigError),
+            (lambda s: s.keyword_search("city", k=0), ConfigError),
+            (lambda s: s.keyword_search("city", k=True), ConfigError),
+            (lambda s: s.keyword_search("city", k=2.5), ConfigError),
+            (lambda s: s.keyword_search(None), ConfigError),
+            (
+                lambda s: s.joinable_search(ColumnRef("normal", 0), k=-1),
+                ConfigError,
+            ),
+            (
+                lambda s: s.unionable_search("normal", k=-1, method="tus"),
+                ConfigError,
+            ),
+            (
+                lambda s: s.multi_attribute_search(
+                    s.lake.table("normal"), []
+                ),
+                ConfigError,
+            ),
+            (
+                lambda s: s.multi_attribute_search(
+                    s.lake.table("normal"), [99]
+                ),
+                LakeError,
+            ),
+            (lambda s: s.correlated_search("normal", 0, 99), LakeError),
+            (lambda s: s.correlated_search("normal", -1, 1), LakeError),
+            (lambda s: s.search("city", k=-1), ConfigError),
+        ],
+        ids=[
+            "keyword-k-negative",
+            "keyword-k-zero",
+            "keyword-k-bool",
+            "keyword-k-float",
+            "keyword-none",
+            "join-k-negative",
+            "union-k-negative",
+            "mate-no-key-columns",
+            "mate-key-column-out-of-range",
+            "qcr-value-column-out-of-range",
+            "qcr-key-column-negative",
+            "federated-k-negative",
+        ],
+    )
+    def test_rejected(self, system, call, error):
+        with pytest.raises(error):
+            call(system)
 
 
 class TestHostileCsv:
