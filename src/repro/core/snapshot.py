@@ -56,8 +56,9 @@ log = get_logger("core.snapshot")
 
 #: Bumped whenever the payload layout changes incompatibly.
 #: Version 2: per-engine payloads keyed by registry name (version 1 stored
-#: a fixed attribute list and is refused by this code).
-FORMAT_VERSION = 2
+#: a fixed attribute list and is refused by this code).  Version 3: the
+#: PEXESO payload holds one value-vector matrix instead of an HNSW graph.
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

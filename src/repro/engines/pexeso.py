@@ -14,13 +14,13 @@ from repro.search.pexeso import PexesoIndex
 
 @register_engine
 class PexesoEngine(Engine):
-    """Embedding-space blocked fuzzy joinable search."""
+    """Exact embedding-space fuzzy joinable search."""
 
     name = "pexeso"
     stage = "union_index"
     depends_on = ("embeddings",)
     query_label = "fuzzy_join"
-    kind = "vector-block"
+    kind = "vector-scan"
     items_key = "columns"
 
     def build(self, ctx: EngineContext) -> None:

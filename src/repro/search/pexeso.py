@@ -4,14 +4,15 @@ Exact equi-join search misses columns whose values are *semantically* equal
 but syntactically different (synonyms, formatting).  PEXESO embeds values
 into vectors and declares a query value matched if some candidate value lies
 within a cosine threshold; a column is joinable if enough query values
-match.  The reproduction follows the block-and-verify design: an HNSW index
-over all candidate value vectors blocks the search, then candidate columns
-are verified with exact cosine matching.
+match.  Like the original, the search is exact.  Where the paper blocks with
+pivot-based metric filtering, this reproduction blocks and verifies in one
+numpy pass: every indexed value vector is a row of one matrix, a single
+product scores the query values against all of them, and a segmented OR
+reduces the threshold hits to each column's exact match fraction.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.datalake.table import Column, ColumnRef
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import ColumnResult
-from repro.sketch.hnsw import HNSW
 from repro.understanding.embedding import EmbeddingSpace
 
 
@@ -30,59 +30,64 @@ class PexesoConfig:
     tau: float = 0.8  # cosine threshold for a value match
     sigma: float = 0.5  # fraction of query values that must match
     max_values_per_column: int = 150
-    hnsw_m: int = 8
-    ef_search: int = 48
 
 
 class PexesoIndex:
-    """Vector-blocked fuzzy-join index over a lake's text columns."""
+    """Exact fuzzy-join index over a lake's text columns."""
 
     def __init__(self, space: EmbeddingSpace, config: PexesoConfig | None = None):
         self.space = space
         self.config = config or PexesoConfig()
-        self._hnsw: HNSW | None = None
-        #: column ref -> matrix of its (sampled) value vectors
-        self._column_vectors: dict[ColumnRef, np.ndarray] = {}
+        #: every indexed value vector, one row each, grouped by column
+        self._matrix: np.ndarray | None = None
+        #: the indexed columns in matrix order, and each one's first row
+        self._refs: list[ColumnRef] = []
+        self._starts = np.zeros(0, dtype=np.intp)
 
-    def build(self, lake: DataLake) -> "PexesoIndex":
-        cfg = self.config
-        self._hnsw = HNSW(dim=self.space.dim, m=cfg.hnsw_m, metric="cosine")
-        for ref, col in lake.iter_text_columns():
-            vectors = []
-            for vid, value in enumerate(sorted(col.value_set())):
-                if vid >= cfg.max_values_per_column:
-                    break
-                vec = self.space.vector(value)
-                if vec is not None:
-                    vectors.append(vec)
-                    self._hnsw.add((ref, vid), vec)
-            if vectors:
-                self._column_vectors[ref] = np.vstack(vectors)
-                METRICS.inc("index.pexeso.vectors_indexed", len(vectors))
-                METRICS.inc("index.pexeso.columns_indexed")
-        return self
-
-    def stats(self) -> dict:
-        """Introspection: blocked vector volume plus the backing HNSW."""
-        from repro.obs.introspect import summarize_distribution
-
-        return {
-            "columns": len(self._column_vectors),
-            "vectors": sum(m.shape[0] for m in self._column_vectors.values()),
-            "dim": self.space.dim,
-            "vectors_per_column": summarize_distribution(
-                m.shape[0] for m in self._column_vectors.values()
-            ),
-            "hnsw": self._hnsw.stats() if self._hnsw is not None else {},
-        }
-
-    def _query_vectors(self, column: Column) -> np.ndarray:
+    def _vectors(self, column: Column) -> np.ndarray:
+        """Unit vectors of the column's first ``max_values_per_column``
+        sorted distinct values (out-of-vocabulary values are skipped)."""
         vecs = []
         for value in sorted(column.value_set())[: self.config.max_values_per_column]:
             v = self.space.vector(value)
             if v is not None:
                 vecs.append(v)
         return np.vstack(vecs) if vecs else np.zeros((0, self.space.dim))
+
+    def build(self, lake: DataLake) -> "PexesoIndex":
+        refs, starts, blocks = [], [], []
+        rows = 0
+        for ref, col in lake.iter_text_columns():
+            vectors = self._vectors(col)
+            if len(vectors):
+                refs.append(ref)
+                starts.append(rows)
+                blocks.append(vectors)
+                rows += len(vectors)
+                METRICS.inc("index.pexeso.vectors_indexed", len(vectors))
+                METRICS.inc("index.pexeso.columns_indexed")
+        self._refs = refs
+        self._starts = np.asarray(starts, dtype=np.intp)
+        self._matrix = (
+            np.vstack(blocks) if blocks else np.zeros((0, self.space.dim))
+        )
+        return self
+
+    def stats(self) -> dict:
+        """Introspection: indexed columns and the size of the vector matrix."""
+        from repro.obs.introspect import summarize_distribution
+
+        matrix = self._matrix
+        rows = 0 if matrix is None else len(matrix)
+        return {
+            "columns": len(self._refs),
+            "vectors": rows,
+            "dim": self.space.dim,
+            "vectors_per_column": summarize_distribution(
+                np.diff(self._starts, append=rows).tolist()
+            ),
+            "matrix_bytes": 0 if matrix is None else matrix.nbytes,
+        }
 
     def search(
         self,
@@ -91,75 +96,64 @@ class PexesoIndex:
         exclude_table: str | None = None,
         explain: bool = False,
     ):
-        """Top-k fuzzy-joinable columns.
+        """Top-k fuzzy-joinable columns by exact match fraction.
 
-        Block: for each query value vector, HNSW retrieves near neighbours;
-        columns hit by >= sigma * |Q| distinct query values are candidates.
-        Verify: exact cosine match fraction via a matrix product.  With
-        ``explain=True`` returns ``(hits, ExplainReport)``.
+        Block and verify are one step: ``Q @ M.T >= tau`` marks every
+        (query value, indexed value) match, ``logical_or.reduceat`` over the
+        column segments turns it into (query value, column) matches, and a
+        column's score is the share of query values it matches.  Columns
+        with at least one match are the blocked candidates; those scoring
+        >= sigma are results.  With ``explain=True`` returns
+        ``(hits, ExplainReport)``.
         """
-        if self._hnsw is None:
+        if self._matrix is None:
             raise RuntimeError("call build() before searching")
         cfg = self.config
-        qvecs = self._query_vectors(column)
+        qvecs = self._vectors(column)
         if len(qvecs) == 0:
             if explain:
                 return [], ExplainReport(
                     "pexeso", query="<no embeddable query values>", k=k
                 )
             return []
-        hits_per_column: dict[ColumnRef, set[int]] = defaultdict(set)
-        for qi in range(len(qvecs)):
-            for (ref, _vid), dist in self._hnsw.search(
-                qvecs[qi], k=8, ef=cfg.ef_search
-            ):
-                if dist <= 1.0 - cfg.tau:
-                    if exclude_table is None or ref.table != exclude_table:
-                        hits_per_column[ref].add(qi)
-        min_hits = max(1, int(0.5 * cfg.sigma * len(qvecs)))
-        candidates = [
-            ref for ref, qids in hits_per_column.items() if len(qids) >= min_hits
+        hit = qvecs @ self._matrix.T >= cfg.tau  # unit vectors: dot = cosine
+        if self._refs:  # with no columns indexed, hit is already (|Q|, 0)
+            hit = np.logical_or.reduceat(hit, self._starts, axis=1)
+        matched = hit.sum(axis=0)
+        blocked = [
+            j
+            for j, ref in enumerate(self._refs)
+            if matched[j] and ref.table != exclude_table
         ]
         results = []
-        for ref in candidates:
-            frac = self._verify(qvecs, ref)
+        for j in blocked:
+            frac = float(matched[j] / len(qvecs))
             if frac >= cfg.sigma:
-                results.append(ColumnResult(ref, frac))
+                results.append(ColumnResult(self._refs[j], frac))
         METRICS.inc("search.pexeso.queries")
-        METRICS.inc("search.pexeso.columns_blocked", len(hits_per_column))
-        METRICS.inc("search.pexeso.candidates_verified", len(candidates))
+        METRICS.inc("search.pexeso.columns_blocked", len(blocked))
+        METRICS.inc("search.pexeso.candidates_verified", len(blocked))
         METRICS.inc("search.pexeso.results_returned", len(results))
         sp = TRACER.current()
-        sp.set("pexeso.columns_blocked", len(hits_per_column))
-        sp.set("pexeso.candidates_verified", len(candidates))
+        sp.set("pexeso.columns_blocked", len(blocked))
+        sp.set("pexeso.candidates_verified", len(blocked))
         out = sorted(results)[:k]
         if explain:
             report = ExplainReport(
                 "pexeso",
                 query=f"column<{len(qvecs)} vectors>",
                 k=k,
-                params={
-                    "tau": cfg.tau,
-                    "sigma": cfg.sigma,
-                    "ef_search": cfg.ef_search,
-                },
+                params={"tau": cfg.tau, "sigma": cfg.sigma},
             )
-            report.stage("columns_indexed", len(self._column_vectors))
-            report.stage("columns_blocked", len(hits_per_column))
-            report.stage("candidates_verified", len(candidates), min_hits=min_hits)
+            report.stage("columns_indexed", len(self._refs))
+            report.stage("columns_blocked", len(blocked))
+            # Blocking computes every blocked column's exact fraction.
+            report.stage("candidates_verified", len(blocked))
             report.stage("passed_sigma", len(results))
             report.stage("returned", len(out))
             report.results = summarize_results(out)
             return out, report
         return out
-
-    def _verify(self, qvecs: np.ndarray, ref: ColumnRef) -> float:
-        """Exact fraction of query vectors with a cosine >= tau match."""
-        cand = self._column_vectors.get(ref)
-        if cand is None or len(cand) == 0:
-            return 0.0
-        sims = qvecs @ cand.T  # unit vectors: dot = cosine
-        return float(np.mean(sims.max(axis=1) >= self.config.tau))
 
 
 def exact_fuzzy_join_fraction(

@@ -1,12 +1,21 @@
 """Tests for PEXESO fuzzy joinable search."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datalake.generate import make_union_corpus
+from repro.datalake.lake import DataLake
+from repro.datalake.table import Table
 from repro.search.pexeso import (
     PexesoConfig,
     PexesoIndex,
     exact_fuzzy_join_fraction,
 )
+from repro.search.results import ColumnResult
+from repro.understanding.embedding import train_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +62,12 @@ class TestSearch:
     def test_block_agrees_with_exact_verification(
         self, union_corpus, union_space, pexeso
     ):
-        """Scores reported by blocked search equal brute-force fractions."""
+        """Scores reported by search equal brute-force fractions exactly."""
         qname = union_corpus.groups[0][0]
         qtable = union_corpus.lake.table(qname)
-        res = pexeso.search(qtable.columns[0], k=3, exclude_table=qname)
-        for r in res[:2]:
+        res = pexeso.search(qtable.columns[0], k=10, exclude_table=qname)
+        assert res
+        for r in res:
             cand_col = union_corpus.lake.column(r.ref)
             exact = exact_fuzzy_join_fraction(
                 union_space,
@@ -65,7 +75,86 @@ class TestSearch:
                 set(cand_col.value_set()),
                 tau=pexeso.config.tau,
             )
-            assert r.score == pytest.approx(exact, abs=0.05)
+            assert r.score == exact
+
+    def test_exclude_every_candidate_returns_empty(self, union_space):
+        lake = DataLake(
+            [Table.from_dict("only", {"a": list(union_space.vocab[:20])})]
+        )
+        idx = PexesoIndex(union_space, PexesoConfig(tau=0.7, sigma=0.4))
+        idx.build(lake)
+        query = lake.table("only").columns[0]
+        assert idx.search(query, k=5)  # the column matches itself
+        assert idx.search(query, k=5, exclude_table="only") == []
+        hits, report = idx.search(
+            query, k=5, exclude_table="only", explain=True
+        )
+        assert hits == []
+        assert report.counts()["columns_blocked"] == 0
+
+    def test_lake_without_embeddable_text_returns_empty(
+        self, union_corpus, union_space
+    ):
+        lake = DataLake(
+            [
+                Table.from_dict("nums", {"n": ["1", "2", "3"]}),
+                Table.from_dict("oov", {"s": ["never-seen-1", "never-seen-2"]}),
+            ]
+        )
+        idx = PexesoIndex(union_space).build(lake)
+        assert idx.stats()["columns"] == 0
+        query = union_corpus.lake.table(union_corpus.groups[0][0]).columns[0]
+        assert idx.search(query, k=5) == []
+        hits, report = idx.search(query, k=5, explain=True)
+        assert hits == []
+        assert report.counts()["columns_indexed"] == 0
+
+
+def _brute_force_topk(lake, space, config, query_ref, k):
+    """Exact top-k from ``exact_fuzzy_join_fraction`` over every other
+    table's text columns, with PEXESO's sigma filter and result order."""
+    query = lake.column(query_ref).value_set()
+    out = []
+    for ref, col in lake.iter_text_columns():
+        if ref.table == query_ref.table:
+            continue
+        frac = exact_fuzzy_join_fraction(
+            space,
+            query,
+            col.value_set(),
+            config.tau,
+            cap=config.max_values_per_column,
+        )
+        if frac >= config.sigma:
+            out.append(ColumnResult(ref, frac))
+    return sorted(out)[:k]
+
+
+@functools.lru_cache(maxsize=3)
+def _small_lake(seed):
+    corpus = make_union_corpus(
+        n_groups=3, tables_per_group=3, rows_per_table=25, seed=seed
+    )
+    return corpus.lake, train_embeddings(corpus.lake, dim=16, seed=seed)
+
+
+class TestExactProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.sampled_from([2, 5, 8]),
+        pick=st.integers(min_value=0, max_value=10_000),
+        tau=st.sampled_from([0.6, 0.7, 0.8, 0.9]),
+        sigma=st.sampled_from([0.2, 0.4, 0.6]),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    def test_topk_equals_brute_force(self, seed, pick, tau, sigma, k):
+        lake, space = _small_lake(seed)
+        config = PexesoConfig(tau=tau, sigma=sigma)
+        index = PexesoIndex(space, config).build(lake)
+        refs = [ref for ref, _ in lake.iter_text_columns()]
+        ref = refs[pick % len(refs)]
+        got = index.search(lake.column(ref), k=k, exclude_table=ref.table)
+        assert got == _brute_force_topk(lake, space, config, ref, k)
 
 
 class TestFuzzyVsExact:

@@ -72,6 +72,19 @@ class TestRoundTrip:
             ), engine
         assert loaded.navigate("concept_000") == built.navigate("concept_000")
 
+    def test_fuzzy_join_identical_for_every_text_column(
+        self, built, snapdir, union_corpus
+    ):
+        loaded = DiscoverySystem.load(snapdir)
+        refs = [ref for ref, _ in union_corpus.lake.iter_text_columns()]
+        assert refs
+        for ref in refs:
+            want = built.fuzzy_joinable_search(ref, k=10)
+            got = loaded.fuzzy_joinable_search(ref, k=10)
+            assert [(h.ref, h.score) for h in got] == [
+                (h.ref, h.score) for h in want
+            ], ref
+
     def test_load_with_matching_lake_and_config(self, snapdir, union_corpus):
         loaded = DiscoverySystem.load(
             snapdir, lake=union_corpus.lake, config=_config()
@@ -141,6 +154,17 @@ class TestRejection:
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)
         assert "format version" in str(err)
+
+    def test_v2_format_version_refused(self, built, tmp_path):
+        """A v2 snapshot pickles PEXESO's old HNSW-backed layout; loading
+        it would fail on the first fuzzy query, so it is refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 2
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 2" in str(err)
 
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
