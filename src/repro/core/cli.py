@@ -21,7 +21,9 @@ Usage::
     python -m repro top       --url http://host:9095 [--interval 2]
 
 Every command ingests ``lake_dir`` (recursively, all ``*.csv``), runs the
-offline pipeline stages it needs, and prints results to stdout.
+offline pipeline stages it needs, and prints results to stdout.  A library
+error (any ``DiscoveryError``: a missing table, a bad ``-k``, a stale
+snapshot) exits non-zero with one ``repro <command>: <reason>`` line.
 
 All commands accept ``-v/--verbose`` (repeatable: ``-v`` INFO, ``-vv``
 DEBUG, to stderr), ``--profile`` (print the tracing span tree and the
@@ -42,7 +44,8 @@ import time
 from repro import obs
 from repro.bench.harness import BenchTrajectory, compare_trajectories
 from repro.core.config import DiscoveryConfig
-from repro.core.system import DiscoverySystem
+from repro.core.errors import DiscoveryError
+from repro.core.system import JOIN_METHODS, UNION_METHODS, DiscoverySystem
 from repro.datalake.lake import DataLake
 from repro.datalake.table import ColumnRef
 from repro.obs import METRICS, TRACER
@@ -130,16 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     lake_arg(p)
     p.add_argument("--table", required=True)
     p.add_argument("--column", type=int, default=0)
-    p.add_argument(
-        "--method", choices=["exact", "containment"], default="exact"
-    )
+    p.add_argument("--method", choices=list(JOIN_METHODS), default="exact")
 
     p = sub.add_parser("union", help="unionable table search")
     lake_arg(p)
     p.add_argument("--table", required=True)
-    p.add_argument(
-        "--method", choices=["tus", "starmie"], default="starmie"
-    )
+    p.add_argument("--method", choices=UNION_METHODS, default="starmie")
 
     p = sub.add_parser(
         "query",
@@ -175,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="numeric value column (engine=correlated)",
     )
     p.add_argument(
-        "--method", default="starmie", help="union method (engine=union)"
+        "--method",
+        choices=UNION_METHODS,
+        default="starmie",
+        help="union method (engine=union)",
     )
     p.add_argument(
         "--explain",
@@ -447,15 +449,10 @@ def _run_build(args, out) -> int:
 
 def _run_query(args, out) -> int:
     """The ``query`` subcommand: one online query, optionally EXPLAINed."""
-    from repro.core.errors import SnapshotError
-
     engine = args.engine
     if args.load:
         lake = DataLake.from_directory(args.lake_dir)
-        try:
-            system = DiscoverySystem.load(args.load, lake=lake)
-        except SnapshotError as exc:
-            raise SystemExit(f"cannot load snapshot: {exc}") from exc
+        system = DiscoverySystem.load(args.load, lake=lake)
     else:
         need_embeddings = engine in ("fuzzy", "union")
         system = _system(args.lake_dir, need_embeddings=need_embeddings)
@@ -837,6 +834,8 @@ def main(argv: list[str] | None = None) -> int:
         obs.enable_tracing()
     try:
         return _run(args, out)
+    except DiscoveryError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from exc
     finally:
         if capturing:
             obs.disable_tracing()

@@ -15,8 +15,6 @@ class DiscoveryConfig:
     # sketches / indices
     num_perm: int = 128
     num_partitions: int = 8
-    hnsw_m: int = 8
-    ef_search: int = 48
     qcr_sketch_size: int = 256
 
     # embeddings
@@ -27,7 +25,6 @@ class DiscoveryConfig:
     # search behaviour
     containment_threshold: float = 0.5
     union_measure: str = "ensemble"
-    union_index: str = "hnsw"
 
     # navigation
     org_branching: int = 4
@@ -55,7 +52,7 @@ class DiscoveryConfig:
     def validate(self) -> "DiscoveryConfig":
         if self.num_perm < 8:
             raise ConfigError("num_perm must be >= 8")
-        for name in ("embedding_dim", "hnsw_m", "ef_search", "qcr_sketch_size"):
+        for name in ("embedding_dim", "qcr_sketch_size"):
             value = getattr(self, name)
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
@@ -63,8 +60,6 @@ class DiscoveryConfig:
             raise ConfigError("containment_threshold must be in (0, 1]")
         if self.union_measure not in ("set", "sem", "nl", "ensemble"):
             raise ConfigError(f"unknown union_measure {self.union_measure!r}")
-        if self.union_index not in ("linear", "lsh", "hnsw"):
-            raise ConfigError(f"unknown union_index {self.union_index!r}")
         if not 0 <= self.context_weight < 1:
             raise ConfigError("context_weight must be in [0, 1)")
         if self.build_jobs < 1:

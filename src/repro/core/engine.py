@@ -201,10 +201,6 @@ class Engine(ABC):
             return 0
         return int(stats[self.items_key])
 
-    def kind_of(self) -> str:
-        """The index-family label (may depend on config once built)."""
-        return self.kind
-
     def memory_object(self) -> Any:
         """The object whose deep size approximates this engine's memory."""
         return self.raw
@@ -239,7 +235,7 @@ class Engine(ABC):
             "depends_on": list(self.depends_on),
             "category": self.category,
             "query_label": self.query_label,
-            "kind": self.kind_of(),
+            "kind": self.kind,
         }
 
 

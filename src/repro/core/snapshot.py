@@ -58,7 +58,9 @@ log = get_logger("core.snapshot")
 #: Version 2: per-engine payloads keyed by registry name (version 1 stored
 #: a fixed attribute list and is refused by this code).  Version 3: the
 #: PEXESO payload holds one value-vector matrix instead of an HNSW graph.
-FORMAT_VERSION = 3
+#: Version 4: the Starmie payload holds one column-vector matrix instead of
+#: a vector dict plus an HNSW graph.
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

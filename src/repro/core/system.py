@@ -346,7 +346,7 @@ class DiscoverySystem:
             reports.append(
                 IndexStatsReport(
                     name=engine.name,
-                    kind=engine.kind_of(),
+                    kind=engine.kind,
                     items=engine.items(detail),
                     memory_bytes=deep_sizeof(engine.memory_object()),
                     detail=detail,

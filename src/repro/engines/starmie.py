@@ -9,39 +9,25 @@ from repro.core.engine import (
     as_pair,
     register_engine,
 )
-from repro.search.union_starmie import StarmieConfig, StarmieUnionSearch
+from repro.search.union_starmie import StarmieUnionSearch
 
 
 @register_engine
 class StarmieEngine(Engine):
-    """Contextual column embeddings + ANN index (linear / LSH / HNSW)."""
+    """Contextual column embeddings + exact vector scan."""
 
     name = "starmie"
     stage = "union_index"
     depends_on = ("embeddings",)
     query_label = "union"
-    kind = "embeddings"
+    kind = "vector-scan"
     items_key = "columns"
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         if ctx.encoder is None:
             return
-        cfg = ctx.config
-        self.raw = StarmieUnionSearch(
-            ctx.lake,
-            ctx.encoder,
-            StarmieConfig(
-                index=cfg.union_index,
-                hnsw_m=cfg.hnsw_m,
-                ef_search=cfg.ef_search,
-            ),
-        ).build()
-
-    def kind_of(self) -> str:
-        if self.ctx is not None:
-            return f"embeddings+{self.ctx.config.union_index}"
-        return self.kind
+        self.raw = StarmieUnionSearch(ctx.lake, ctx.encoder).build()
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.table is not None

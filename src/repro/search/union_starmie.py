@@ -1,15 +1,15 @@
 """Starmie: contextualized-embedding unionable table search (Fan et al., 2022).
 
 Columns are encoded with table-context-aware representations
-(``ContextualColumnEncoder``); an ANN index (HNSW, LSH over random
-hyperplanes, or linear scan — the E6 ablation axis) retrieves similar
-columns, and per-column cosines are aggregated into table scores with the
-greedy matcher.
+(``ContextualColumnEncoder``).  Retrieval is an exact scan: every indexed
+column vector is a row of one matrix, a single product scores all query
+columns against all of them, each query column keeps its top candidates,
+and the same scores are aggregated into table scores with the greedy
+matcher.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,59 +20,17 @@ from repro.obs import METRICS, TRACER
 from repro.search.aggregate import table_unionability
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
-from repro.sketch.hashing import stable_hash64
-from repro.sketch.hnsw import HNSW
 from repro.understanding.contextual import ContextualColumnEncoder
-
-INDEX_KINDS = ("linear", "lsh", "hnsw")
 
 
 @dataclass
 class StarmieConfig:
-    index: str = "hnsw"
     candidates_per_column: int = 20
     alignment: str = "greedy"
-    hnsw_m: int = 8
-    ef_search: int = 48
-    lsh_planes: int = 16
-    lsh_tables: int = 8
-
-
-class _RandomHyperplaneLSH:
-    """Cosine LSH: sign patterns under random hyperplanes, multiple tables."""
-
-    def __init__(self, dim: int, planes: int, tables: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        self._planes = [
-            rng.normal(size=(planes, dim)) for _ in range(tables)
-        ]
-        self._buckets: list[dict[int, list[ColumnRef]]] = [
-            defaultdict(list) for _ in range(tables)
-        ]
-
-    def _sig(self, t: int, v: np.ndarray) -> int:
-        bits = (self._planes[t] @ v) > 0
-        out = 0
-        for b in bits:
-            out = (out << 1) | int(b)
-        return out
-
-    def insert(self, key: ColumnRef, v: np.ndarray) -> None:
-        for t, buckets in enumerate(self._buckets):
-            buckets[self._sig(t, v)].append(key)
-
-    def query(self, v: np.ndarray) -> list[ColumnRef]:
-        seen, out = set(), []
-        for t, buckets in enumerate(self._buckets):
-            for key in buckets.get(self._sig(t, v), ()):
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        return out
 
 
 class StarmieUnionSearch:
-    """Contextual column embeddings + ANN retrieval + greedy aggregation."""
+    """Contextual column embeddings + exact scan + greedy aggregation."""
 
     def __init__(
         self,
@@ -83,82 +41,51 @@ class StarmieUnionSearch:
         self.lake = lake
         self.encoder = encoder
         self.config = config or StarmieConfig()
-        if self.config.index not in INDEX_KINDS:
-            raise ValueError(f"unknown index kind {self.config.index!r}")
-        self._vectors: dict[ColumnRef, np.ndarray] = {}
-        self._hnsw: HNSW | None = None
-        self._lsh: _RandomHyperplaneLSH | None = None
-        self._built = False
+        #: every indexed column vector, one row each, in ``str(ref)`` order
+        self._matrix: np.ndarray | None = None
+        self._refs: list[ColumnRef] = []
 
     # -- offline -----------------------------------------------------------------
 
     def build(self) -> "StarmieUnionSearch":
-        cfg = self.config
-        dim = self.encoder.space.dim
+        vectors: dict[ColumnRef, np.ndarray] = {}
         for table in self.lake:
             vecs = self.encoder.encode_table(table)
             for i, col in enumerate(table.columns):
                 if col.is_numeric or np.linalg.norm(vecs[i]) == 0:
                     continue
-                self._vectors[ColumnRef(table.name, i)] = vecs[i]
-        if cfg.index == "hnsw":
-            seed = stable_hash64("starmie") % (2**31)
-            self._hnsw = HNSW(dim=dim, m=cfg.hnsw_m, metric="cosine", seed=seed)
-            for ref, v in self._vectors.items():
-                self._hnsw.add(ref, v)
-        elif cfg.index == "lsh":
-            self._lsh = _RandomHyperplaneLSH(dim, cfg.lsh_planes, cfg.lsh_tables)
-            for ref, v in self._vectors.items():
-                self._lsh.insert(ref, v)
-        self._built = True
-        METRICS.inc("index.starmie.columns_indexed", len(self._vectors))
+                vectors[ColumnRef(table.name, i)] = vecs[i]
+        self._refs = sorted(vectors, key=str)
+        self._matrix = np.array([vectors[ref] for ref in self._refs]).reshape(
+            len(self._refs), self.encoder.space.dim
+        )
+        METRICS.inc("index.starmie.columns_indexed", len(self._refs))
         return self
 
     def stats(self) -> dict:
-        """Introspection: embedded column store plus the ANN index behind it."""
-        out = {
-            "columns": len(self._vectors),
-            "index": self.config.index,
+        """Introspection: indexed columns and the size of the vector matrix."""
+        return {
+            "columns": len(self._refs),
             "dim": self.encoder.space.dim,
+            "matrix_bytes": 0 if self._matrix is None else self._matrix.nbytes,
         }
-        if self._hnsw is not None:
-            out["hnsw"] = self._hnsw.stats()
-        if self._lsh is not None:
-            out["lsh_tables"] = len(self._lsh._buckets)
-            out["lsh_buckets"] = sum(len(b) for b in self._lsh._buckets)
-        return out
 
     # -- retrieval -------------------------------------------------------------------
-
-    def _column_candidates(self, v: np.ndarray) -> list[tuple[ColumnRef, float]]:
-        cfg = self.config
-        if cfg.index == "hnsw":
-            hits = self._hnsw.search(v, k=cfg.candidates_per_column, ef=cfg.ef_search)
-            return [(ref, 1.0 - d) for ref, d in hits]
-        if cfg.index == "lsh":
-            refs = self._lsh.query(v)
-            scored = [
-                (ref, float(np.dot(v, self._vectors[ref]))) for ref in refs
-            ]
-            scored.sort(key=lambda kv: (-kv[1], str(kv[0])))
-            return scored[: cfg.candidates_per_column]
-        # linear scan
-        scored = [
-            (ref, float(np.dot(v, u))) for ref, u in self._vectors.items()
-        ]
-        scored.sort(key=lambda kv: (-kv[1], str(kv[0])))
-        return scored[: cfg.candidates_per_column]
 
     def search(self, query: Table, k: int = 10, explain: bool = False):
         """Top-k unionable tables by aggregated contextual-cosine alignment.
 
+        ``Q @ M.T`` scores every query column against every indexed column
+        once.  Each query column keeps its ``candidates_per_column`` best
+        columns (a stable sort, so ties break by ``str(ref)``), and each
+        candidate table's alignment matrix is read from the same scores.
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        if not self._built:
+        if self._matrix is None:
             raise RuntimeError("call build() before searching")
         qvecs = self.encoder.encode_table(query)
         qcols = [
-            (i, qvecs[i])
+            i
             for i, col in enumerate(query.columns)
             if not col.is_numeric and np.linalg.norm(qvecs[i]) > 0
         ]
@@ -168,25 +95,23 @@ class StarmieUnionSearch:
                     "starmie", query=query.name, k=k
                 )
             return []
-        # Gather per-table candidate column sets from per-column retrieval.
-        table_cols: dict[str, set[int]] = defaultdict(set)
+        scores = np.array([qvecs[i] for i in qcols]) @ self._matrix.T
+        # Gather per-table candidate columns (column index -> matrix row).
+        table_cols: dict[str, dict[int, int]] = {}
         candidates_examined = 0
-        for _, v in qcols:
-            for ref, _score in self._column_candidates(v):
+        for row_scores in scores:
+            top = np.argsort(-row_scores, kind="stable")
+            for row in top[: self.config.candidates_per_column]:
                 candidates_examined += 1
+                ref = self._refs[row]
                 if ref.table != query.name:
-                    table_cols[ref.table].add(ref.index)
+                    table_cols.setdefault(ref.table, {})[ref.index] = row
         results = []
-        for name, col_ids in table_cols.items():
-            cols = sorted(col_ids)
-            scores = np.zeros((len(qcols), len(cols)))
-            for qi, (_, v) in enumerate(qcols):
-                for cj, ci in enumerate(cols):
-                    u = self._vectors.get(ColumnRef(name, ci))
-                    if u is not None:
-                        scores[qi, cj] = max(0.0, float(np.dot(v, u)))
+        for name, rows_by_col in table_cols.items():
+            cols = sorted(rows_by_col)
+            rows = [rows_by_col[ci] for ci in cols]
             total, pairs = table_unionability(
-                scores, method=self.config.alignment
+                np.maximum(scores[:, rows], 0.0), method=self.config.alignment
             )
             if total > 0:
                 alignment = tuple((qi, cols[cj], s) for qi, cj, s in pairs)
@@ -204,7 +129,6 @@ class StarmieUnionSearch:
                 query=query.name,
                 k=k,
                 params={
-                    "index": self.config.index,
                     "candidates_per_column": self.config.candidates_per_column,
                     "query_columns": len(qcols),
                 },

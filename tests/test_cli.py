@@ -97,6 +97,36 @@ class TestCommands:
         assert "domain 0:" in out
 
 
+class TestErrors:
+    """Bad input ends in argparse's usage error or one
+    ``repro <command>: <reason>`` line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["query", "union", "join"])
+    def test_unknown_method_rejected_by_parser(
+        self, lake_dir, command, capsys
+    ):
+        directory, corpus = lake_dir
+        argv = [command, str(directory), "--table", corpus.groups[0][0]]
+        if command == "query":
+            argv += ["--engine", "union"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--method", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_missing_table(self, lake_dir):
+        directory, _ = lake_dir
+        with pytest.raises(SystemExit, match="^repro query: .*'nope'"):
+            main(
+                ["query", str(directory), "--engine", "join", "--table", "nope"]
+            )
+
+    def test_non_positive_k(self, lake_dir):
+        directory, _ = lake_dir
+        with pytest.raises(SystemExit, match="^repro keyword: k must be"):
+            main(["keyword", str(directory), "--query", "concept", "-k", "0"])
+
+
 class TestHelpSmoke:
     """Satellite: every subcommand must at least render its --help."""
 

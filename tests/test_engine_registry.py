@@ -222,7 +222,7 @@ class TestProtocolConformance:
         assert isinstance(stats, dict)
         json.dumps(stats)  # must be JSON-serializable for /indexstats
         assert engine.items(stats) >= 0
-        assert engine.kind_of()
+        assert engine.kind
         assert engine.memory_object() is not None
         desc = engine.describe()
         json.dumps(desc)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import IndexError_
+from repro.obs import METRICS
 from repro.sketch.hnsw import HNSW, brute_force_knn
 
 
@@ -109,6 +110,31 @@ class TestSearchQuality:
             h.add(k, v)
         for q in (0, 50, 100):
             assert h.search(vecs[q], k=1, ef=64)[0][0] == q
+
+
+class TestMetricCounters:
+    def test_build_and_search_record_counters(self):
+        before = {
+            name: METRICS.counter(f"index.hnsw.{name}")
+            for name in (
+                "nodes_added",
+                "insert_distance_computations",
+                "queries",
+                "distance_computations",
+            )
+        }
+        h = HNSW(dim=8, seed=7)
+        for k, v in _random_vectors(50, 8, seed=7).items():
+            h.add(k, v)
+        h.search(np.ones(8), k=5)
+
+        def delta(name):
+            return METRICS.counter(f"index.hnsw.{name}") - before[name]
+
+        assert delta("nodes_added") == 50
+        assert delta("insert_distance_computations") > 0
+        assert delta("queries") == 1
+        assert delta("distance_computations") > 0
 
 
 class TestBruteForce:

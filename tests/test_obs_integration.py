@@ -116,7 +116,6 @@ class TestMetricCounters:
     def test_engine_counters_recorded(self, traced):
         assert METRICS.counter("search.josie.posting_lists_read") > 0
         assert METRICS.counter("search.josie.sets_verified") > 0
-        assert METRICS.counter("index.hnsw.distance_computations") > 0
         assert METRICS.counter("index.lshensemble.candidates_returned") >= 0
         assert METRICS.counter("index.lshensemble.queries") > 0
         assert METRICS.counter("search.keyword.docs_scored") > 0
@@ -133,7 +132,6 @@ class TestMetricCounters:
     def test_build_counters_recorded(self, traced):
         assert METRICS.counter("pipeline.builds") >= 1
         assert METRICS.counter("index.josie.sets_indexed") > 0
-        assert METRICS.counter("index.hnsw.nodes_added") > 0
         assert METRICS.gauge("lake.tables") == len(traced.lake)
 
     def test_report_is_json_ready(self, traced):
@@ -144,18 +142,14 @@ class TestMetricCounters:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "field", ["embedding_dim", "hnsw_m", "ef_search", "qcr_sketch_size"]
-    )
+    @pytest.mark.parametrize("field", ["embedding_dim", "qcr_sketch_size"])
     @pytest.mark.parametrize("bad", [0, -1])
     def test_non_positive_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=field):
             DiscoveryConfig(**{field: bad}).validate()
 
     def test_positive_accepted(self):
-        DiscoveryConfig(
-            embedding_dim=1, hnsw_m=2, ef_search=1, qcr_sketch_size=1
-        ).validate()
+        DiscoveryConfig(embedding_dim=1, qcr_sketch_size=1).validate()
 
 
 class TestBuildGuard:

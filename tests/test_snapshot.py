@@ -166,6 +166,17 @@ class TestRejection:
         err = self._assert_miss(d)
         assert "format version 2" in str(err)
 
+    def test_v3_format_version_refused(self, built, tmp_path):
+        """A v3 snapshot pickles Starmie's old vector-dict-plus-HNSW
+        layout, which the exact scan cannot serve, so it is refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 3
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 3" in str(err)
+
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
         built.save(d)

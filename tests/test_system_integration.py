@@ -33,8 +33,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiscoveryConfig(union_measure="bogus").validate()
         with pytest.raises(ConfigError):
-            DiscoveryConfig(union_index="bogus").validate()
-        with pytest.raises(ConfigError):
             DiscoveryConfig(context_weight=1.0).validate()
 
     def test_defaults_valid(self):
