@@ -59,8 +59,9 @@ log = get_logger("core.snapshot")
 #: a fixed attribute list and is refused by this code).  Version 3: the
 #: PEXESO payload holds one value-vector matrix instead of an HNSW graph.
 #: Version 4: the Starmie payload holds one column-vector matrix instead of
-#: a vector dict plus an HNSW graph.
-FORMAT_VERSION = 4
+#: a vector dict plus an HNSW graph.  Version 5: the MATE payload holds
+#: inverted cell postings and a super-key array instead of per-row sets.
+FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

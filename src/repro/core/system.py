@@ -685,7 +685,7 @@ class DiscoverySystem:
         else:
             unknown = [n for n in engines if n not in self.engines]
             if unknown:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown engines {sorted(unknown)}; registered: "
                     f"{sorted(self.engines)}"
                 )

@@ -14,12 +14,13 @@ from repro.search.mate import MateIndex
 
 @register_engine
 class MateEngine(Engine):
-    """Composite-key joinable search via super-key signatures."""
+    """Composite-key joinable search via inverted cell postings and a
+    super-key row filter."""
 
     name = "mate"
     stage = "mate_index"
     query_label = "multi_attribute"
-    kind = "super-key"
+    kind = "inverted+super-key"
     items_key = "rows"
 
     def build(self, ctx: EngineContext) -> None:

@@ -2,15 +2,19 @@
 
 Single-attribute overlap search cannot find tables joinable on *composite*
 keys: candidates may share many values of each individual column without
-containing the combinations.  MATE hashes each row into a fixed-width
-*super key* — a bitmap OR of the hashes of the row's cell values — so a
-candidate row can be cheaply tested for "may contain all query key cells"
-before exact verification.
+containing the combinations.  MATE looks up the rows holding one query key
+cell in an inverted index, then hashes each row into a fixed-width *super
+key* — a bitmap OR of the hashes of the row's cell values — so a candidate
+row can be cheaply tested for "may contain all query key cells" before
+exact verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
@@ -50,40 +54,132 @@ class MateHit:
         return (-self.score, self.table) < (-other.score, other.table)
 
 
+@dataclass
+class _Probe:
+    """One pass of the query keys over the index."""
+
+    keys: int  # distinct usable query keys
+    matched: np.ndarray  # per table index: query keys it joins on
+    rows_checked: int  # posting rows of the rarest cell, summed over keys
+    rows_passed_filter: int  # of those, rows whose super key covers the key
+
+
 class MateIndex:
-    """Super-key index over every table's rows (text cells only)."""
+    """Inverted index from normalized text cells to the rows holding them,
+    plus one super key per row.
+
+    A cell is a stripped, lower-cased, non-empty text-column value.  Rows
+    are numbered across the lake in table order; ``postings[offsets[c]:
+    offsets[c + 1]]`` lists, ascending, the rows that hold cell id ``c``
+    (``vocab`` maps cell text to id), ``row_table`` maps a row to its table
+    index in ``tables``, and ``super_keys`` holds each row's super key.
+    """
 
     def __init__(self, bits: int = 64):
+        if not 0 < bits <= 64:
+            raise ValueError(f"super keys are uint64: bits must be 1-64, got {bits}")
         self.bits = bits
-        #: table -> list of (super key, normalized text cells of the row)
-        self._rows: dict[str, list[tuple[int, frozenset[str]]]] = {}
+        self.tables: list[str] = []
+        self.vocab: dict[str, int] = {}
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.postings = np.zeros(0, dtype=np.int32)
+        self.row_table = np.zeros(0, dtype=np.int32)
+        self.super_keys = np.zeros(0, dtype=np.uint64)
 
     def index_lake(self, lake: DataLake) -> None:
-        for table in lake:
-            self.index_table(table)
-
-    def index_table(self, table: Table) -> None:
-        text_cols = [c for _, c in table.text_columns()]
-        rows = []
-        for i in range(table.num_rows):
-            cells = [c.values[i].strip().lower() for c in text_cols]
-            cells = [c for c in cells if c]
-            rows.append((row_super_key(cells, self.bits), frozenset(cells)))
-        self._rows[table.name] = rows
-        METRICS.inc("index.mate.rows_indexed", len(rows))
+        vocab: dict[str, int] = {}
+        tables: list[str] = []
+        row_table: list[int] = []
+        cell_ids: list[int] = []  # one (row, cell) pair per entry ...
+        cell_rows: list[int] = []  # ... rows ascending, cells distinct per row
+        for t, table in enumerate(lake):
+            tables.append(table.name)
+            cols = [c.values for _, c in table.text_columns()]
+            rows = zip(*cols) if cols else repeat((), table.num_rows)
+            for values in rows:
+                row = len(row_table)
+                row_table.append(t)
+                row_cells = {
+                    vocab.setdefault(cell, len(vocab))
+                    for cell in (v.strip().lower() for v in values)
+                    if cell
+                }
+                cell_ids.extend(row_cells)
+                cell_rows.extend(repeat(row, len(row_cells)))
+        ids = np.asarray(cell_ids, dtype=np.int64)
+        rows = np.asarray(cell_rows, dtype=np.int32)
+        masks = np.fromiter(
+            (_cell_mask(cell, self.bits) for cell in vocab),
+            dtype=np.uint64,
+            count=len(vocab),
+        )
+        super_keys = np.zeros(len(row_table), dtype=np.uint64)
+        np.bitwise_or.at(super_keys, rows, masks[ids])
+        offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=len(vocab)), out=offsets[1:])
+        self.tables = tables
+        self.vocab = vocab
+        self.offsets = offsets
+        # A stable sort keeps each cell's rows in ascending row order.
+        self.postings = rows[np.argsort(ids, kind="stable")]
+        self.row_table = np.asarray(row_table, dtype=np.int32)
+        self.super_keys = super_keys
+        METRICS.inc("index.mate.rows_indexed", len(row_table))
 
     def stats(self) -> dict:
         """Introspection: indexed row counts per table (super-key store)."""
         from repro.obs.introspect import summarize_distribution
 
         return {
-            "tables": len(self._rows),
-            "rows": sum(len(r) for r in self._rows.values()),
+            "tables": len(self.tables),
+            "rows": int(self.row_table.size),
             "bits": self.bits,
             "rows_per_table": summarize_distribution(
-                len(r) for r in self._rows.values()
+                np.bincount(self.row_table, minlength=len(self.tables)).tolist()
             ),
         }
+
+    def _probe(
+        self, query: Table, key_columns: list[int], exclude: str | None
+    ) -> _Probe:
+        """Match every distinct query key against the lake.
+
+        Per key: take the postings of its rarest cell, keep the rows whose
+        super key covers the key's cell masks, keep those that appear in
+        every other cell's postings, and credit each of their tables once.
+        A key with a cell that no row holds matches nothing.
+        """
+        distinct = set()
+        for i in range(query.num_rows):
+            cells = tuple(
+                query.columns[c].values[i].strip().lower() for c in key_columns
+            )
+            if all(cells):
+                distinct.add(cells)
+        matched = np.zeros(len(self.tables), dtype=np.int64)
+        checked = passed = 0
+        offsets, postings = self.offsets, self.postings
+        for cells in distinct:
+            ids = [self.vocab.get(cell) for cell in set(cells)]
+            if None in ids:
+                continue
+            ids.sort(key=lambda c: offsets[c + 1] - offsets[c])
+            cand = postings[offsets[ids[0]] : offsets[ids[0] + 1]]
+            checked += cand.size
+            mask = np.uint64(row_super_key(cells, self.bits))
+            cand = cand[(self.super_keys[cand] & mask) == mask]
+            passed += cand.size
+            for c in ids[1:]:
+                plist = postings[offsets[c] : offsets[c + 1]]
+                pos = np.minimum(np.searchsorted(plist, cand), plist.size - 1)
+                cand = cand[plist[pos] == cand]
+            # A repeated index in a fancy-indexed ``+=`` is written once, so
+            # each table is credited once per key however many rows match.
+            matched[self.row_table[cand]] += 1
+        name = exclude or query.name
+        if name in self.tables:
+            matched[self.tables.index(name)] = 0
+        return _Probe(len(distinct), matched, checked, passed)
 
     def search(
         self,
@@ -100,71 +196,41 @@ class MateIndex:
         contains every cell (verification).  With ``explain=True`` returns
         ``(hits, ExplainReport)``.
         """
-        qkeys = []
-        for i in range(query.num_rows):
-            cells = tuple(
-                query.columns[c].values[i].strip().lower() for c in key_columns
-            )
-            if all(cells):
-                mask = 0
-                for cell in cells:
-                    mask |= _cell_mask(cell, self.bits)
-                qkeys.append((cells, mask))
-        if not qkeys:
+        probe = self._probe(query, key_columns, exclude)
+        if not probe.keys:
             if explain:
                 return [], ExplainReport(
                     "mate", query="<no usable query keys>", k=k
                 )
             return []
-        distinct = {}
-        for cells, mask in qkeys:
-            distinct[cells] = mask
-        hits = []
-        rows_checked = 0
-        rows_passed_filter = 0
-        keys_matched = 0
-        for name, rows in self._rows.items():
-            if name == (exclude or query.name):
-                continue
-            matched = 0
-            for cells, mask in distinct.items():
-                found = False
-                for super_key, row_cells in rows:
-                    rows_checked += 1
-                    if (super_key & mask) != mask:
-                        continue  # filter: row cannot contain all cells
-                    rows_passed_filter += 1
-                    if all(c in row_cells for c in cells):
-                        found = True
-                        break
-                if found:
-                    matched += 1
-            if matched:
-                keys_matched += matched
-                hits.append(MateHit(name, matched, len(distinct)))
+        hits = [
+            MateHit(self.tables[t], int(probe.matched[t]), probe.keys)
+            for t in np.flatnonzero(probe.matched)
+        ]
         out = sorted(hits)[:k]
+        keys_matched = int(probe.matched.sum())
         METRICS.inc("search.mate.queries")
-        METRICS.inc("search.mate.rows_checked", rows_checked)
-        METRICS.inc("search.mate.rows_passed_filter", rows_passed_filter)
+        METRICS.inc("search.mate.rows_checked", probe.rows_checked)
+        METRICS.inc("search.mate.rows_passed_filter", probe.rows_passed_filter)
         METRICS.inc("search.mate.keys_matched", keys_matched)
         METRICS.inc("search.mate.tables_matched", len(hits))
         sp = TRACER.current()
-        sp.set("mate.rows_checked", rows_checked)
-        sp.set("mate.rows_passed_filter", rows_passed_filter)
+        sp.set("mate.rows_checked", probe.rows_checked)
+        sp.set("mate.rows_passed_filter", probe.rows_passed_filter)
         if explain:
             report = ExplainReport(
                 "mate",
-                query=f"composite<{len(distinct)} keys>",
+                query=f"composite<{probe.keys} keys>",
                 k=k,
                 params={"bits": self.bits, "key_columns": str(key_columns)},
             )
             report.stage(
                 "rows_checked",
-                rows_checked,
-                query_keys=len(distinct),
-                tables=len(self._rows),
+                probe.rows_checked,
+                query_keys=probe.keys,
+                tables=len(self.tables),
             )
-            report.stage("rows_passed_filter", rows_passed_filter)
+            report.stage("rows_passed_filter", probe.rows_passed_filter)
             report.stage("keys_matched", keys_matched)
             report.stage("tables_matched", len(hits))
             report.stage("returned", len(out))
@@ -173,24 +239,10 @@ class MateIndex:
         return out
 
     def filter_stats(self, query: Table, key_columns: list[int]) -> dict:
-        """How many rows the super-key filter prunes before verification."""
-        qkeys = set()
-        for i in range(query.num_rows):
-            cells = tuple(
-                query.columns[c].values[i].strip().lower() for c in key_columns
-            )
-            if all(cells):
-                qkeys.add(cells)
-        checked = passed = 0
-        for cells in qkeys:
-            mask = 0
-            for cell in cells:
-                mask |= _cell_mask(cell, self.bits)
-            for name, rows in self._rows.items():
-                if name == query.name:
-                    continue
-                for super_key, _ in rows:
-                    checked += 1
-                    if (super_key & mask) == mask:
-                        passed += 1
-        return {"rows_checked": checked, "rows_passed_filter": passed}
+        """How many posting rows the super-key filter prunes before
+        verification."""
+        probe = self._probe(query, key_columns, None)
+        return {
+            "rows_checked": probe.rows_checked,
+            "rows_passed_filter": probe.rows_passed_filter,
+        }

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.config import DiscoveryConfig
 from repro.core.engine import FederatedHit
-from repro.core.errors import LakeError
+from repro.core.errors import ConfigError, LakeError
 from repro.core.system import DiscoverySystem
 from repro.datalake.table import ColumnRef
 
@@ -61,7 +61,7 @@ class TestFederatedSearch:
         assert all(set(h.sources) == {"tus"} for h in hits)
 
     def test_unknown_engine_rejected(self, system, union_corpus):
-        with pytest.raises(ValueError, match="unknown engines"):
+        with pytest.raises(ConfigError, match="unknown engines"):
             system.search(union_corpus.groups[0][0], engines=["warp-drive"])
 
     def test_bad_query_type_rejected(self, system):

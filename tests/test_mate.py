@@ -1,8 +1,12 @@
 """Tests for MATE multi-attribute join search."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datalake.generate import make_composite_key_corpus
+from repro.datalake.generate import make_composite_key_corpus, make_join_corpus
+from repro.datalake.lake import DataLake
+from repro.datalake.table import Column, Table
 from repro.search.mate import MateIndex, row_super_key
 
 
@@ -68,8 +72,6 @@ class TestSearch:
         assert all(h.table != mate_corpus.query_table for h in res)
 
     def test_empty_key_columns(self, mate_corpus, mate):
-        from repro.datalake.table import Column, Table
-
         empty = Table("empty_q", [Column("a", ["", ""]), Column("b", ["", ""])])
         assert mate.search(empty, [0, 1]) == []
 
@@ -89,3 +91,105 @@ class TestHitOrdering:
         b = MateHit("b", 3, 10)
         assert a < b
         assert MateHit("x", 0, 0).score == 0.0
+
+
+def naive_key_join(lake, table, key_columns, k, exclude=None):
+    """Brute-force composite-key join: per candidate table, the fraction of
+    distinct query keys whose cells all occur in one of its rows (text
+    cells, stripped and lower-cased), as ``(table, score)`` best first."""
+    keys = set()
+    for i in range(table.num_rows):
+        cells = tuple(table.columns[c].values[i].strip().lower() for c in key_columns)
+        if all(cells):
+            keys.add(cells)
+    if not keys:
+        return []
+    scored = []
+    for cand in lake:
+        if cand.name == (exclude or table.name):
+            continue
+        rows_of: dict[str, set[int]] = {}
+        for _, col in cand.text_columns():
+            for row, value in enumerate(col.values):
+                cell = value.strip().lower()
+                if cell:
+                    rows_of.setdefault(cell, set()).add(row)
+        matched = 0
+        for cells in keys:
+            rows = rows_of.get(cells[0], set())
+            for cell in cells[1:]:
+                rows = rows & rows_of.get(cell, set())
+            matched += bool(rows)
+        if matched:
+            scored.append((cand.name, matched / len(keys)))
+    scored.sort(key=lambda ts: (-ts[1], ts[0]))
+    return [(t, round(s, 9)) for t, s in scored[:k]]
+
+
+def mate_topk(index, table, key_columns, k, exclude=None):
+    hits = index.search(table, key_columns, k=k, exclude=exclude)
+    return [(h.table, round(h.score, 9)) for h in hits]
+
+
+def _indexed(lake):
+    index = MateIndex()
+    index.index_lake(lake)
+    return index
+
+
+#: Cells that collide only after normalization, plus blank ones.
+_CELLS = st.sampled_from(["a", "A", " a ", "b", "B ", "c", "7", "", "  "])
+
+
+@st.composite
+def _hand_built(draw):
+    """A small lake of hand-built tables, a query table from it, key
+    columns (possibly repeating one column), and an optional ``exclude``."""
+    tables = []
+    for t in range(draw(st.integers(2, 5))):
+        n_rows = draw(st.integers(0, 6))
+        cols = [
+            Column(f"c{j}", draw(st.lists(_CELLS, min_size=n_rows, max_size=n_rows)))
+            for j in range(draw(st.integers(1, 3)))
+        ]
+        tables.append(Table(f"t{t}", cols))
+    query = draw(st.sampled_from(tables))
+    keys = draw(
+        st.lists(st.integers(0, query.num_cols - 1), min_size=1, max_size=2)
+    )
+    exclude = draw(st.none() | st.sampled_from([t.name for t in tables]))
+    return DataLake(tables), query, keys, exclude
+
+
+class TestExactness:
+    """MATE's top-k equals a naive composite-key join."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
+    def test_single_column_keys_on_join_corpus(self, seed, k):
+        corpus = make_join_corpus(n_tables=16, n_queries=2, base_size=60, seed=seed)
+        index = _indexed(corpus.lake)
+        for table in list(corpus.lake)[::3]:
+            assert mate_topk(index, table, [0], k) == naive_key_join(
+                corpus.lake, table, [0], k
+            ), table.name
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
+    def test_two_column_keys_on_composite_corpus(self, seed, k):
+        corpus = make_composite_key_corpus(n_candidates=8, n_rows=40, seed=seed)
+        index = _indexed(corpus.lake)
+        keys = list(corpus.key_columns)
+        for table in corpus.lake:
+            assert mate_topk(index, table, keys, k) == naive_key_join(
+                corpus.lake, table, keys, k
+            ), table.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_hand_built(), k=st.integers(1, 6))
+    def test_hand_built_tables(self, case, k):
+        lake, query, keys, exclude = case
+        index = _indexed(lake)
+        assert mate_topk(index, query, keys, k, exclude) == naive_key_join(
+            lake, query, keys, k, exclude
+        )

@@ -85,6 +85,16 @@ class TestRoundTrip:
                 (h.ref, h.score) for h in want
             ], ref
 
+    def test_mate_identical_for_every_table(self, built, snapdir, union_corpus):
+        loaded = DiscoverySystem.load(snapdir)
+        for table in union_corpus.lake:
+            for keys in ([0], [0, 1]):
+                if max(keys) >= table.num_cols:
+                    continue
+                want = built.multi_attribute_search(table, keys, k=10)
+                got = loaded.multi_attribute_search(table, keys, k=10)
+                assert got == want, (table.name, keys)
+
     def test_load_with_matching_lake_and_config(self, snapdir, union_corpus):
         loaded = DiscoverySystem.load(
             snapdir, lake=union_corpus.lake, config=_config()
@@ -176,6 +186,17 @@ class TestRejection:
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)
         assert "format version 3" in str(err)
+
+    def test_v4_format_version_refused(self, built, tmp_path):
+        """A v4 snapshot pickles MATE's old per-row cell sets, which the
+        inverted-postings search cannot serve, so it is refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 4
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 4" in str(err)
 
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
