@@ -61,7 +61,9 @@ log = get_logger("core.snapshot")
 #: Version 4: the Starmie payload holds one column-vector matrix instead of
 #: a vector dict plus an HNSW graph.  Version 5: the MATE payload holds
 #: inverted cell postings and a super-key array instead of per-row sets.
-FORMAT_VERSION = 5
+#: Version 6: the TUS payload holds signature, embedding and class-vector
+#: matrices instead of per-column dicts plus a MinHash LSH.
+FORMAT_VERSION = 6
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -457,7 +457,7 @@ class DiscoverySystem:
             label, query_repr=query_repr, k=request.k, **span_attrs
         ) as q:
             if name is None:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown {label} method {span_attrs.get('method')!r}"
                 )
             engine = self._ready(name)

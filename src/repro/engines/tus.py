@@ -20,8 +20,8 @@ class TusEngine(Engine):
     stage = "union_index"
     depends_on = ("embeddings",)
     query_label = "union"
-    kind = "minhash+lsh"
-    items_key = "minhashes"
+    kind = "signature-matrix"
+    items_key = "columns"
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx

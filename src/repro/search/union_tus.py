@@ -4,18 +4,22 @@ Defines *attribute unionability* — the likelihood two columns draw from the
 same domain — under three signals, then aggregates column scores to table
 scores with bipartite matching:
 
-* set unionability  — value overlap (Jaccard);
-* sem unionability  — overlap of ontology class annotations;
+* set unionability  — value overlap (MinHash Jaccard estimate);
+* sem unionability  — cosine of ontology class distributions;
 * nl unionability   — cosine of distributional embeddings;
 * ensemble          — the max of the available signals (the paper picks the
   measure with the highest goodness per attribute pair).
 
-An LSH index over column MinHashes prefilters candidate tables so search
-does not score the whole lake.
+Search is one exact pass over per-column matrices built offline (MinHash
+signatures, embeddings, class vectors).  Candidate tables share at least
+one MinHash slot with a query column: what a banded LSH at threshold 0.05
+returns, since its optimal banding is one slot per band for 8–205
+permutations.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,6 @@ from repro.datalake.table import Column, ColumnRef, Table
 from repro.search.aggregate import table_unionability
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
-from repro.sketch.lsh import MinHashLSH
 from repro.sketch.minhash import MinHash
 from repro.understanding.embedding import EmbeddingSpace
 
@@ -37,8 +40,6 @@ MEASURES = ("set", "sem", "nl", "ensemble")
 class TusConfig:
     measure: str = "ensemble"
     num_perm: int = 128
-    prefilter_threshold: float = 0.05
-    alignment: str = "hungarian"
     min_column_size: int = 2
 
 
@@ -58,167 +59,139 @@ class TableUnionSearch:
         self.config = config or TusConfig()
         if self.config.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.config.measure!r}")
-        self._minhashes: dict[ColumnRef, MinHash] = {}
-        self._class_vectors: dict[ColumnRef, dict[str, float]] = {}
-        self._embeddings: dict[ColumnRef, np.ndarray] = {}
-        self._lsh: MinHashLSH | None = None
-        self._built = False
+        #: indexed text columns in lake order; row i of each matrix is refs[i]
+        self.refs: list[ColumnRef] = []
+        self._signatures: np.ndarray | None = None
+        self._embeddings = np.zeros((0, 0))
+        #: sorted ontology classes seen in the lake, the class-vector columns
+        self._classes: list[str] = []
+        self._class_vectors = np.zeros((0, 0))
+        #: table name -> (first, last + 1) row of its columns
+        self._slices: dict[str, tuple[int, int]] = {}
 
     # -- offline ------------------------------------------------------------------
 
     def build(self) -> "TableUnionSearch":
-        cfg = self.config
-        self._lsh = MinHashLSH(threshold=cfg.prefilter_threshold,
-                               num_perm=cfg.num_perm)
+        refs: list[ColumnRef] = []
+        value_sets = []
+        slices: dict[str, tuple[int, int]] = {}
         for ref, col in self.lake.iter_text_columns():
-            values = col.value_set()
-            if len(values) < cfg.min_column_size:
+            if len(col.value_set()) < self.config.min_column_size:
                 continue
-            mh = MinHash.from_values(values, num_perm=cfg.num_perm)
-            self._minhashes[ref] = mh
-            self._lsh.insert(ref, mh)
-            if self.ontology is not None:
-                self._class_vectors[ref] = self._class_vector(values)
-            if self.space is not None:
-                self._embeddings[ref] = self.space.embed_set(values)
-        self._built = True
+            slices[ref.table] = (slices.get(ref.table, (len(refs),))[0], len(refs) + 1)
+            refs.append(ref)
+            value_sets.append(col.value_set())
+        self.refs, self._slices = refs, slices
+        self._signatures = self._sign(value_sets)
+        self._embeddings = self._embed(value_sets)
+        counts = [self._class_counts(values) for values in value_sets]
+        self._classes = sorted(set().union(*counts))
+        self._class_vectors = self._class_rows(counts)
         return self
 
     def stats(self) -> dict:
-        """Introspection: signature store sizes plus the prefilter LSH."""
+        """Introspection: indexed columns and the shapes of the matrices."""
         return {
-            "minhashes": len(self._minhashes),
-            "class_vectors": len(self._class_vectors),
-            "embeddings": len(self._embeddings),
+            "columns": len(self.refs),
+            "signatures": [len(self.refs), self.config.num_perm],
+            "classes": len(self._classes),
+            "embedding_dim": self._embeddings.shape[1],
             "measure": self.config.measure,
-            "lsh": self._lsh.stats() if self._lsh is not None else {},
         }
 
-    def _class_vector(self, values) -> dict[str, float]:
-        """Normalized distribution of ontology classes over the values."""
-        counts: dict[str, float] = {}
-        for v in values:
-            for cls in self.ontology.classes_of(v, with_ancestors=False):
-                counts[cls] = counts.get(cls, 0.0) + 1.0
-        total = sum(counts.values())
-        return {c: n / total for c, n in counts.items()} if total else {}
+    def _sign(self, value_sets) -> np.ndarray:
+        num_perm = self.config.num_perm
+        return np.array(
+            [MinHash.from_values(v, num_perm=num_perm).hashvalues for v in value_sets],
+            dtype=np.uint64,
+        ).reshape(len(value_sets), num_perm)
 
-    # -- attribute unionability -----------------------------------------------------
-
-    def set_unionability(self, a: Column, b_ref: ColumnRef) -> float:
-        mh_b = self._minhashes.get(b_ref)
-        if mh_b is None:
-            return 0.0
-        mh_a = MinHash.from_values(a.value_set(), num_perm=self.config.num_perm)
-        return mh_a.jaccard(mh_b)
-
-    def sem_unionability(self, a: Column, b_ref: ColumnRef) -> float:
-        if self.ontology is None:
-            return 0.0
-        va = self._class_vector(a.value_set())
-        vb = self._class_vectors.get(b_ref, {})
-        if not va or not vb:
-            return 0.0
-        dot = sum(va.get(c, 0.0) * vb.get(c, 0.0) for c in set(va) | set(vb))
-        na = sum(x * x for x in va.values()) ** 0.5
-        nb = sum(x * x for x in vb.values()) ** 0.5
-        return dot / (na * nb) if na and nb else 0.0
-
-    def nl_unionability(self, a: Column, b_ref: ColumnRef) -> float:
+    def _embed(self, value_sets) -> np.ndarray:
+        """One embedding row per value set; zero columns without a space."""
         if self.space is None:
-            return 0.0
-        vb = self._embeddings.get(b_ref)
-        if vb is None:
-            return 0.0
-        va = self.space.embed_set(a.value_set())
-        return max(0.0, float(np.dot(va, vb)))
-
-    def attribute_unionability(
-        self, a: Column, b_ref: ColumnRef, measure: str | None = None
-    ) -> float:
-        measure = measure or self.config.measure
-        if measure == "set":
-            return self.set_unionability(a, b_ref)
-        if measure == "sem":
-            return self.sem_unionability(a, b_ref)
-        if measure == "nl":
-            return self.nl_unionability(a, b_ref)
-        return max(
-            self.set_unionability(a, b_ref),
-            self.sem_unionability(a, b_ref),
-            self.nl_unionability(a, b_ref),
+            return np.zeros((len(value_sets), 0))
+        return np.array([self.space.embed_set(v) for v in value_sets]).reshape(
+            len(value_sets), self.space.dim
         )
+
+    def _class_counts(self, values) -> Counter:
+        if self.ontology is None:
+            return Counter()
+        return Counter(
+            cls for v in values for cls in self.ontology.classes_of(v, with_ancestors=False)
+        )
+
+    def _class_rows(self, counts: list[Counter]) -> np.ndarray:
+        """Count rows over ``_classes``, each divided by the norm of its full
+        count vector, so a row product is a class-distribution cosine."""
+        index = {cls: i for i, cls in enumerate(self._classes)}
+        rows = np.zeros((len(counts), len(self._classes)))
+        for r, row_counts in enumerate(counts):
+            norm = sum(n * n for n in row_counts.values()) ** 0.5
+            for cls, n in row_counts.items():
+                if cls in index:
+                    rows[r, index[cls]] = n / norm
+        return rows
 
     # -- online ---------------------------------------------------------------------
 
-    def _candidate_tables(self, query: Table) -> set[str]:
-        """LSH prefilter: tables sharing at least one colliding column."""
-        tables: set[str] = set()
-        for col in query.columns:
-            if col.is_numeric:
-                continue
-            mh = MinHash.from_values(col.value_set(), num_perm=self.config.num_perm)
-            for ref in self._lsh.query(mh):
-                tables.add(ref.table)
-        tables.discard(query.name)
-        return tables
+    def column_scores(
+        self, columns: list[Column], measure: str | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Attribute unionability of each column with every indexed column.
+
+        Returns ``(scores, shares_slot)``: the ``(len(columns), len(refs))``
+        score matrix, whose column j scores ``refs[j]``, and whether each
+        indexed column shares a MinHash slot with any of ``columns``.
+        """
+        if self._signatures is None:
+            raise RuntimeError("call build() before searching")
+        measure = measure or self.config.measure
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}")
+        value_sets = [c.value_set() for c in columns]
+        equal = self._sign(value_sets)[:, None, :] == self._signatures[None, :, :]
+        parts = []
+        if measure in ("set", "ensemble"):
+            parts.append(equal.mean(axis=2))
+        if measure in ("sem", "ensemble"):
+            query = self._class_rows([self._class_counts(v) for v in value_sets])
+            parts.append(query @ self._class_vectors.T)
+        if measure in ("nl", "ensemble"):
+            parts.append(np.maximum(self._embed(value_sets) @ self._embeddings.T, 0.0))
+        return np.maximum.reduce(parts), equal.any(axis=2).any(axis=0)
 
     def search(
         self,
         query: Table,
         k: int = 10,
         measure: str | None = None,
-        prefilter: bool = True,
         explain: bool = False,
     ):
-        """Top-k unionable tables under the chosen measure.
+        """Top-k unionable tables under the chosen measure, each candidate
+        table's slice of the score matrix aligned by the Hungarian matcher.
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        if not self._built:
-            raise RuntimeError("call build() before searching")
         measure = measure or self.config.measure
-        names = (
-            self._candidate_tables(query)
-            if prefilter
-            else set(self.lake.table_names()) - {query.name}
+        scores, shares_slot = self.column_scores(
+            [c for c in query.columns if not c.is_numeric], measure
         )
-        qcols = [c for c in query.columns if not c.is_numeric]
+        names = sorted(
+            {self.refs[j].table for j in np.flatnonzero(shares_slot)} - {query.name}
+        )
         results = []
-        scored = 0
-        for name in sorted(names):
-            cand = self.lake.table(name)
-            cand_refs = [
-                ColumnRef(name, i)
-                for i, c in enumerate(cand.columns)
-                if not c.is_numeric and ColumnRef(name, i) in self._minhashes
-            ]
-            if not cand_refs or not qcols:
-                continue
-            scored += 1
-            scores = np.zeros((len(qcols), len(cand_refs)))
-            for i, qc in enumerate(qcols):
-                for j, ref in enumerate(cand_refs):
-                    scores[i, j] = self.attribute_unionability(qc, ref, measure)
-            total, pairs = table_unionability(
-                scores, method=self.config.alignment
-            )
+        for name in names:
+            first, last = self._slices[name]
+            total, pairs = table_unionability(scores[:, first:last])
             if total > 0:
-                alignment = tuple(
-                    (i, cand_refs[j].index, s) for i, j, s in pairs
-                )
+                alignment = tuple((i, self.refs[first + j].index, s) for i, j, s in pairs)
                 results.append(TableResult(name, total, alignment))
         out = sorted(results)[:k]
         if explain:
-            report = ExplainReport(
-                "tus",
-                query=query.name,
-                k=k,
-                params={"measure": measure, "prefilter": prefilter},
-            )
+            report = ExplainReport("tus", query=query.name, k=k, params={"measure": measure})
             report.stage("tables_in_lake", len(self.lake.table_names()))
             report.stage("candidates", len(names))
-            report.stage("scored", scored)
             report.stage("positive", len(results))
             report.stage("returned", len(out))
             report.results = summarize_results(out)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.core.config import DiscoveryConfig
+from repro.core.errors import ConfigError
 from repro.core.system import DiscoverySystem
 from repro.datalake.lake import ColumnRef
 from repro.obs.querylog import QueryLog, QueryRecord
@@ -197,11 +198,11 @@ class TestSystemIntegration:
 
     def test_failed_query_logged_as_error(self, system, union_corpus):
         qname = union_corpus.groups[0][0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             system.joinable_search(ColumnRef(qname, 0), method="bogus")
         last = obs.QUERY_LOG.records()[-1]
         assert last.status == "error"
-        assert last.error == "ValueError"
+        assert last.error == "ConfigError"
 
     def test_cpu_time_recorded(self, system):
         system.keyword_search("concept", k=3)

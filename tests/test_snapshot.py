@@ -95,6 +95,13 @@ class TestRoundTrip:
                 got = loaded.multi_attribute_search(table, keys, k=10)
                 assert got == want, (table.name, keys)
 
+    def test_tus_identical_for_every_table(self, built, snapdir, union_corpus):
+        loaded = DiscoverySystem.load(snapdir)
+        for table in union_corpus.lake:
+            want = built.unionable_search(table.name, k=10, method="tus")
+            got = loaded.unionable_search(table.name, k=10, method="tus")
+            assert got == want, table.name
+
     def test_load_with_matching_lake_and_config(self, snapdir, union_corpus):
         loaded = DiscoverySystem.load(
             snapdir, lake=union_corpus.lake, config=_config()
@@ -197,6 +204,18 @@ class TestRejection:
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)
         assert "format version 4" in str(err)
+
+    def test_v5_format_version_refused(self, built, tmp_path):
+        """A v5 snapshot pickles TUS's old per-column dicts and MinHash
+        LSH, which the signature-matrix search cannot serve, so it is
+        refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 5
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 5" in str(err)
 
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"

@@ -99,7 +99,7 @@ class TestOnlineSearch:
         assert isinstance(res, list)
 
     def test_joinable_unknown_method(self, system, union_corpus):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             system.joinable_search(
                 ColumnRef(union_corpus.groups[0][0], 0), method="psychic"
             )
@@ -113,7 +113,7 @@ class TestOnlineSearch:
         assert p >= 0.6, (method, got)
 
     def test_unionable_unknown_method(self, system, union_corpus):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             system.unionable_search(union_corpus.groups[0][0], method="magic")
 
     def test_fuzzy_joinable(self, system, union_corpus):

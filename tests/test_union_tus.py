@@ -1,9 +1,19 @@
 """Tests for TUS-style table union search."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datalake.generate import make_union_corpus
 from repro.datalake.ontology import subsample_ontology
-from repro.search.union_tus import TableUnionSearch, TusConfig
+from repro.datalake.table import ColumnRef
+from repro.search.aggregate import table_unionability
+from repro.search.results import TableResult
+from repro.search.union_tus import MEASURES, TableUnionSearch, TusConfig
+from repro.sketch.lsh import optimal_bands
+from repro.sketch.minhash import MinHash
+from repro.understanding.embedding import train_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -15,12 +25,106 @@ def tus(union_corpus, union_space):
     ).build()
 
 
+def column_score(tus, column, ref, measure=None):
+    """One query column's attribute unionability with one indexed column."""
+    scores, _ = tus.column_scores([column], measure)
+    return scores[0, tus.refs.index(ref)]
+
+
+# -- brute-force reference: per-pair attribute unionability --------------------
+
+
+class PairwiseTus:
+    """TUS scored one (query column, lake column) pair at a time, each
+    measure straight from its definition, over every indexed column."""
+
+    def __init__(self, lake, ontology=None, space=None, num_perm=128):
+        self.lake, self.ontology, self.space = lake, ontology, space
+        self.num_perm = num_perm
+        self.columns = {
+            ref: col
+            for ref, col in lake.iter_text_columns()
+            if len(col.value_set()) >= TusConfig().min_column_size
+        }
+
+    def minhash(self, column):
+        return MinHash.from_values(column.value_set(), num_perm=self.num_perm)
+
+    def class_vector(self, column):
+        counts = {}
+        for v in column.value_set():
+            for cls in self.ontology.classes_of(v, with_ancestors=False):
+                counts[cls] = counts.get(cls, 0.0) + 1.0
+        total = sum(counts.values())
+        return {c: n / total for c, n in counts.items()} if total else {}
+
+    def set_score(self, a, b):
+        return self.minhash(a).jaccard(self.minhash(b))
+
+    def sem_score(self, a, b):
+        if self.ontology is None:
+            return 0.0
+        va, vb = self.class_vector(a), self.class_vector(b)
+        if not va or not vb:
+            return 0.0
+        dot = sum(va.get(c, 0.0) * vb.get(c, 0.0) for c in set(va) | set(vb))
+        na = sum(x * x for x in va.values()) ** 0.5
+        nb = sum(x * x for x in vb.values()) ** 0.5
+        return dot / (na * nb)
+
+    def nl_score(self, a, b):
+        if self.space is None:
+            return 0.0
+        va = self.space.embed_set(a.value_set())
+        vb = self.space.embed_set(b.value_set())
+        return max(0.0, float(np.dot(va, vb)))
+
+    def score(self, a, b, measure):
+        parts = {
+            "set": self.set_score,
+            "sem": self.sem_score,
+            "nl": self.nl_score,
+        }
+        if measure != "ensemble":
+            return parts[measure](a, b)
+        return max(f(a, b) for f in parts.values())
+
+    def candidates(self, query):
+        """Tables with a column sharing a MinHash slot with a query column."""
+        qsigs = [
+            self.minhash(c).hashvalues for c in query.columns if not c.is_numeric
+        ]
+        return {
+            ref.table
+            for ref, col in self.columns.items()
+            if any(np.any(q == self.minhash(col).hashvalues) for q in qsigs)
+        } - {query.name}
+
+    def search(self, query, k, measure):
+        qcols = [c for c in query.columns if not c.is_numeric]
+        results = []
+        for name in sorted(self.candidates(query)):
+            refs = [ref for ref in self.columns if ref.table == name]
+            scores = np.array(
+                [[self.score(q, self.columns[r], measure) for r in refs] for q in qcols]
+            )
+            total, pairs = table_unionability(scores)
+            if total > 0:
+                alignment = tuple((i, refs[j].index, s) for i, j, s in pairs)
+                results.append(TableResult(name, total, alignment))
+        return sorted(results)[:k]
+
+
 class TestLifecycle:
     def test_unknown_measure_rejected(self, union_corpus):
         with pytest.raises(ValueError):
             TableUnionSearch(
                 union_corpus.lake, config=TusConfig(measure="bogus")
             )
+
+    def test_unknown_search_measure_rejected(self, union_corpus, tus):
+        with pytest.raises(ValueError):
+            tus.search(next(iter(union_corpus.lake)), measure="bogus")
 
     def test_search_before_build_rejected(self, union_corpus):
         t = TableUnionSearch(union_corpus.lake)
@@ -52,12 +156,61 @@ class TestRetrieval:
             assert 0 <= cj < cand.num_cols
             assert s > 0
 
-    def test_prefilter_matches_full_scan(self, union_corpus, tus):
-        qname = union_corpus.groups[2][0]
-        query = union_corpus.lake.table(qname)
-        fast = [r.table for r in tus.search(query, k=3, prefilter=True)]
-        slow = [r.table for r in tus.search(query, k=3, prefilter=False)]
-        assert set(fast) & set(slow)
+
+@st.composite
+def _lakes(draw):
+    corpus = make_union_corpus(
+        n_groups=draw(st.integers(2, 3)),
+        tables_per_group=draw(st.integers(2, 3)),
+        cols_per_table=draw(st.integers(2, 4)),
+        rows_per_table=draw(st.integers(8, 24)),
+        value_overlap=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    partial = subsample_ontology(corpus.ontology, 0.5, seed=3)
+    ontology = draw(st.sampled_from([None, corpus.ontology, partial]))
+    space = (
+        train_embeddings(corpus.lake, dim=8, min_count=1, seed=1)
+        if draw(st.booleans())
+        else None
+    )
+    return corpus.lake, ontology, space
+
+
+class TestExactness:
+    """The matrix pass equals per-pair scoring over the candidate tables."""
+
+    @pytest.mark.parametrize("num_perm", [8, 128, 205])
+    def test_slot_rule_is_the_lsh_collision_rule(self, num_perm):
+        """At threshold 0.05 the optimal banding has one slot per band, so
+        an LSH collision is exactly one shared MinHash slot."""
+        assert optimal_bands(num_perm, 0.05) == (num_perm, 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_lakes(), k=st.integers(1, 10))
+    def test_matches_pairwise_reference(self, case, k):
+        lake, ontology, space = case
+        tus = TableUnionSearch(lake, ontology=ontology, space=space).build()
+        reference = PairwiseTus(lake, ontology, space)
+        for query in lake:
+            candidates = reference.candidates(query)
+            _, shares_slot = tus.column_scores(
+                [c for c in query.columns if not c.is_numeric]
+            )
+            sharing = {tus.refs[j].table for j in np.flatnonzero(shares_slot)}
+            assert sharing - {query.name} == candidates
+            for measure in MEASURES:
+                got, report = tus.search(query, k=k, measure=measure, explain=True)
+                want = reference.search(query, k, measure)
+                assert [h.table for h in got] == [h.table for h in want]
+                for g, w in zip(got, want):
+                    assert g.score == pytest.approx(w.score, abs=1e-9)
+                    assert [(i, j) for i, j, _ in g.alignment] == [
+                        (i, j) for i, j, _ in w.alignment
+                    ]
+                    for (_, _, gs), (_, _, ws) in zip(g.alignment, w.alignment):
+                        assert gs == pytest.approx(ws, abs=1e-9)
+                assert report.counts()["candidates"] == len(candidates)
 
 
 class TestMeasures:
@@ -65,10 +218,8 @@ class TestMeasures:
         t = TableUnionSearch(union_corpus.lake, space=union_space).build()
         qname = union_corpus.groups[0][0]
         qcol = union_corpus.lake.table(qname).columns[0]
-        from repro.datalake.table import ColumnRef
-
         other = ColumnRef(union_corpus.groups[0][1], 0)
-        assert t.sem_unionability(qcol, other) == 0.0
+        assert column_score(t, qcol, other, "sem") == 0.0
 
     def test_nl_requires_space(self, union_corpus):
         t = TableUnionSearch(
@@ -76,16 +227,12 @@ class TestMeasures:
         ).build()
         qname = union_corpus.groups[0][0]
         qcol = union_corpus.lake.table(qname).columns[0]
-        from repro.datalake.table import ColumnRef
-
         other = ColumnRef(union_corpus.groups[0][1], 0)
-        assert t.nl_unionability(qcol, other) == 0.0
+        assert column_score(t, qcol, other, "nl") == 0.0
 
     def test_semantic_survives_low_value_overlap(self, union_corpus, tus):
         """The TUS claim: when value overlap is partial, semantic measures
         still match same-domain columns strongly."""
-        from repro.datalake.table import ColumnRef
-
         qname, cname = union_corpus.groups[0][0], union_corpus.groups[0][1]
         query = union_corpus.lake.table(qname)
         cand = union_corpus.lake.table(cname)
@@ -95,21 +242,16 @@ class TestMeasures:
             q_cls = onto.annotate_column(qcol.non_null_values())
             for ci, ccol in cand.text_columns():
                 if onto.annotate_column(ccol.non_null_values()) == q_cls:
-                    sem = tus.sem_unionability(qcol, ColumnRef(cname, ci))
+                    sem = column_score(tus, qcol, ColumnRef(cname, ci), "sem")
                     assert sem > 0.9
                     return
         pytest.fail("no aligned column pair found")
 
     def test_ensemble_at_least_max_component(self, union_corpus, tus):
-        from repro.datalake.table import ColumnRef
-
         qcol = union_corpus.lake.table(union_corpus.groups[0][0]).columns[0]
         ref = ColumnRef(union_corpus.groups[0][1], 0)
-        ens = tus.attribute_unionability(qcol, ref, "ensemble")
-        parts = [
-            tus.attribute_unionability(qcol, ref, m)
-            for m in ("set", "sem", "nl")
-        ]
+        ens = column_score(tus, qcol, ref, "ensemble")
+        parts = [column_score(tus, qcol, ref, m) for m in ("set", "sem", "nl")]
         assert ens == pytest.approx(max(parts))
 
     def test_partial_ontology_weakens_sem(self, union_corpus, union_space):
