@@ -663,9 +663,16 @@ def _run_inspect(args, out) -> int:
         prov = system.provenance
         if prov:
             fields = ", ".join(
-                f"{k}={v}" for k, v in sorted(prov.items()) if k != "source"
+                f"{k}={v}"
+                for k, v in sorted(prov.items())
+                if k not in ("source", "build_ms")
             )
             print(f"provenance: {prov.get('source', '?')} ({fields})", file=out)
+        if prov.get("build_ms"):
+            split = ", ".join(
+                f"{name}={ms:.1f}" for name, ms in prov["build_ms"].items()
+            )
+            print(f"build ms: {split}", file=out)
         for r in reports:
             print(r.render(), file=out)
     return 0

@@ -62,8 +62,10 @@ log = get_logger("core.snapshot")
 #: a vector dict plus an HNSW graph.  Version 5: the MATE payload holds
 #: inverted cell postings and a super-key array instead of per-row sets.
 #: Version 6: the TUS payload holds signature, embedding and class-vector
-#: matrices instead of per-column dicts plus a MinHash LSH.
-FORMAT_VERSION = 6
+#: matrices instead of per-column dicts plus a MinHash LSH.  Version 7:
+#: the pickled ontology keys its class-level relations by class pair
+#: instead of by relation name.
+FORMAT_VERSION = 7
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

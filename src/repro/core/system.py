@@ -190,10 +190,14 @@ class DiscoverySystem:
             "annotation": cfg.enable_annotation and self.ontology is not None,
         }
 
-    def _stage_graph(self, skip: set[str]) -> StageGraph:
+    def _stage_graph(
+        self, skip: set[str], build_ms: dict[str, float]
+    ) -> StageGraph:
         """The stage DAG for this build, derived from the engine registry:
         enabled stages minus ``skip``, each stage running its member
-        engines' ``build(ctx)`` in registration order."""
+        engines' ``build(ctx)`` in registration order, each inside a
+        forced ``engine.<name>.build`` span whose wall time lands in
+        ``build_ms``."""
         members = REGISTRY.by_stage(
             {**self.foundations, **self.engines}
         )
@@ -202,7 +206,11 @@ class DiscoverySystem:
         def stage_fn(engines):
             def run() -> None:
                 for engine in engines:
-                    engine.build(self.engine_context)
+                    with TRACER.span(
+                        f"engine.{engine.name}.build", force=True
+                    ) as sp:
+                        engine.build(self.engine_context)
+                    build_ms[engine.name] = sp.duration_s * 1000
 
             return run
 
@@ -242,7 +250,8 @@ class DiscoverySystem:
         METRICS.set_gauge("lake.columns", self.stats.columns)
 
         self.engine_context.reset_shared()
-        graph = self._stage_graph(skip)
+        build_ms: dict[str, float] = {}
+        graph = self._stage_graph(skip, build_ms)
         with TRACER.span(
             "pipeline.build",
             force=True,
@@ -270,6 +279,13 @@ class DiscoverySystem:
             "max_concurrent_stages": max_concurrent,
             "stages": graph.order(),
             "skipped": sorted(skip),
+            # Wall ms of each engine's build (foundations included), in
+            # registry order whatever the completion order was.
+            "build_ms": {
+                name: round(build_ms[name], 3)
+                for name in (*self.foundations, *self.engines)
+                if name in build_ms
+            },
         }
         log.info(
             "pipeline built: %d tables, %d columns, %d stages "
@@ -351,6 +367,9 @@ class DiscoverySystem:
                     memory_bytes=deep_sizeof(engine.memory_object()),
                     detail=detail,
                     provenance=dict(self.provenance),
+                    build_ms=self.provenance.get("build_ms", {}).get(
+                        engine.name
+                    ),
                 )
             )
 

@@ -31,8 +31,11 @@ class Ontology:
     def __init__(self):
         self._classes: dict[str, OntologyClass] = {}
         self._value_to_class: dict[str, str] = {}
-        # relation name -> set of (subject class, object class)
-        self._relations: dict[str, set[tuple[str, str]]] = {}
+        # (class, class) -> relation name, keyed in both directions.  A
+        # pair declared under several names answers with the name declared
+        # first (``_relation_rank``: name -> order of first declaration).
+        self._relations: dict[tuple[str, str], str] = {}
+        self._relation_rank: dict[str, int] = {}
         # (subject value, object value) -> relation name (instance-level facts)
         self._facts: dict[tuple[str, str], str] = {}
 
@@ -51,7 +54,11 @@ class Ontology:
         self._classes[cls].values.add(value)
 
     def add_relation(self, name: str, subject_cls: str, object_cls: str) -> None:
-        self._relations.setdefault(name, set()).add((subject_cls, object_cls))
+        rank = self._relation_rank.setdefault(name, len(self._relation_rank))
+        for pair in ((subject_cls, object_cls), (object_cls, subject_cls)):
+            held = self._relations.get(pair)
+            if held is None or rank < self._relation_rank[held]:
+                self._relations[pair] = name
 
     def add_fact(self, subject: str, obj: str, relation: str) -> None:
         self._facts[(str(subject).lower(), str(obj).lower())] = relation
@@ -82,23 +89,27 @@ class Ontology:
         return set(self.ancestors(leaf)) if with_ancestors else {leaf}
 
     def relation_between_classes(self, a: str, b: str) -> str | None:
-        """A relation name declared between classes a and b (either direction)."""
-        for name, pairs in self._relations.items():
-            if (a, b) in pairs or (b, a) in pairs:
-                return name
-        return None
+        """The first-declared relation name between classes a and b (either
+        direction)."""
+        return self._relations.get((a, b))
+
+    def has_fact(self, a: str, b: str) -> bool:
+        """Is (a, b) an instance-level fact, in either direction?"""
+        a, b = str(a).lower(), str(b).lower()
+        return (a, b) in self._facts or (b, a) in self._facts
 
     def relation_between_values(self, a: str, b: str) -> str | None:
         """Instance-level fact lookup, falling back to class-level relations."""
-        fact = self._facts.get((str(a).lower(), str(b).lower()))
+        a, b = str(a).lower(), str(b).lower()
+        fact = self._facts.get((a, b))
         if fact is None:
-            fact = self._facts.get((str(b).lower(), str(a).lower()))
+            fact = self._facts.get((b, a))
         if fact is not None:
             return fact
-        ca, cb = self.class_of(a), self.class_of(b)
+        ca, cb = self._value_to_class.get(a), self._value_to_class.get(b)
         if ca is None or cb is None:
             return None
-        return self.relation_between_classes(ca, cb)
+        return self._relations.get((ca, cb))
 
     def coverage_of(self, values: list[str]) -> float:
         """Fraction of the given values the ontology knows about."""
@@ -170,9 +181,8 @@ def subsample_ontology(
 
     for name in onto._classes:
         add_with_parents(name)
-    for name, pairs in onto._relations.items():
-        for a, b in pairs:
-            out.add_relation(name, a, b)
+    out._relations = dict(onto._relations)
+    out._relation_rank = dict(onto._relation_rank)
     for value, cls in onto._value_to_class.items():
         if kept_classes is not None:
             if cls in kept_classes:

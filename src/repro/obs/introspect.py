@@ -98,9 +98,12 @@ class IndexStatsReport:
     memory_bytes: int
     detail: dict[str, Any] = field(default_factory=dict)
     #: Where the index came from: a live build (source=build, build_jobs,
-    #: stage list) or a reloaded snapshot (source=snapshot, path,
-    #: created_at, config hash, lake fingerprint).
+    #: stage list, per-engine build_ms) or a reloaded snapshot
+    #: (source=snapshot, path, created_at, config hash, lake fingerprint).
     provenance: dict[str, Any] = field(default_factory=dict)
+    #: Wall ms this engine's build took; None when the index was reloaded
+    #: from a snapshot rather than built.
+    build_ms: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
         out = {
@@ -110,23 +113,29 @@ class IndexStatsReport:
             "memory_bytes": self.memory_bytes,
             "detail": self.detail,
         }
+        if self.build_ms is not None:
+            out["build_ms"] = self.build_ms
         if self.provenance:
             out["provenance"] = self.provenance
         return out
 
     def render(self) -> str:
-        lines = [
+        head = (
             f"{self.name} ({self.kind}): {self.items} items, "
             f"{self.memory_bytes / 1024:.1f} KiB"
-        ]
+        )
+        if self.build_ms is not None:
+            head += f", built in {self.build_ms:.1f} ms"
+        lines = [head]
         for key in sorted(self.detail):
             lines.append(f"  {key} = {self.detail[key]}")
         if self.provenance:
             src = self.provenance.get("source", "?")
+            # Every engine's build_ms is on its own report's first line.
             rest = ", ".join(
                 f"{k}={v}"
                 for k, v in sorted(self.provenance.items())
-                if k != "source"
+                if k not in ("source", "build_ms")
             )
             lines.append(f"  provenance = {src}" + (f" ({rest})" if rest else ""))
         return "\n".join(lines)

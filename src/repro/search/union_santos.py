@@ -77,18 +77,13 @@ class SantosUnionSearch:
         )
 
     def _fact_supported(self, a: str, b: str) -> bool:
-        """Is (a, b) an instance-level fact in the KB or synthesized KB?"""
-        if self.ontology.relation_between_values(a, b) is not None:
-            # Instance-level check: require an actual fact, not the
-            # class-level fallback, for relationship support.
-            if self.ontology._facts.get((a.lower(), b.lower())) is not None:
-                return True
-            if self.ontology._facts.get((b.lower(), a.lower())) is not None:
-                return True
-        if self._synth is not None:
-            if self._synth.relation_between_values(a, b) is not None:
-                return True
-        return False
+        """Is (a, b) an instance-level fact in the KB or synthesized KB?
+
+        Relationship support needs an actual fact, not a class-level
+        relation between the values' classes."""
+        if self.ontology.has_fact(a, b):
+            return True
+        return self._synth is not None and self._synth.has_fact(a, b)
 
     def _table_semantics(self, table: Table) -> _TableSemantics:
         cfg = self.config

@@ -16,7 +16,7 @@ from collections import Counter
 from math import log
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import svds
 
 from repro.datalake.lake import DataLake
@@ -91,6 +91,90 @@ class EmbeddingSpace:
         return out
 
 
+def ppmi_matrix(
+    lake: DataLake,
+    min_count: int = 2,
+    max_pairs_per_column: int = 4000,
+    row_context: bool = True,
+    seed: int = 0,
+) -> tuple[list[str], csr_matrix]:
+    """The lake's vocabulary and its symmetric PPMI co-occurrence matrix.
+
+    The vocabulary is every normalized text value seen at least
+    ``min_count`` times, sorted.  Contexts: (1) column membership — pairs
+    of values sampled from the same text column; (2) row adjacency — pairs
+    of values from text cells of the same row.  Pair sampling bounds the
+    quadratic blow-up on long columns.  Pairs are counted as integer keys
+    ``min * V + max`` with numpy; only the logarithm runs per entry, with
+    :func:`math.log`, whose rounding the factorization downstream depends
+    on bit for bit.
+    """
+    rng = random.Random(seed)
+    tables = []
+    counts: Counter[str] = Counter()
+    for table in lake:
+        text_cols = [c for _, c in table.text_columns()]
+        values = [c.non_null_values() for c in text_cols]
+        for vals in values:
+            counts.update(vals)
+        tables.append((text_cols, values))
+    vocab = sorted(v for v, c in counts.items() if c >= min_count)
+    index = {v: i for i, v in enumerate(vocab)}
+    n = len(vocab)
+
+    left: list[np.ndarray] = []
+    right: list[np.ndarray] = []
+    for text_cols, values in tables:
+        # Column context: values of one column share a domain.
+        for vals in values:
+            if len(vals) < 2:
+                continue
+            ids = [index.get(v, -1) for v in vals]
+            n_pairs = min(max_pairs_per_column, 4 * len(vals))
+            picks = np.array(
+                [rng.choice(ids) for _ in range(2 * n_pairs)], dtype=np.int64
+            )
+            left.append(picks[0::2])
+            right.append(picks[1::2])
+        # Row context: values co-occurring in a row are related.
+        if row_context and len(text_cols) >= 2:
+            cells = [
+                np.array(
+                    [index.get(v.strip().lower(), -1) for v in c.values],
+                    dtype=np.int64,
+                )
+                for c in text_cols
+            ]
+            for i in range(len(cells)):
+                for j in range(i + 1, len(cells)):
+                    left.append(cells[i])
+                    right.append(cells[j])
+
+    a = np.concatenate(left) if left else np.zeros(0, dtype=np.int64)
+    b = np.concatenate(right) if right else np.zeros(0, dtype=np.int64)
+    keep = (a >= 0) & (b >= 0) & (a != b)
+    a, b = a[keep], b[keep]
+    keys, pair_counts = np.unique(
+        np.minimum(a, b) * n + np.maximum(a, b), return_counts=True
+    )
+    lo, hi = np.divmod(keys, max(n, 1))
+    total = float(pair_counts.sum()) * 2.0
+    marginal = np.bincount(
+        np.concatenate([lo, hi]),
+        weights=np.concatenate([pair_counts, pair_counts]).astype(np.float64),
+        minlength=n,
+    )
+    ratio = (pair_counts * total) / (marginal[lo] * marginal[hi])
+    pmi = np.fromiter(map(log, ratio.tolist()), dtype=np.float64, count=len(ratio))
+    pos = pmi > 0
+    lo, hi, pmi = lo[pos], hi[pos], pmi[pos]
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    mat = coo_matrix(
+        (np.concatenate([pmi, pmi]), (rows, cols)), shape=(n, n)
+    ).tocsr()
+    return vocab, mat
+
+
 def train_embeddings(
     lake: DataLake,
     dim: int = 64,
@@ -99,66 +183,13 @@ def train_embeddings(
     row_context: bool = True,
     seed: int = 0,
 ) -> EmbeddingSpace:
-    """Train PPMI+SVD embeddings over the lake's value co-occurrences.
-
-    Contexts: (1) column membership — pairs of values sampled from the same
-    text column; (2) row adjacency — pairs of values from text cells of the
-    same row.  Pair sampling bounds the quadratic blow-up on long columns.
-    """
-    rng = random.Random(seed)
-    counts: Counter[str] = Counter()
-    for _, col in lake.iter_text_columns():
-        counts.update(col.non_null_values())
-    vocab = sorted(v for v, c in counts.items() if c >= min_count)
-    index = {v: i for i, v in enumerate(vocab)}
-    if len(vocab) < 8:
+    """Train PPMI+SVD embeddings over the lake's value co-occurrences
+    (see :func:`ppmi_matrix` for the contexts counted)."""
+    vocab, mat = ppmi_matrix(
+        lake, min_count, max_pairs_per_column, row_context, seed
+    )
+    if len(vocab) < 8 or mat.nnz == 0:
         return EmbeddingSpace(vocab, np.zeros((len(vocab), max(dim, 1))))
-
-    pair_counts: Counter[tuple[int, int]] = Counter()
-
-    def record(a: str, b: str) -> None:
-        ia, ib = index.get(a), index.get(b)
-        if ia is None or ib is None or ia == ib:
-            return
-        pair_counts[(min(ia, ib), max(ia, ib))] += 1
-
-    for table in lake:
-        text_cols = [c for _, c in table.text_columns()]
-        # Column context: values of one column share a domain.
-        for col in text_cols:
-            vals = col.non_null_values()
-            if len(vals) < 2:
-                continue
-            n_pairs = min(max_pairs_per_column, 4 * len(vals))
-            for _ in range(n_pairs):
-                record(rng.choice(vals), rng.choice(vals))
-        # Row context: values co-occurring in a row are related.
-        if row_context and len(text_cols) >= 2:
-            for i in range(table.num_rows):
-                cells = [c.values[i].strip().lower() for c in text_cols]
-                for a in range(len(cells)):
-                    for b in range(a + 1, len(cells)):
-                        record(cells[a], cells[b])
-
-    if not pair_counts:
-        return EmbeddingSpace(vocab, np.zeros((len(vocab), max(dim, 1))))
-
-    total = sum(pair_counts.values()) * 2.0
-    marginal = np.zeros(len(vocab))
-    for (a, b), c in pair_counts.items():
-        marginal[a] += c
-        marginal[b] += c
-
-    rows, cols, data = [], [], []
-    for (a, b), c in pair_counts.items():
-        pmi = log((c * total) / (marginal[a] * marginal[b]))
-        if pmi > 0:
-            rows.extend((a, b))
-            cols.extend((b, a))
-            data.extend((pmi, pmi))
-    mat = coo_matrix(
-        (data, (rows, cols)), shape=(len(vocab), len(vocab))
-    ).tocsr()
     k = min(dim, len(vocab) - 1)
     u, s, _ = svds(mat, k=k, random_state=seed)
     vectors = u * np.sqrt(np.maximum(s, 0.0))[None, :]

@@ -249,6 +249,8 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "KiB total" in out
         assert "josie" in out
+        assert "build ms: embeddings=" in out
+        assert "built in" in out
 
 
 class TestEnginesCommand:

@@ -1,11 +1,23 @@
 """Tests for PPMI+SVD embedding training and the embedding space."""
 
+import random
+from collections import Counter
+from math import log
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
+from repro.datalake.generate import make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
-from repro.understanding.embedding import EmbeddingSpace, train_embeddings
+from repro.understanding.embedding import (
+    EmbeddingSpace,
+    ppmi_matrix,
+    train_embeddings,
+)
 
 
 class TestEmbeddingSpace:
@@ -72,7 +84,7 @@ class TestTraining:
         a = train_embeddings(union_corpus.lake, dim=16, seed=5)
         b = train_embeddings(union_corpus.lake, dim=16, seed=5)
         assert a.vocab == b.vocab
-        assert np.allclose(a.vectors, b.vectors)
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
     def test_min_count_filters_vocab(self, union_corpus):
         strict = train_embeddings(union_corpus.lake, dim=8, min_count=5)
@@ -87,3 +99,133 @@ class TestTraining:
     def test_requested_dim_respected(self, union_corpus):
         space = train_embeddings(union_corpus.lake, dim=24)
         assert space.dim == 24
+
+
+def naive_ppmi(lake, min_count, max_pairs_per_column, row_context, seed):
+    """Reference: one Python ``record`` call and one ``Counter`` update per
+    sampled pair, then one Python loop over the pairs for the PPMI
+    triplets."""
+    rng = random.Random(seed)
+    counts: Counter[str] = Counter()
+    for _, col in lake.iter_text_columns():
+        counts.update(col.non_null_values())
+    vocab = sorted(v for v, c in counts.items() if c >= min_count)
+    index = {v: i for i, v in enumerate(vocab)}
+    pair_counts: Counter[tuple[int, int]] = Counter()
+
+    def record(a, b):
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None or ia == ib:
+            return
+        pair_counts[(min(ia, ib), max(ia, ib))] += 1
+
+    for table in lake:
+        text_cols = [c for _, c in table.text_columns()]
+        for col in text_cols:
+            vals = col.non_null_values()
+            if len(vals) < 2:
+                continue
+            for _ in range(min(max_pairs_per_column, 4 * len(vals))):
+                record(rng.choice(vals), rng.choice(vals))
+        if row_context and len(text_cols) >= 2:
+            for i in range(table.num_rows):
+                cells = [c.values[i].strip().lower() for c in text_cols]
+                for a in range(len(cells)):
+                    for b in range(a + 1, len(cells)):
+                        record(cells[a], cells[b])
+
+    total = sum(pair_counts.values()) * 2.0
+    marginal = np.zeros(len(vocab))
+    for (a, b), c in pair_counts.items():
+        marginal[a] += c
+        marginal[b] += c
+    rows, cols, data = [], [], []
+    for (a, b), c in pair_counts.items():
+        pmi = log((c * total) / (marginal[a] * marginal[b]))
+        if pmi > 0:
+            rows.extend((a, b))
+            cols.extend((b, a))
+            data.extend((pmi, pmi))
+    mat = coo_matrix((data, (rows, cols)), shape=(len(vocab), len(vocab)))
+    return vocab, mat.tocsr()
+
+
+class TestExactness:
+    """``ppmi_matrix`` hands ``svds`` the very matrix the per-pair Python
+    loop built: same vocabulary, same CSR arrays bit for bit (one ulp in
+    one entry can flip trailing singular vectors)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_groups=st.integers(1, 3),
+        tables_per_group=st.integers(1, 3),
+        cols_per_table=st.integers(1, 3),
+        rows_per_table=st.integers(4, 20),
+        corpus_seed=st.integers(0, 10_000),
+        min_count=st.sampled_from([1, 2]),
+        row_context=st.booleans(),
+        max_pairs=st.sampled_from([3, 4000]),
+        seed=st.integers(0, 100),
+    )
+    def test_csr_equals_naive_reference(
+        self,
+        n_groups,
+        tables_per_group,
+        cols_per_table,
+        rows_per_table,
+        corpus_seed,
+        min_count,
+        row_context,
+        max_pairs,
+        seed,
+    ):
+        lake = make_union_corpus(
+            n_groups=n_groups,
+            tables_per_group=tables_per_group,
+            cols_per_table=cols_per_table,
+            rows_per_table=rows_per_table,
+            seed=corpus_seed,
+        ).lake
+        args = (lake, min_count, max_pairs, row_context, seed)
+        vocab, mat = ppmi_matrix(*args)
+        ref_vocab, ref = naive_ppmi(*args)
+        assert vocab == ref_vocab
+        assert mat.shape == ref.shape
+        assert mat.indptr.dtype == ref.indptr.dtype
+        assert mat.indices.dtype == ref.indices.dtype
+        assert (mat.indptr == ref.indptr).all()
+        assert (mat.indices == ref.indices).all()
+        assert (mat.data == ref.data).all()
+
+    def test_48_table_lake_matrix_equals_reference(self):
+        """At this size and ``min_count=2`` one of ~22k PMI entries comes
+        out one ulp off under ``np.log``; ``math.log`` matches."""
+        lake = make_union_corpus(
+            n_groups=8, tables_per_group=6, rows_per_table=60, seed=1
+        ).lake
+        vocab, mat = ppmi_matrix(lake, 2, 4000, True, 0)
+        ref_vocab, ref = naive_ppmi(lake, 2, 4000, True, 0)
+        assert vocab == ref_vocab
+        assert mat.nnz == ref.nnz > 0
+        assert (mat.indptr == ref.indptr).all()
+        assert (mat.indices == ref.indices).all()
+        assert (mat.data == ref.data).all()
+
+    def test_padded_cells_miss_the_vocabulary_in_row_context(self):
+        """Row context normalizes with ``strip().lower()`` only, as the
+        reference does: an inner double space misses the vocabulary."""
+        lake = DataLake(
+            [
+                Table.from_dict(
+                    "t",
+                    {
+                        "a": ["new  york", "new york", "oslo", "oslo"],
+                        "b": ["usa", "usa", "norway", "norway"],
+                    },
+                )
+            ]
+        )
+        vocab, mat = ppmi_matrix(lake, 1, 0, True, 0)
+        ref_vocab, ref = naive_ppmi(lake, 1, 0, True, 0)
+        assert vocab == ref_vocab
+        assert (mat.toarray() == ref.toarray()).all()

@@ -53,6 +53,23 @@ class TestPipelineSpans:
         for stage in traced.stats.stage_seconds:
             assert f"stage.{stage}" in names
 
+    def test_each_engine_build_has_a_span_inside_its_stage(self, traced):
+        (build_root,) = [
+            r for r in TRACER.roots() if r.name == "pipeline.build"
+        ]
+        build_ms = traced.provenance["build_ms"]
+        seen = set()
+        for stage in build_root.children:
+            for child in stage.children:
+                if not child.name.startswith("engine."):
+                    continue
+                name = child.name[len("engine."):-len(".build")]
+                assert child.name == f"engine.{name}.build"
+                assert build_ms[name] == round(child.duration_s * 1000, 3)
+                seen.add(name)
+        assert seen == set(build_ms)
+        assert {"embeddings", "annotation", "santos", "tus"} <= seen
+
     def test_stage_seconds_populated_from_spans(self, traced):
         (build_root,) = [
             r for r in TRACER.roots() if r.name == "pipeline.build"

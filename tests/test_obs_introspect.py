@@ -76,6 +76,13 @@ class TestPublishRegistry:
         clear_published()
         assert published() == []
 
+    def test_report_without_build_ms_omits_it(self):
+        report = IndexStatsReport(
+            name="demo", kind="test", items=3, memory_bytes=128
+        )
+        assert "build_ms" not in report.to_dict()
+        assert "built in" not in report.render()
+
     def test_report_to_dict_and_render(self):
         report = IndexStatsReport(
             name="demo",
@@ -118,6 +125,19 @@ class TestSystemIndexStats:
             assert r.memory_bytes > 0, r.name
             assert r.items >= 0, r.name
             assert r.detail, r.name
+
+    def test_every_built_engine_reports_build_ms(self, system):
+        reports = system.index_stats()
+        assert reports
+        for r in reports:
+            assert r.build_ms is not None and r.build_ms >= 0, r.name
+            assert r.to_dict()["build_ms"] == r.build_ms
+            assert "built in" in r.render().splitlines()[0]
+        build_ms = system.provenance["build_ms"]
+        # Foundations are timed too: the understanding split is visible.
+        assert "embeddings" in build_ms
+        assert {r.name for r in reports} <= set(build_ms)
+        assert all(ms >= 0 for ms in build_ms.values())
 
     def test_distribution_stats_present(self, system):
         by_name = {r.name: r for r in system.index_stats()}

@@ -139,6 +139,14 @@ class TestRoundTrip:
             assert report.provenance["source"] == "snapshot"
             assert "snapshot" in report.render()
 
+    def test_reloaded_reports_carry_no_build_ms(self, snapdir):
+        """A reload builds nothing, so no engine reports a build time."""
+        loaded = DiscoverySystem.load(snapdir)
+        assert "build_ms" not in loaded.provenance
+        for report in loaded.index_stats():
+            assert report.build_ms is None, report.name
+            assert "build_ms" not in report.to_dict()
+
 
 class TestRejection:
     def _assert_miss(self, snapdir, **kwargs):
@@ -216,6 +224,18 @@ class TestRejection:
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)
         assert "format version 5" in str(err)
+
+    def test_v6_format_version_refused(self, built, tmp_path):
+        """A v6 snapshot pickles the ontology's relations as name -> pair
+        sets, which the one-lookup class-pair index cannot serve, so it is
+        refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 6
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 6" in str(err)
 
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.bench.metrics import precision_at_k
-from repro.datalake.generate import make_relationship_corpus
+from repro.datalake.generate import make_relationship_corpus, make_union_corpus
+from repro.datalake.ontology import Ontology
 from repro.search.union_santos import (
     ColumnOnlySantosBaseline,
     SantosUnionSearch,
 )
+from repro.understanding.annotate import OntologyAnnotator
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +104,122 @@ class TestSynthesizedKB:
             [r.table for r in res_without], rel_corpus.truth[q], 5
         )
         assert p_with >= p_without
+
+
+class ScanOntology:
+    """The old lookup path over an ontology: class-level relations by a
+    linear scan over the declared relation names, instance facts read from
+    ``_facts``; everything else is delegated."""
+
+    def __init__(self, onto: Ontology, declared):
+        self._onto = onto
+        self._declared = list(declared)
+        self._facts = onto._facts
+
+    def __getattr__(self, name):
+        return getattr(self._onto, name)
+
+    def relation_between_classes(self, a, b):
+        by_name: dict[str, set] = {}
+        for name, s, o in self._declared:
+            by_name.setdefault(name, set()).add((s, o))
+        for name, pairs in by_name.items():
+            if (a, b) in pairs or (b, a) in pairs:
+                return name
+        return None
+
+    def relation_between_values(self, a, b):
+        fact = self._facts.get((str(a).lower(), str(b).lower()))
+        if fact is None:
+            fact = self._facts.get((str(b).lower(), str(a).lower()))
+        if fact is not None:
+            return fact
+        ca, cb = self._onto.class_of(a), self._onto.class_of(b)
+        if ca is None or cb is None:
+            return None
+        return self.relation_between_classes(ca, cb)
+
+
+class OldPathSantos(SantosUnionSearch):
+    """SANTOS with the fact check as it read before ``Ontology.has_fact``:
+    a value-level lookup (with its class-level fallback), then direct
+    ``_facts`` reads, then the synthesized KB's value-level lookup."""
+
+    def _fact_supported(self, a, b):
+        if self.ontology.relation_between_values(a, b) is not None:
+            if self.ontology._facts.get((a.lower(), b.lower())) is not None:
+                return True
+            if self.ontology._facts.get((b.lower(), a.lower())) is not None:
+                return True
+        if self._synth is not None:
+            if ScanOntology(self._synth, ()).relation_between_values(a, b):
+                return True
+        return False
+
+
+def _recorded(make):
+    """Run a corpus generator, recording every ``add_relation`` call."""
+    declared = []
+    original = Ontology.add_relation
+
+    def recording(self, name, subject_cls, object_cls):
+        declared.append((name, subject_cls, object_cls))
+        original(self, name, subject_cls, object_cls)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ontology, "add_relation", recording)
+        corpus = make()
+    return corpus, declared
+
+
+@pytest.fixture(
+    scope="module",
+    params=["union", "relationship"],
+)
+def recorded_corpus(request):
+    if request.param == "union":
+        return _recorded(
+            lambda: make_union_corpus(
+                n_groups=4, tables_per_group=4, rows_per_table=40, seed=11
+            )
+        )
+    return _recorded(
+        lambda: make_relationship_corpus(
+            n_queries=3, positives_per_query=5, confounders_per_query=5, seed=13
+        )
+    )
+
+
+class TestOldLookupPathEquivalence:
+    """Annotations, SANTOS semantics and hits equal those of the old
+    lookup path (class-relation scan, value-level lookup before the fact
+    check)."""
+
+    def test_annotations_equal(self, recorded_corpus):
+        corpus, declared = recorded_corpus
+        new = OntologyAnnotator(corpus.ontology)
+        old = OntologyAnnotator(ScanOntology(corpus.ontology, declared))
+        relationships = 0
+        for table in corpus.lake:
+            ann = new.annotate(table)
+            assert ann == old.annotate(table), table.name
+            relationships += len(ann.relationships)
+        assert relationships > 0
+
+    def test_santos_semantics_and_hits_equal(self, recorded_corpus):
+        corpus, declared = recorded_corpus
+        new = SantosUnionSearch(corpus.lake, corpus.ontology).build()
+        old = OldPathSantos(
+            corpus.lake, ScanOntology(corpus.ontology, declared)
+        ).build()
+        assert new._semantics == old._semantics
+        support = [
+            v for sem in new._semantics.values()
+            for _, v in sem.relationship_support
+        ]
+        assert support
+        # The union corpus's KB holds no facts and its rows repeat no value
+        # pair across tables; the relationship corpus's KB holds facts.
+        assert any(v > 0 for v in support) == (corpus.ontology.num_facts() > 0)
+        for table in corpus.lake:
+            assert new.search(table, k=10) == old.search(table, k=10)
