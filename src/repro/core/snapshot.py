@@ -64,8 +64,10 @@ log = get_logger("core.snapshot")
 #: Version 6: the TUS payload holds signature, embedding and class-vector
 #: matrices instead of per-column dicts plus a MinHash LSH.  Version 7:
 #: the pickled ontology keys its class-level relations by class pair
-#: instead of by relation name.
-FORMAT_VERSION = 7
+#: instead of by relation name.  Version 8: the QCR payload holds one
+#: hash-sorted sample store (hash, value and owning-sketch arrays) instead
+#: of one ``CorrelationSketch`` per column pair.
+FORMAT_VERSION = 8
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -83,14 +83,16 @@ UNION_METHODS = ("tus", "santos", "starmie")
 
 class _QueryCapture:
     """Mutable holder threaded through ``_query_span``: the active span
-    plus the result summary / EXPLAIN funnel captured for the query log."""
+    plus the result summary / EXPLAIN funnel captured for the query log,
+    and the engines that failed inside a federated query."""
 
-    __slots__ = ("span", "results", "funnel")
+    __slots__ = ("span", "results", "funnel", "engine_errors")
 
     def __init__(self):
         self.span = None
         self.results: list[tuple[str, float]] = []
         self.funnel: dict[str, int] = {}
+        self.engine_errors: list[str] = []  # "<engine>: <ExcType>"
 
     def finish(self, hits: list, report: ExplainReport | None = None) -> None:
         """Record the query outcome: hit count attr, result summary, and
@@ -416,8 +418,13 @@ class DiscoverySystem:
             METRICS.observe("query.latency_ms", latency_ms)
             METRICS.observe("query.cpu_ms", cpu_ms)
             METRICS.observe(f"query.{engine}.latency_ms", latency_ms)
+            status = "ok"
             if error:
+                status = "error"
                 METRICS.inc(f"query.{engine}.errors")
+            elif capture.engine_errors:
+                status = "partial"
+                error = "; ".join(capture.engine_errors)
             QUERY_LOG.append(
                 QueryRecord(
                     engine=engine,
@@ -428,7 +435,7 @@ class DiscoverySystem:
                     mem_peak_kb=mem_peak_kb,
                     results=capture.results,
                     funnel=capture.funnel,
-                    status="error" if error else "ok",
+                    status=status,
                     error=error,
                 )
             )
@@ -720,8 +727,20 @@ class DiscoverySystem:
                 if not engine.is_built() or not engine.accepts(request):
                     continue
                 asked += 1
-                with TRACER.span(f"federated.{engine.name}"):
-                    hits, _ = engine.query(replace(request, explain=False))
+                # One failing engine must not sink the federated query: its
+                # hits are left out and the query is logged as partial.
+                with TRACER.span(f"federated.{engine.name}") as sp:
+                    try:
+                        hits, _ = engine.query(replace(request, explain=False))
+                    except Exception as exc:
+                        failure = type(exc).__name__
+                        sp.set("error", failure)
+                        METRICS.inc("search.federated.engine_errors")
+                        q.engine_errors.append(f"{engine.name}: {failure}")
+                        log.warning(
+                            "federated: engine %s failed: %r", engine.name, exc
+                        )
+                        continue
                 for rank, hit in enumerate(hits, 1):
                     table = _hit_table(hit)
                     if table == request.exclude_table:

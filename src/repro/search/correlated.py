@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
-from repro.sketch.qcr import CorrelationSketch, pearson
+from repro.sketch.qcr import bottom_n, key_hashes, pearson
 
 
 @dataclass(frozen=True)
@@ -44,25 +46,57 @@ def _key_value_pairs(table: Table, key_col: int, num_col: int):
 
 
 class CorrelatedSearch:
-    """Sketch index for joinable-and-correlated column search."""
+    """Columnar sketch index for joinable-and-correlated column search.
+
+    Sketch ``s`` covers the (table, key column, value column) pair
+    ``keys[s]``.  Each row of the store is one sample: key hash
+    ``hashes[i]``, value ``values[i]``, owned by sketch ``sketch_of[i]``.
+    Rows are sorted by hash (ties by sketch), so every sketch's samples are
+    in ascending hash order and one binary search per query hash finds the
+    matching samples of all sketches at once.
+    """
 
     def __init__(self, sketch_size: int = 256):
+        if sketch_size < 4:
+            raise ValueError("sketch size must be >= 4")
         self.sketch_size = sketch_size
-        self._sketches: dict[tuple[str, int, int], CorrelationSketch] = {}
+        self.keys: list[tuple[str, int, int]] = []
+        self.hashes = np.zeros(0, dtype=np.uint64)
+        self.values = np.zeros(0, dtype=np.float64)
+        self.sketch_of = np.zeros(0, dtype=np.int32)
 
     def build(self, lake: DataLake) -> "CorrelatedSearch":
         """Sketch every (text key column, numeric column) pair per table."""
+        keys: list[tuple[str, int, int]] = []
+        hashes: list[np.ndarray] = []
+        values: list[np.ndarray] = []
+        memo: dict[str, int] = {}  # key hashes, shared by the lake's columns
         for table in lake:
-            text_cols = [i for i, _ in table.text_columns()]
-            num_cols = [i for i, _ in table.numeric_columns()]
-            for ki in text_cols:
-                for ni in num_cols:
-                    sketch = CorrelationSketch.from_pairs(
-                        _key_value_pairs(table, ki, ni), n=self.sketch_size
+            nums = [(i, c.numeric_values()) for i, c in table.numeric_columns()]
+            if not nums:
+                continue
+            for ki, column in table.text_columns():
+                key_hash, present = _key_column(column.values, memo)
+                for ni, num in nums:
+                    h, v = bottom_n(
+                        key_hash[present], num[present], self.sketch_size
                     )
-                    if len(sketch) >= 4:
-                        self._sketches[(table.name, ki, ni)] = sketch
-        METRICS.inc("index.qcr.sketches_built", len(self._sketches))
+                    if h.size >= 4:
+                        keys.append((table.name, ki, ni))
+                        hashes.append(h)
+                        values.append(v)
+        self.keys = keys
+        if keys:
+            sketch_of = np.repeat(
+                np.arange(len(keys), dtype=np.int32), [h.size for h in hashes]
+            )
+            all_hashes = np.concatenate(hashes)
+            # A stable sort keeps equal hashes in sketch order.
+            order = np.argsort(all_hashes, kind="stable")
+            self.hashes = all_hashes[order]
+            self.values = np.concatenate(values)[order]
+            self.sketch_of = sketch_of[order]
+        METRICS.inc("index.qcr.sketches_built", len(keys))
         return self
 
     def stats(self) -> dict:
@@ -70,11 +104,11 @@ class CorrelatedSearch:
         from repro.obs.introspect import summarize_distribution
 
         return {
-            "sketches": len(self._sketches),
+            "sketches": len(self.keys),
             "sketch_size": self.sketch_size,
-            "samples": sum(len(s) for s in self._sketches.values()),
+            "samples": int(self.hashes.size),
             "samples_per_sketch": summarize_distribution(
-                len(s) for s in self._sketches.values()
+                np.bincount(self.sketch_of, minlength=len(self.keys)).tolist()
             ),
         }
 
@@ -91,23 +125,39 @@ class CorrelatedSearch:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        qsketch = CorrelationSketch.from_pairs(
-            _key_value_pairs(query, key_column, value_column),
-            n=self.sketch_size,
+        key_hash, present = _key_column(query.columns[key_column].values)
+        nums = query.columns[value_column].numeric_values()
+        qh, qv = bottom_n(key_hash[present], nums[present], self.sketch_size)
+        size = len(self.keys)
+        # The rows holding query hash j are lo[j]:lo[j] + counts[j]; listing
+        # them for j ascending keeps each sketch's matches in hash order,
+        # the order pearson() sums in.
+        lo = np.searchsorted(self.hashes, qh, side="left")
+        counts = np.searchsorted(self.hashes, qh, side="right") - lo
+        sample = np.repeat(np.arange(qh.size), counts)
+        rows = np.arange(sample.size) + np.repeat(
+            lo - (np.cumsum(counts) - counts), counts
         )
-        hits = []
-        compared = 0
-        pruned = 0
-        for (name, ki, ni), sketch in self._sketches.items():
-            if name == query.name:
-                continue
-            compared += 1
-            containment = qsketch.containment(sketch)
-            if containment < min_containment:
-                pruned += 1
-                continue
-            r = qsketch.correlation(sketch)
-            hits.append(CorrelatedHit(name, ki, ni, r, containment))
+        sketch = self.sketch_of[rows]
+        shared = np.bincount(sketch, minlength=size)
+        containment = shared / qh.size if qh.size else np.zeros(size)
+        other = np.fromiter(
+            (name != query.name for name, _, _ in self.keys),
+            dtype=bool,
+            count=size,
+        )
+        passed = other & (containment >= min_containment)
+        keep = passed[sketch]
+        r = _grouped_pearson(
+            sketch[keep], qv[sample[keep]], self.values[rows[keep]], size
+        )
+        r_list, c_list = r.tolist(), containment.tolist()
+        hits = [
+            CorrelatedHit(*self.keys[s], r_list[s], c_list[s])
+            for s in np.flatnonzero(passed).tolist()
+        ]
+        compared = int(other.sum())
+        pruned = compared - len(hits)
         METRICS.inc("search.qcr.queries")
         METRICS.inc("search.qcr.sketches_compared", compared)
         METRICS.inc("search.qcr.pruned_by_containment", pruned)
@@ -125,13 +175,41 @@ class CorrelatedSearch:
                     "sketch_size": self.sketch_size,
                 },
             )
-            report.stage("sketches_indexed", len(self._sketches))
+            report.stage("sketches_indexed", size)
             report.stage("compared", compared)
             report.stage("passed_containment", compared - pruned)
             report.stage("returned", len(out))
             report.results = summarize_results(out)
             return out, report
         return out
+
+
+def _key_column(
+    keys: list[str], memo: dict[str, int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join-key hashes of a column, and which of its cells are non-blank."""
+    present = np.fromiter(
+        (bool(k.strip()) for k in keys), dtype=bool, count=len(keys)
+    )
+    return key_hashes(keys, memo=memo), present
+
+
+def _grouped_pearson(
+    group: np.ndarray, xs: np.ndarray, ys: np.ndarray, size: int
+) -> np.ndarray:
+    """:func:`pearson` of the (x, y) pairs of each group, in the same
+    two-pass, mean-centred form and in input order; 0.0 where undefined."""
+    n = np.bincount(group, minlength=size)
+    count = np.maximum(n, 1)
+    dx = xs - (np.bincount(group, xs, size) / count)[group]
+    dy = ys - (np.bincount(group, ys, size) / count)[group]
+    cov = np.bincount(group, dx * dy, size)
+    vx = np.bincount(group, dx * dx, size)
+    vy = np.bincount(group, dy * dy, size)
+    r = np.zeros(size)
+    ok = (n >= 3) & (vx > 0) & (vy > 0)
+    r[ok] = cov[ok] / np.sqrt(vx[ok] * vy[ok])
+    return r
 
 
 def exact_join_correlation(

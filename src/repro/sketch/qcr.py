@@ -8,65 +8,124 @@ two sketches of the same key universe sample the *same* keys) and stores the
 paired numeric values; the correlation of the aligned samples estimates the
 post-join correlation.  QCR additionally quantizes (key, sign-of-deviation)
 pairs so that inner-product of sketch sets estimates correlation strength.
+
+The sampling rule lives in one place, :func:`bottom_n`: keep the ``n``
+smallest distinct key hashes, each with the value of its *first*
+occurrence, skipping non-finite values.  :class:`CorrelationSketch` (one
+sketch, streamed) and the columnar correlated-search index both use it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from repro.sketch.hashing import stable_hash64
 
+DEFAULT_SEED = 13
 
-@dataclass(frozen=True)
-class _Sample:
-    key_hash: int
-    key: str
-    value: float
+
+def key_hashes(
+    keys, seed: int = DEFAULT_SEED, memo: dict[str, int] | None = None
+) -> np.ndarray:
+    """uint64 hashes of join keys, normalized by ``strip().lower()``.
+
+    ``memo`` maps normalized keys to their hashes; pass the same dict to
+    several calls so a key repeated across columns is hashed once.
+    """
+    if memo is None:
+        memo = {}
+    norm = [k.strip().lower() for k in keys]
+    for key in norm:
+        if key not in memo:
+            memo[key] = stable_hash64(key, seed)
+    return np.fromiter((memo[k] for k in norm), dtype=np.uint64, count=len(norm))
+
+
+def bottom_n(
+    hashes: np.ndarray, values: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keyed bottom-``n`` sample of aligned (key hash, value) arrays.
+
+    Returns the ``n`` smallest distinct hashes, ascending, with the value
+    of each hash's first occurrence; pairs with a non-finite value are
+    skipped before anything else.
+    """
+    finite = np.isfinite(values)
+    hashes, values = hashes[finite], values[finite]
+    # return_index gives each distinct hash's first position (stable sort).
+    distinct, first = np.unique(hashes, return_index=True)
+    return distinct[:n], values[first[:n]]
 
 
 class CorrelationSketch:
     """Keyed bottom-n sample of (join key, numeric value) pairs."""
 
-    def __init__(self, n: int = 256, seed: int = 13):
+    def __init__(self, n: int = 256, seed: int = DEFAULT_SEED):
         if n < 4:
             raise ValueError("sketch size must be >= 4")
         self.n = n
         self.seed = seed
-        self._samples: dict[int, _Sample] = {}
+        self._samples: dict[int, float] = {}  # key hash -> value
+        self._heap: list[int] = []  # negated sampled hashes (a max-heap)
 
     @classmethod
     def from_pairs(
-        cls, pairs, n: int = 256, seed: int = 13
+        cls, pairs, n: int = 256, seed: int = DEFAULT_SEED
     ) -> "CorrelationSketch":
         """Build from an iterable of (key, value); non-finite values skipped."""
         sk = cls(n, seed)
+        keys: list[str] = []
+        values: list[float] = []
         for key, value in pairs:
-            sk.update(str(key), float(value))
+            keys.append(str(key))
+            values.append(float(value))
+        hashes, kept = bottom_n(
+            key_hashes(keys, seed), np.asarray(values, dtype=np.float64), n
+        )
+        hs = hashes.tolist()
+        sk._samples = dict(zip(hs, kept.tolist()))
+        sk._heap = [-h for h in hs]
+        heapq.heapify(sk._heap)
         return sk
 
     def update(self, key: str, value: float) -> None:
         if not math.isfinite(value):
             return
-        h = stable_hash64(key.strip().lower(), self.seed)
+        h = int(key_hashes([key], self.seed)[0])
         if h in self._samples:
             return
-        self._samples[h] = _Sample(h, key, value)
-        if len(self._samples) > self.n:
-            # Drop the largest hash (keep bottom-n).
-            worst = max(self._samples)
-            del self._samples[worst]
+        if len(self._samples) >= self.n:
+            # Keep bottom-n: a hash above the largest sampled one is never
+            # kept, otherwise it evicts that largest one.
+            if h > -self._heap[0]:
+                return
+            del self._samples[-heapq.heappushpop(self._heap, -h)]
+        else:
+            heapq.heappush(self._heap, -h)
+        self._samples[h] = value
 
     def __len__(self) -> int:
         return len(self._samples)
+
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hashes ascending, values): the same arrays :func:`bottom_n`
+        returns for the pairs streamed so far."""
+        hashes = sorted(self._samples)
+        return (
+            np.asarray(hashes, dtype=np.uint64),
+            np.asarray([self._samples[h] for h in hashes], dtype=np.float64),
+        )
 
     def aligned_values(
         self, other: "CorrelationSketch"
     ) -> tuple[list[float], list[float]]:
         """Values of keys sampled by *both* sketches, aligned by key."""
-        common = sorted(set(self._samples) & set(other._samples))
-        xs = [self._samples[h].value for h in common]
-        ys = [other._samples[h].value for h in common]
+        common = sorted(self._samples.keys() & other._samples.keys())
+        xs = [self._samples[h] for h in common]
+        ys = [other._samples[h] for h in common]
         return xs, ys
 
     def correlation(self, other: "CorrelationSketch") -> float:
@@ -79,7 +138,7 @@ class CorrelationSketch:
         the joinability signal accompanying the correlation signal."""
         if not self._samples:
             return 0.0
-        shared = len(set(self._samples) & set(other._samples))
+        shared = len(self._samples.keys() & other._samples.keys())
         return shared / len(self._samples)
 
 

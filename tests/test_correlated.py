@@ -1,9 +1,15 @@
 """Tests for QCR-based correlated dataset search."""
 
-import pytest
+import math
 
-from repro.datalake.generate import make_correlation_corpus
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datalake.generate import make_correlation_corpus, make_join_corpus
 from repro.search.correlated import CorrelatedSearch, exact_join_correlation
+from repro.sketch.qcr import CorrelationSketch
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +107,128 @@ class TestSketchSizeEffect:
             truths = [corr_corpus.truth[h.table] for h in res]
             errors.append(mean_absolute_error(ests, truths))
         assert errors[1] <= errors[0]
+
+
+def _pairs(table, key_col, num_col):
+    nums = table.columns[num_col].numeric_values()
+    for key, value in zip(table.columns[key_col].values, nums):
+        if key.strip() and math.isfinite(value):
+            yield key, float(value)
+
+
+def brute_force(lake, query, key_col, value_col, n, min_containment):
+    """Reference: one ``CorrelationSketch`` per indexed column pair, each
+    compared with the query sketch on its own."""
+    qsketch = CorrelationSketch.from_pairs(_pairs(query, key_col, value_col), n)
+    hits = {}
+    for table in lake:
+        for ki, _ in table.text_columns():
+            for ni, _ in table.numeric_columns():
+                sketch = CorrelationSketch.from_pairs(_pairs(table, ki, ni), n)
+                if len(sketch) < 4 or table.name == query.name:
+                    continue
+                containment = qsketch.containment(sketch)
+                if containment >= min_containment:
+                    hits[(table.name, ki, ni)] = (
+                        qsketch.correlation(sketch),
+                        containment,
+                    )
+    return hits
+
+
+def assert_matches_brute_force(lake, query, key_col, value_col, n, min_c):
+    got = CorrelatedSearch(sketch_size=n).build(lake).search(
+        query, key_col, value_col, k=10**6, min_containment=min_c
+    )
+    want = brute_force(lake, query, key_col, value_col, n, min_c)
+    assert {(h.table, h.key_column, h.value_column) for h in got} == set(want)
+    for h in got:
+        r, containment = want[(h.table, h.key_column, h.value_column)]
+        assert h.containment == containment
+        # Python 3.12's sum() is compensated; numpy's grouped sums are not.
+        assert abs(h.correlation - r) <= 1e-12
+        assert type(h.correlation) is float
+        assert type(h.containment) is float
+    keys = [(-abs(h.correlation), h.table) for h in got]
+    assert keys == sorted(keys)
+    return got
+
+
+_sketch_sizes = st.sampled_from([4, 8, 16, 64])
+_min_containments = st.sampled_from([0.0, 0.1, 0.3, 0.7])
+
+
+class TestExactness:
+    """The columnar search equals the per-pair sketch loop on every
+    candidate, not only the top k."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 10),
+        _sketch_sizes,
+        _min_containments,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_correlation_corpus(self, seed, n_candidates, n, min_c):
+        corpus = make_correlation_corpus(
+            n_candidates=n_candidates, n_keys=60, seed=seed
+        )
+        query = corpus.lake.table(corpus.query_table)
+        assert_matches_brute_force(corpus.lake, query, 0, 1, n, min_c)
+
+    @given(st.integers(0, 10**6), _sketch_sizes, _min_containments, st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_join_corpus(self, seed, n, min_c, data):
+        lake = make_join_corpus(
+            n_tables=12, n_queries=2, base_size=60, seed=seed
+        ).lake
+        query = data.draw(st.sampled_from(list(lake)))
+        key_col = data.draw(st.sampled_from(range(query.num_cols)))
+        value_col = data.draw(st.sampled_from(range(query.num_cols)))
+        assert_matches_brute_force(lake, query, key_col, value_col, n, min_c)
+
+    def test_store_is_sorted_columns_of_per_pair_sketches(self):
+        corpus = make_correlation_corpus(n_candidates=6, n_keys=80, seed=2)
+        search = CorrelatedSearch(sketch_size=16).build(corpus.lake)
+        assert search.hashes.dtype == np.uint64
+        assert search.values.dtype == np.float64
+        assert search.sketch_of.dtype == np.int32
+        assert np.all(search.hashes[1:] >= search.hashes[:-1])
+        for s, (name, ki, ni) in enumerate(search.keys):
+            rows = search.sketch_of == s
+            want = CorrelationSketch.from_pairs(
+                _pairs(corpus.lake.table(name), ki, ni), 16
+            ).samples()
+            assert search.hashes[rows].tolist() == want[0].tolist()
+            assert search.values[rows].tolist() == want[1].tolist()
+
+    def test_no_text_numeric_pair_builds_empty_index(self):
+        from repro.datalake.lake import DataLake
+        from repro.datalake.table import Column, Table
+
+        lake = DataLake()
+        lake.add(Table("words", [Column("a", ["x", "y", "z", "w", "v"])]))
+        lake.add(Table("nums", [Column("n", ["1", "2", "3", "4", "5"])]))
+        search = CorrelatedSearch(sketch_size=16).build(lake)
+        assert search.stats()["sketches"] == 0
+        query = Table(
+            "q",
+            [Column("k", ["x", "y", "z", "w"]), Column("v", ["1", "2", "3", "4"])],
+        )
+        assert search.search(query, 0, 1, min_containment=0.0) == []
+
+    def test_empty_query_sketch_returns_every_candidate(self):
+        from repro.datalake.table import Column, Table
+
+        corpus = make_correlation_corpus(n_candidates=6, n_keys=60, seed=4)
+        query = Table(
+            "q",
+            [
+                Column("k", [f"k{j:05d}" for j in range(8)]),
+                Column("v", ["n/a"] * 8),
+            ],
+        )
+        got = assert_matches_brute_force(corpus.lake, query, 0, 1, 16, 0.0)
+        assert len(got) == len(corpus.lake)
+        assert all(h.correlation == 0.0 for h in got)
+        assert all(h.containment == 0.0 for h in got)

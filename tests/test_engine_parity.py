@@ -186,12 +186,12 @@ class TestFacadeParity:
 
 
 class TestSnapshotRoundTrip:
-    def test_v7_manifest_and_identical_queries(
+    def test_v8_manifest_and_identical_queries(
         self, system, union_corpus, tmp_path
     ):
         snapdir = tmp_path / "snap"
         manifest = system.save(snapdir)
-        assert manifest.format_version == FORMAT_VERSION == 7
+        assert manifest.format_version == FORMAT_VERSION == 8
         assert set(manifest.engines) == set(system.engines)
         on_disk = read_manifest(snapdir)
         assert on_disk.engines == manifest.engines

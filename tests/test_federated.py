@@ -97,3 +97,47 @@ class TestFederatedSearch:
         fresh = DiscoverySystem(union_corpus.lake)
         with pytest.raises(LakeError):
             fresh.search("anything")
+
+
+class TestEngineFailureIsolation:
+    def test_failing_engine_leaves_other_engines_hits(
+        self, system, union_corpus, monkeypatch
+    ):
+        from repro import obs
+
+        qname = union_corpus.groups[0][0]
+        others = [
+            name
+            for name, engine in system.engines.items()
+            if engine.category == "search" and name != "tus"
+        ]
+        expected = system.search(qname, engines=others, k=5)
+
+        def boom(request):
+            raise RuntimeError("index corrupted")
+
+        monkeypatch.setattr(system.engines["tus"], "query", boom)
+        errors_before = obs.METRICS.counter("search.federated.engine_errors")
+        was_enabled = obs.TRACER.enabled
+        obs.TRACER.enable()
+        obs.TRACER.reset()
+        try:
+            hits = system.search(qname, k=5)
+            spans = [
+                s for s in obs.TRACER.spans() if s.name == "federated.tus"
+            ]
+        finally:
+            if not was_enabled:
+                obs.TRACER.disable()
+        assert hits == expected
+        assert [h.sources for h in hits] == [h.sources for h in expected]
+        assert spans and spans[-1].attrs["error"] == "RuntimeError"
+        assert (
+            obs.METRICS.counter("search.federated.engine_errors")
+            == errors_before + 1
+        )
+        last = obs.QUERY_LOG.records()[-1]
+        assert last.engine == "federated"
+        assert last.status == "partial"
+        assert last.error == "tus: RuntimeError"
+        assert last.results == [(h.table, round(h.score, 6)) for h in hits]

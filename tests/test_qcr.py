@@ -125,3 +125,53 @@ def test_perfectly_correlated_streams(pairs):
         # estimator legitimately return 0.
         if variance > 1e-12:
             assert a.correlation(b) == pytest.approx(1.0, abs=1e-6)
+
+
+_base_keys = st.sampled_from(["alpha", "beta", "gamma", "delta", "k1", "k2"])
+_key_variants = st.one_of(
+    st.text(min_size=1, max_size=4),
+    st.builds(
+        lambda key, upper, pad: pad + (key.upper() if upper else key) + pad,
+        _base_keys,
+        st.booleans(),
+        st.sampled_from(["", " ", "\t", "  "]),
+    ),
+)
+_stream_values = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@given(
+    st.lists(st.tuples(_key_variants, _stream_values), max_size=80),
+    st.integers(4, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_from_pairs_equals_streamed_updates(pairs, n):
+    """Property: the batch sampling rule and one-at-a-time ``update()``
+    keep the same sample — the n smallest distinct normalized-key hashes,
+    each with its first finite value — for duplicate keys, keys differing
+    only in case or surrounding whitespace, non-finite values, and streams
+    longer than n."""
+    batch = CorrelationSketch.from_pairs(pairs, n=n)
+    streamed = CorrelationSketch(n=n)
+    for key, value in pairs:
+        streamed.update(str(key), float(value))
+    assert len(batch) == len(streamed) <= n
+    (bh, bv), (sh, sv) = batch.samples(), streamed.samples()
+    assert bh.tolist() == sh.tolist()
+    assert bv.tolist() == sv.tolist()
+    assert bh.tolist() == sorted(bh.tolist())
+
+
+def test_first_occurrence_wins_across_case_and_whitespace():
+    pairs = [("Key", 1.0), (" key ", 2.0), ("KEY", 3.0), ("other", math.nan)]
+    batch = CorrelationSketch.from_pairs(pairs, n=8)
+    streamed = CorrelationSketch(n=8)
+    for key, value in pairs:
+        streamed.update(key, value)
+    for sketch in (batch, streamed):
+        hashes, values = sketch.samples()
+        assert len(sketch) == 1
+        assert values.tolist() == [1.0]

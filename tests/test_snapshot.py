@@ -237,6 +237,18 @@ class TestRejection:
         err = self._assert_miss(d)
         assert "format version 6" in str(err)
 
+    def test_v7_format_version_refused(self, built, tmp_path):
+        """A v7 snapshot pickles QCR as one ``CorrelationSketch`` per column
+        pair, which the columnar correlated search cannot serve, so it is
+        refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 7
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 7" in str(err)
+
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
         built.save(d)
