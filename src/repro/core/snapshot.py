@@ -66,8 +66,10 @@ log = get_logger("core.snapshot")
 #: the pickled ontology keys its class-level relations by class pair
 #: instead of by relation name.  Version 8: the QCR payload holds one
 #: hash-sorted sample store (hash, value and owning-sketch arrays) instead
-#: of one ``CorrelationSketch`` per column pair.
-FORMAT_VERSION = 8
+#: of one ``CorrelationSketch`` per column pair.  Version 9: LSH Ensemble
+#: and the Jaccard MinHash LSH each hold one signature matrix instead of
+#: per-band bucket dicts.
+FORMAT_VERSION = 9
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -41,7 +41,6 @@ class JoinableSearch:
         self.lake = lake
         self.config = config or JoinSearchConfig()
         self._josie = JosieIndex()
-        self._minhashes: dict[ColumnRef, MinHash] = {}
         self._sizes: dict[ColumnRef, int] = {}
         self._ensemble: LSHEnsemble | None = None
         self._jaccard_lsh: MinHashLSH | None = None
@@ -59,7 +58,6 @@ class JoinableSearch:
                 continue
             self._josie.insert(ref, values)
             mh = MinHash.from_values(values, num_perm=cfg.num_perm)
-            self._minhashes[ref] = mh
             self._sizes[ref] = len(values)
             entries.append((ref, mh, len(values)))
         self._ensemble = LSHEnsemble(

@@ -5,11 +5,14 @@ probability j^r, so the probability of colliding in at least one band is
 1 - (1 - j^r)^b — the classic S-curve.  ``optimal_bands`` picks (b, r)
 minimizing weighted false positives + negatives at a target threshold, as in
 datasketch and the LSH Ensemble paper.
+
+Indexed signatures live in one uint64 ``(keys, num_perm)`` matrix; a band
+collision is byte equality of an r-row slice (``band_collisions``), which is
+exactly the key a per-band bucket dict would hash.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Hashable
 
 import numpy as np
@@ -18,14 +21,10 @@ from repro.core.errors import IndexError_
 from repro.sketch.minhash import MinHash
 
 
-def collision_probability(j: float, b: int, r: int) -> float:
-    """P[at least one band collides] for true Jaccard j under (b, r)."""
+def collision_probability(j: float | np.ndarray, b, r) -> float | np.ndarray:
+    """P[at least one band collides] for true Jaccard j under (b, r)
+    (elementwise over arrays, as ``optimal_bands`` uses it)."""
     return 1.0 - (1.0 - j**r) ** b
-
-
-def _integrate(f, lo: float, hi: float, steps: int = 100) -> float:
-    xs = np.linspace(lo, hi, steps)
-    return float(np.trapezoid([f(x) for x in xs], xs))
 
 
 def optimal_bands(
@@ -34,20 +33,37 @@ def optimal_bands(
     fp_weight: float = 0.5,
 ) -> tuple[int, int]:
     """Choose (b, r) with b*r <= num_perm minimizing the weighted integral of
-    false-positive area below the threshold and false-negative area above."""
-    best, best_cost = (1, num_perm), float("inf")
-    for r in range(1, num_perm + 1):
-        b = num_perm // r
-        if b < 1:
-            break
-        fp = _integrate(lambda j: collision_probability(j, b, r), 0.0, threshold)
-        fn = _integrate(
-            lambda j: 1.0 - collision_probability(j, b, r), threshold, 1.0
+    false-positive area below the threshold and false-negative area above
+    (all r scored in one array pass; ties go to the smallest r)."""
+    r = np.arange(1, num_perm + 1)[:, None]
+    b = num_perm // r
+    below = np.linspace(0.0, threshold, 100)
+    above = np.linspace(threshold, 1.0, 100)
+    fp = np.trapezoid(collision_probability(below, b, r), below, axis=1)
+    fn = np.trapezoid(1.0 - collision_probability(above, b, r), above, axis=1)
+    best = int(np.argmin(fp_weight * fp + (1.0 - fp_weight) * fn))
+    return int(b[best, 0]), best + 1
+
+
+def check_num_perm(mh: MinHash, num_perm: int) -> None:
+    """Reject a signature whose length is not the index's ``num_perm``."""
+    if mh.num_perm != num_perm:
+        raise IndexError_(
+            f"signature has {mh.num_perm} perms, index expects {num_perm}"
         )
-        cost = fp_weight * fp + (1.0 - fp_weight) * fn
-        if cost < best_cost:
-            best, best_cost = (b, r), cost
-    return best
+
+
+def band_collisions(
+    sigs: np.ndarray, query: np.ndarray, b: int, r: int
+) -> np.ndarray:
+    """Mask of the rows of the uint64 ``(n, num_perm)`` matrix ``sigs`` that
+    equal ``query`` on at least one of the first ``b`` bands of ``r`` rows.
+
+    A band compares as one 8*r-byte value through zero-copy views (as uint64
+    when r == 1, which compares several times faster than a void view)."""
+    width = b * r
+    band = np.uint64 if r == 1 else np.dtype((np.void, 8 * r))
+    return (sigs[:, :width].view(band) == query[:width].view(band)).any(axis=1)
 
 
 class MinHashLSH:
@@ -69,68 +85,62 @@ class MinHashLSH:
             raise IndexError_(
                 f"b*r = {self.b * self.r} exceeds num_perm = {num_perm}"
             )
-        self._tables: list[dict[bytes, list[Hashable]]] = [
-            defaultdict(list) for _ in range(self.b)
-        ]
-        self._keys: dict[Hashable, MinHash] = {}
+        self._keys: list[Hashable] = []
+        self._key_set: set[Hashable] = set()
+        self._sigs = np.empty((0, num_perm), dtype=np.uint64)
+        self._pending: list[np.ndarray] = []  # stacked onto _sigs on query
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._keys
+        return key in self._key_set
 
-    def _band_digests(self, mh: MinHash) -> list[bytes]:
-        sig = mh.hashvalues
-        return [
-            sig[i * self.r : (i + 1) * self.r].tobytes() for i in range(self.b)
-        ]
+    def _matrix(self) -> np.ndarray:
+        if self._pending:
+            self._sigs = np.vstack([self._sigs, *self._pending])
+            self._pending = []
+        return self._sigs
 
     def insert(self, key: Hashable, mh: MinHash) -> None:
         """Add a keyed signature to the index."""
-        if mh.num_perm != self.num_perm:
-            raise IndexError_(
-                f"signature has {mh.num_perm} perms, index expects {self.num_perm}"
-            )
-        if key in self._keys:
+        check_num_perm(mh, self.num_perm)
+        if key in self._key_set:
             raise IndexError_(f"duplicate key {key!r}")
-        self._keys[key] = mh
-        for table, digest in zip(self._tables, self._band_digests(mh)):
-            table[digest].append(key)
+        self._keys.append(key)
+        self._key_set.add(key)
+        self._pending.append(mh.hashvalues.copy())
+
+    def _candidate_rows(self, mh: MinHash) -> np.ndarray:
+        check_num_perm(mh, self.num_perm)
+        mask = band_collisions(self._matrix(), mh.hashvalues, self.b, self.r)
+        return np.flatnonzero(mask)
 
     def query(self, mh: MinHash) -> list[Hashable]:
-        """Keys colliding with the query in at least one band (candidates)."""
-        seen: set[Hashable] = set()
-        out: list[Hashable] = []
-        for table, digest in zip(self._tables, self._band_digests(mh)):
-            for key in table.get(digest, ()):
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        return out
+        """Keys colliding with the query in at least one band (candidates),
+        in insertion order."""
+        return [self._keys[i] for i in self._candidate_rows(mh)]
+
+    def query_verified(self, mh: MinHash) -> list[tuple[Hashable, float]]:
+        """Candidates with estimated Jaccard >= threshold, sorted descending."""
+        rows = self._candidate_rows(mh)
+        jaccard = (self._sigs[rows] == mh.hashvalues).mean(axis=1)
+        scored = [
+            (self._keys[i], float(j))
+            for i, j in zip(rows, jaccard)
+            if j >= self.threshold
+        ]
+        scored.sort(key=lambda kv: (-kv[1], str(kv[0])))
+        return scored
 
     def stats(self) -> dict:
-        """Introspection: banding shape and bucket-size skew (a giant
-        bucket means one band digest dominates candidate generation)."""
-        from repro.obs.introspect import summarize_distribution
-
+        """Introspection: banding shape and the signature matrix's size."""
+        sigs = self._matrix()
         return {
             "keys": len(self._keys),
             "threshold": self.threshold,
             "bands": self.b,
             "rows": self.r,
-            "buckets": sum(len(t) for t in self._tables),
-            "bucket_size": summarize_distribution(
-                len(keys) for t in self._tables for keys in t.values()
-            ),
+            "signatures": list(sigs.shape),
+            "signature_bytes": int(sigs.nbytes),
         }
-
-    def query_verified(self, mh: MinHash) -> list[tuple[Hashable, float]]:
-        """Candidates with estimated Jaccard >= threshold, sorted descending."""
-        scored = []
-        for key in self.query(mh):
-            j = mh.jaccard(self._keys[key])
-            if j >= self.threshold:
-                scored.append((key, j))
-        scored.sort(key=lambda kv: (-kv[1], str(kv[0])))
-        return scored

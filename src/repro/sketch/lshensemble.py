@@ -11,16 +11,20 @@ the partition's *upper* cardinality bound
 and probes each partition with banding parameters tuned to j_p.  One
 partition degenerates to plain containment-converted LSH (the ablation
 baseline in E2).
+
+The index is one uint64 signature matrix sorted by set size; a partition is
+a row range of it, probed with :func:`repro.sketch.lsh.band_collisions`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Hashable
+
+import numpy as np
 
 from repro.core.errors import IndexError_
 from repro.obs import METRICS, TRACER
-from repro.sketch.lsh import collision_probability
+from repro.sketch.lsh import band_collisions, check_num_perm, collision_probability
 from repro.sketch.minhash import MinHash
 
 
@@ -34,28 +38,56 @@ def containment_to_jaccard(t: float, query_size: int, upper_size: int) -> float:
     return max(0.0, min(1.0, t * query_size / denom))
 
 
-class _Bandings:
-    """Pre-built LSH tables for several (b, r) configurations over one set of
-    signatures, so the ensemble can pick banding per query threshold."""
+class LSHEnsemble:
+    """Containment-threshold index over (key, MinHash, set size) triples.
 
+    Build with ``index(entries)`` (a single bulk call, which computes the
+    equi-depth cardinality partitioning), then probe with
+    ``query(minhash, size, threshold)``.
+    """
+
+    #: Band widths a partition may be probed with (b = num_perm // r).
     ROWS = (1, 2, 4, 8, 16, 32)
 
-    def __init__(self, num_perm: int):
+    def __init__(self, num_partitions: int = 8, num_perm: int = 128):
+        if num_partitions < 1:
+            raise IndexError_("num_partitions must be >= 1")
+        self.num_partitions = num_partitions
         self.num_perm = num_perm
         self.rows = [r for r in self.ROWS if r <= num_perm]
-        # r -> list of band hash tables
-        self._tables: dict[int, list[dict[bytes, list[Hashable]]]] = {
-            r: [defaultdict(list) for _ in range(num_perm // r)]
-            for r in self.rows
-        }
-        self.keys: dict[Hashable, tuple[MinHash, int]] = {}
+        # Keys, signatures and set sizes in ascending size order; a partition
+        # covers rows start:end and has upper cardinality bound `upper`
+        # (no partitions until index()).
+        self._keys: list[Hashable] = []
+        self._sigs = np.empty((0, num_perm), dtype=np.uint64)
+        self._sizes = np.empty(0, dtype=np.int64)
+        self._partitions: list[tuple[int, int, int]] = []  # (start, end, upper)
 
-    def insert(self, key: Hashable, mh: MinHash, size: int) -> None:
-        self.keys[key] = (mh, size)
-        sig = mh.hashvalues
-        for r, tables in self._tables.items():
-            for i, table in enumerate(tables):
-                table[sig[i * r : (i + 1) * r].tobytes()].append(key)
+    def index(self, entries: list[tuple[Hashable, MinHash, int]]) -> None:
+        """Bulk-build: sort by set size and cut min(num_partitions, n)
+        equi-depth partitions whose occupancies differ by at most one."""
+        if self._partitions:
+            raise IndexError_("LSHEnsemble.index may only be called once")
+        if not entries:
+            raise IndexError_("cannot index an empty entry list")
+        entries = sorted(entries, key=lambda e: e[2])
+        n = len(entries)
+        keys = [key for key, _, _ in entries]
+        if len(set(keys)) != n:
+            raise IndexError_("duplicate key in LSHEnsemble entries")
+        for _, mh, _ in entries:
+            check_num_perm(mh, self.num_perm)
+        self._keys = keys
+        self._sigs = np.stack([mh.hashvalues for _, mh, _ in entries])
+        self._sizes = np.array([size for _, _, size in entries], dtype=np.int64)
+        parts = min(self.num_partitions, n)
+        cuts = [n * i // parts for i in range(parts + 1)]
+        self._partitions = [
+            (start, end, entries[end - 1][2])
+            for start, end in zip(cuts, cuts[1:])
+        ]
+        METRICS.inc("index.lshensemble.keys_indexed", n)
+        METRICS.set_gauge("index.lshensemble.partitions", len(self._partitions))
 
     def choose_rows(self, j: float) -> int:
         """Pick r (b = num_perm//r) near threshold j.
@@ -75,59 +107,6 @@ class _Bandings:
                 best_r, best_cost = r, cost
         return best_r
 
-    def query(self, mh: MinHash, j: float) -> list[Hashable]:
-        r = self.choose_rows(j)
-        tables = self._tables[r]
-        sig = mh.hashvalues
-        seen: set[Hashable] = set()
-        out = []
-        for i, table in enumerate(tables):
-            for key in table.get(sig[i * r : (i + 1) * r].tobytes(), ()):
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        return out
-
-
-class LSHEnsemble:
-    """Containment-threshold index over (key, MinHash, set size) triples.
-
-    Build with ``index(entries)`` (a single bulk call, which computes the
-    equi-depth cardinality partitioning), then probe with
-    ``query(minhash, size, threshold)``.
-    """
-
-    def __init__(self, num_partitions: int = 8, num_perm: int = 128):
-        if num_partitions < 1:
-            raise IndexError_("num_partitions must be >= 1")
-        self.num_partitions = num_partitions
-        self.num_perm = num_perm
-        self._partitions: list[tuple[int, _Bandings]] = []  # (upper bound, bandings)
-        self._indexed = False
-
-    def index(self, entries: list[tuple[Hashable, MinHash, int]]) -> None:
-        """Bulk-build: equi-depth partition by set size, then fill bandings."""
-        if self._indexed:
-            raise IndexError_("LSHEnsemble.index may only be called once")
-        if not entries:
-            raise IndexError_("cannot index an empty entry list")
-        entries = sorted(entries, key=lambda e: e[2])
-        n = len(entries)
-        per = max(1, n // self.num_partitions)
-        self._partitions = []
-        for start in range(0, n, per):
-            chunk = entries[start : start + per]
-            if not chunk:
-                continue
-            upper = chunk[-1][2]
-            bandings = _Bandings(self.num_perm)
-            for key, mh, size in chunk:
-                bandings.insert(key, mh, size)
-            self._partitions.append((upper, bandings))
-        self._indexed = True
-        METRICS.inc("index.lshensemble.keys_indexed", n)
-        METRICS.set_gauge("index.lshensemble.partitions", len(self._partitions))
-
     def stats(self) -> dict:
         """Introspection: per-partition occupancy and cardinality bounds.
 
@@ -137,57 +116,67 @@ class LSHEnsemble:
         """
         from repro.obs.introspect import summarize_distribution
 
-        occupancy = [len(b.keys) for _, b in self._partitions]
+        occupancy = [end - start for start, end, _ in self._partitions]
         return {
-            "keys": sum(occupancy),
+            "keys": len(self._keys),
             "num_perm": self.num_perm,
             "partitions": len(self._partitions),
             "partition_occupancy": occupancy,
-            "partition_upper_bounds": [u for u, _ in self._partitions],
+            "partition_upper_bounds": [u for _, _, u in self._partitions],
             "occupancy": summarize_distribution(occupancy),
+            "signatures": list(self._sigs.shape),
+            "signature_bytes": int(self._sigs.nbytes),
         }
+
+    def _candidate_rows(
+        self, mh: MinHash, size: int, threshold: float
+    ) -> np.ndarray:
+        """Rows colliding with the query in some band of their partition's
+        banding, each partition banded for its own Jaccard threshold."""
+        if not self._partitions:
+            raise IndexError_("query before index()")
+        check_num_perm(mh, self.num_perm)
+        hits = []
+        for start, end, upper in self._partitions:
+            j = containment_to_jaccard(threshold, size, max(upper, 1))
+            r = self.choose_rows(j)
+            mask = band_collisions(
+                self._sigs[start:end], mh.hashvalues, self.num_perm // r, r
+            )
+            hits.append(start + np.flatnonzero(mask))
+        rows = np.concatenate(hits)
+        METRICS.inc("index.lshensemble.queries")
+        METRICS.inc("index.lshensemble.partitions_probed", len(self._partitions))
+        METRICS.inc("index.lshensemble.candidates_returned", len(rows))
+        sp = TRACER.current()
+        sp.set("lshensemble.partitions_probed", len(self._partitions))
+        sp.set("lshensemble.candidates_returned", len(rows))
+        return rows
 
     def query(
         self, mh: MinHash, size: int, threshold: float
     ) -> list[Hashable]:
         """Candidate keys whose containment of the query likely >= threshold."""
-        if not self._indexed:
-            raise IndexError_("query before index()")
-        out: list[Hashable] = []
-        seen: set[Hashable] = set()
-        for upper, bandings in self._partitions:
-            j = containment_to_jaccard(threshold, size, max(upper, 1))
-            for key in bandings.query(mh, j):
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        METRICS.inc("index.lshensemble.queries")
-        METRICS.inc("index.lshensemble.partitions_probed", len(self._partitions))
-        METRICS.inc("index.lshensemble.candidates_returned", len(out))
-        sp = TRACER.current()
-        sp.set("lshensemble.partitions_probed", len(self._partitions))
-        sp.set("lshensemble.candidates_returned", len(out))
-        return out
+        return [self._keys[i] for i in self._candidate_rows(mh, size, threshold)]
 
     def query_verified(
         self, mh: MinHash, size: int, threshold: float
     ) -> list[tuple[Hashable, float]]:
-        """Candidates with *estimated* containment >= threshold, sorted."""
-        if not self._indexed:
-            raise IndexError_("query before index()")
-        scored = []
-        candidates = 0
-        for upper, bandings in self._partitions:
-            j = containment_to_jaccard(threshold, size, max(upper, 1))
-            for key in bandings.query(mh, j):
-                candidates += 1
-                cand_mh, cand_size = bandings.keys[key]
-                c = mh.containment(cand_mh, size, cand_size)
-                if c >= threshold:
-                    scored.append((key, c))
+        """Candidates with *estimated* containment >= threshold, sorted.
+
+        Containment comes from the MinHash Jaccard estimate and the two
+        cardinalities, as in :meth:`MinHash.containment`."""
+        rows = self._candidate_rows(mh, size, threshold)
+        if size == 0:
+            est = np.zeros(len(rows))
+        else:
+            j = (self._sigs[rows] == mh.hashvalues).mean(axis=1)
+            est = np.clip(
+                j * (size + self._sizes[rows]) / (size * (1.0 + j)), 0.0, 1.0
+            )
+        scored = [
+            (self._keys[i], float(c)) for i, c in zip(rows, est) if c >= threshold
+        ]
         scored.sort(key=lambda kv: (-kv[1], str(kv[0])))
-        METRICS.inc("index.lshensemble.queries")
-        METRICS.inc("index.lshensemble.partitions_probed", len(self._partitions))
-        METRICS.inc("index.lshensemble.candidates_returned", candidates)
         METRICS.inc("index.lshensemble.candidates_verified", len(scored))
         return scored

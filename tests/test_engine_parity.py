@@ -186,12 +186,12 @@ class TestFacadeParity:
 
 
 class TestSnapshotRoundTrip:
-    def test_v8_manifest_and_identical_queries(
+    def test_v9_manifest_and_identical_queries(
         self, system, union_corpus, tmp_path
     ):
         snapdir = tmp_path / "snap"
         manifest = system.save(snapdir)
-        assert manifest.format_version == FORMAT_VERSION == 8
+        assert manifest.format_version == FORMAT_VERSION == 9
         assert set(manifest.engines) == set(system.engines)
         on_disk = read_manifest(snapdir)
         assert on_disk.engines == manifest.engines
@@ -202,6 +202,9 @@ class TestSnapshotRoundTrip:
         assert loaded.joinable_search(ref, k=5) == system.joinable_search(
             ref, k=5
         )
+        assert loaded.joinable_search(
+            ref, k=5, method="containment"
+        ) == system.joinable_search(ref, k=5, method="containment")
         assert loaded.unionable_search(
             qname, k=5, method="tus"
         ) == system.unionable_search(qname, k=5, method="tus")

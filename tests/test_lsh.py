@@ -1,7 +1,9 @@
 """Unit + property tests for the banded MinHash LSH index."""
 
 import random
+from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,37 @@ class TestCollisionProbability:
         )
 
 
+def _optimal_bands_loop(num_perm, threshold, fp_weight=0.5):
+    """Reference: the per-r loop ``optimal_bands`` replaced, one trapezoid
+    integral per side of the threshold per r."""
+
+    def integrate(f, lo, hi, steps=100):
+        xs = np.linspace(lo, hi, steps)
+        return float(np.trapezoid([f(x) for x in xs], xs))
+
+    best, best_cost = (1, num_perm), float("inf")
+    for r in range(1, num_perm + 1):
+        b = num_perm // r
+        fp = integrate(lambda j: collision_probability(j, b, r), 0.0, threshold)
+        fn = integrate(
+            lambda j: 1.0 - collision_probability(j, b, r), threshold, 1.0
+        )
+        cost = fp_weight * fp + (1.0 - fp_weight) * fn
+        if cost < best_cost:
+            best, best_cost = (b, r), cost
+    return best
+
+
 class TestOptimalBands:
+    @pytest.mark.parametrize("num_perm", [16, 64, 128, 256])
+    @pytest.mark.parametrize("fp_weight", [0.1, 0.5, 0.9])
+    def test_matches_per_r_loop(self, num_perm, fp_weight):
+        for threshold in (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6,
+                          0.7, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0):
+            assert optimal_bands(num_perm, threshold, fp_weight) == (
+                _optimal_bands_loop(num_perm, threshold, fp_weight)
+            ), (num_perm, threshold, fp_weight)
+
     def test_fits_budget(self):
         b, r = optimal_bands(128, 0.5)
         assert b * r <= 128
@@ -68,6 +100,8 @@ class TestIndex:
         lsh = MinHashLSH(num_perm=128)
         with pytest.raises(IndexError_):
             lsh.insert("k", MinHash(num_perm=64))
+        with pytest.raises(IndexError_):
+            lsh.query(MinHash(num_perm=64))
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(IndexError_):
@@ -112,3 +146,51 @@ def test_no_false_negative_on_identity(values):
     mh = MinHash.from_values(values)
     lsh.insert("self", mh)
     assert "self" in lsh.query(mh)
+
+
+def _bucket_candidates(signatures, query, b, r):
+    """Reference: classic per-band bucket dicts keyed by the band's bytes;
+    returns the set of keys sharing at least one bucket with the query."""
+    tables = [defaultdict(list) for _ in range(b)]
+    for key, sig in signatures:
+        for i, table in enumerate(tables):
+            table[sig[i * r : (i + 1) * r].tobytes()].append(key)
+    found = set()
+    for i, table in enumerate(tables):
+        found.update(table.get(query[i * r : (i + 1) * r].tobytes(), ()))
+    return found
+
+
+@given(
+    st.lists(st.sets(st.integers(0, 30), min_size=1, max_size=25),
+             min_size=1, max_size=15),
+    st.sets(st.integers(0, 30), min_size=1, max_size=25),
+    st.floats(0.01, 1.0),
+    st.sampled_from([16, 32, 128]),
+)
+@settings(max_examples=60, deadline=None)
+def test_query_equals_bucket_dicts(sets, query, threshold, num_perm):
+    """Property: the signature-matrix band check returns exactly the keys a
+    per-band bucket-dict index returns, in insertion order."""
+    lsh = MinHashLSH(threshold=threshold, num_perm=num_perm)
+    sigs = []
+    for i, s in enumerate(sets):
+        mh = MinHash.from_values({str(x) for x in s}, num_perm=num_perm)
+        lsh.insert(i, mh)
+        sigs.append((i, mh.hashvalues))
+    qmh = MinHash.from_values({str(x) for x in query}, num_perm=num_perm)
+    found = lsh.query(qmh)
+    assert found == sorted(found)
+    assert set(found) == _bucket_candidates(sigs, qmh.hashvalues, lsh.b, lsh.r)
+
+
+def test_insert_after_query_is_indexed():
+    """Inserts stay incremental: a key added after a query is found by the
+    next query."""
+    lsh = MinHashLSH(threshold=0.5)
+    a = MinHash.from_values(["a", "b", "c"])
+    lsh.insert("a", a)
+    assert lsh.query(a) == ["a"]
+    lsh.insert("b", a.copy())
+    assert lsh.query(a) == ["a", "b"]
+    assert len(lsh) == 2 and lsh.stats()["signatures"] == [2, 128]

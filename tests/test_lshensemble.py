@@ -1,8 +1,11 @@
 """Unit tests for LSH Ensemble containment search."""
 
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import IndexError_
 from repro.sketch.lshensemble import LSHEnsemble, containment_to_jaccard
@@ -60,6 +63,43 @@ class TestIndexLifecycle:
     def test_bad_partitions_rejected(self):
         with pytest.raises(IndexError_):
             LSHEnsemble(num_partitions=0)
+
+    def test_duplicate_key_rejected(self):
+        mh = MinHash.from_values(["x"])
+        with pytest.raises(IndexError_):
+            LSHEnsemble().index([("a", mh, 1), ("a", mh, 1)])
+
+    def test_wrong_num_perm_rejected(self):
+        with pytest.raises(IndexError_):
+            LSHEnsemble(num_perm=128).index([("a", MinHash(num_perm=64), 1)])
+        ens = LSHEnsemble(num_perm=128)
+        ens.index([("a", MinHash.from_values(["x"]), 1)])
+        with pytest.raises(IndexError_):
+            ens.query(MinHash(num_perm=64), 1, 0.5)
+
+
+class TestPartitioning:
+    @pytest.mark.parametrize(
+        "n,parts",
+        [(1, 1), (1, 8), (3, 8), (8, 8), (15, 8), (16, 8), (97, 8),
+         (100, 16), (31, 4), (240, 8), (10, 3)],
+    )
+    def test_equi_depth(self, n, parts):
+        """Exactly min(parts, n) partitions whose occupancies differ by at
+        most one, covering the entries in ascending size order."""
+        rng = random.Random(n * 100 + parts)
+        sizes = [rng.randint(1, 500) for _ in range(n)]
+        mh = MinHash.from_values(["x"])
+        ens = LSHEnsemble(num_partitions=parts)
+        ens.index([(i, mh, size) for i, size in enumerate(sizes)])
+        stats = ens.stats()
+        occupancy = stats["partition_occupancy"]
+        assert stats["partitions"] == len(occupancy) == min(parts, n)
+        assert sum(occupancy) == stats["keys"] == n
+        assert max(occupancy) - min(occupancy) <= 1
+        ordered = sorted(sizes)
+        ends = [sum(occupancy[: i + 1]) for i in range(len(occupancy))]
+        assert stats["partition_upper_bounds"] == [ordered[e - 1] for e in ends]
 
 
 class TestRecallPrecision:
@@ -120,3 +160,61 @@ class TestRecallPrecision:
         )
         found = ens.query(MinHash.from_values(query), len(query), 0.8)
         assert "sup" in found
+
+
+def _reference_candidates(ens, entries, mh, size, threshold):
+    """Reference: per-partition bucket dicts keyed by band bytes, over the
+    index's own partition layout (stable size order, its occupancies) and
+    its per-partition banding choice."""
+    ordered = sorted(entries, key=lambda e: e[2])
+    stats = ens.stats()
+    found, start = set(), 0
+    for count, upper in zip(
+        stats["partition_occupancy"], stats["partition_upper_bounds"]
+    ):
+        chunk = ordered[start : start + count]
+        start += count
+        j = containment_to_jaccard(threshold, size, max(upper, 1))
+        r = ens.choose_rows(j)
+        tables = [defaultdict(list) for _ in range(ens.num_perm // r)]
+        for key, cmh, _ in chunk:
+            sig = cmh.hashvalues
+            for i, table in enumerate(tables):
+                table[sig[i * r : (i + 1) * r].tobytes()].append(key)
+        q = mh.hashvalues
+        for i, table in enumerate(tables):
+            found.update(table.get(q[i * r : (i + 1) * r].tobytes(), ()))
+    return found
+
+
+@given(
+    st.lists(st.sets(st.integers(0, 40), min_size=1, max_size=30),
+             min_size=1, max_size=20),
+    st.sets(st.integers(0, 40), min_size=1, max_size=30),
+    st.integers(1, 16),
+    st.floats(0.01, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_query_equals_bucket_dicts(sets, query, parts, threshold):
+    """Property: the ensemble's signature-matrix band check returns exactly
+    the candidates of per-partition bucket dicts, once each."""
+    entries = []
+    for i, s in enumerate(sets):
+        tokens = {str(x) for x in s}
+        entries.append((i, MinHash.from_values(tokens), len(tokens)))
+    ens = LSHEnsemble(num_partitions=parts)
+    ens.index(list(entries))
+    tokens = {str(x) for x in query}
+    qmh = MinHash.from_values(tokens)
+    found = ens.query(qmh, len(tokens), threshold)
+    assert len(found) == len(set(found))
+    assert set(found) == _reference_candidates(
+        ens, entries, qmh, len(tokens), threshold
+    )
+    expected = []
+    for key, cmh, size in entries:
+        c = qmh.containment(cmh, len(tokens), size)
+        if key in set(found) and c >= threshold:
+            expected.append((key, c))
+    expected.sort(key=lambda kv: (-kv[1], str(kv[0])))
+    assert ens.query_verified(qmh, len(tokens), threshold) == expected

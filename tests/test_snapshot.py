@@ -249,6 +249,18 @@ class TestRejection:
         err = self._assert_miss(d)
         assert "format version 7" in str(err)
 
+    def test_v8_format_version_refused(self, built, tmp_path):
+        """A v8 snapshot pickles LSH Ensemble and the Jaccard LSH as
+        per-band bucket dicts, which the signature-matrix band check cannot
+        serve, so it is refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 8
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 8" in str(err)
+
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
         built.save(d)
