@@ -71,15 +71,15 @@ class ArdaAugmenter:
         if not self._built:
             raise RuntimeError("call build() before discover_joins")
         qvalues = base.columns[key_column].value_set()
-        hits = self._josie.topk(qvalues, k + 5)
+        hits, _ = self._josie.topk_with_stats(
+            qvalues, k, lambda ref: ref.table == base.name
+        )
         out = []
         for ref, overlap in hits:
-            if ref.table == base.name:
-                continue
             containment = overlap / max(len(qvalues), 1)
             if containment >= self.min_key_containment:
                 out.append((ref.table, ref.index, containment))
-        return out[:k]
+        return out
 
     # -- augmentation ------------------------------------------------------------------
 

@@ -68,8 +68,10 @@ log = get_logger("core.snapshot")
 #: hash-sorted sample store (hash, value and owning-sketch arrays) instead
 #: of one ``CorrelationSketch`` per column pair.  Version 9: LSH Ensemble
 #: and the Jaccard MinHash LSH each hold one signature matrix instead of
-#: per-band bucket dicts.
-FORMAT_VERSION = 9
+#: per-band bucket dicts.  Version 10: JOSIE and MATE each hold one CSR
+#: token-set store (vocab, offsets, key-id postings and sorted forward
+#: rows) instead of a posting dict plus frozensets and a private CSR.
+FORMAT_VERSION = 10
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -13,8 +13,8 @@ class JosieEngine(JoinIndexEngine):
     """Exact top-k joinable columns by set overlap (JOSIE)."""
 
     name = "josie"
-    kind = "inverted+sets"
-    items_key = "sets"
+    kind = "csr-token-sets"
+    items_key = "keys"
 
     def memory_object(self) -> Any:
         return self.raw.josie

@@ -93,7 +93,7 @@ class IndexStatsReport:
     """One built index's introspection snapshot."""
 
     name: str  # e.g. "josie", "starmie.hnsw"
-    kind: str  # e.g. "inverted+sets", "hnsw"
+    kind: str  # e.g. "csr-token-sets", "hnsw"
     items: int  # primary cardinality (sets, nodes, sketches, ...)
     memory_bytes: int
     detail: dict[str, Any] = field(default_factory=dict)

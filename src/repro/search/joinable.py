@@ -9,6 +9,9 @@ three classic strategies side by side:
   be biased against large columns (the motivation for LSH Ensemble).
 
 Also provides Das Sarma-style schema-complement scoring of the joined pair.
+
+The LSH Ensemble is keyed by JOSIE key id, so containment verification
+reads each candidate's set straight from JOSIE's token-set store.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class JoinableSearch:
         self.lake = lake
         self.config = config or JoinSearchConfig()
         self._josie = JosieIndex()
-        self._sizes: dict[ColumnRef, int] = {}
         self._ensemble: LSHEnsemble | None = None
         self._jaccard_lsh: MinHashLSH | None = None
         self._built = False
@@ -51,26 +53,27 @@ class JoinableSearch:
     def build(self) -> "JoinableSearch":
         """Index every text column: JOSIE sets, MinHashes, LSH structures."""
         cfg = self.config
-        entries = []
+        columns = []
         for ref, col in self.lake.iter_text_columns():
             values = col.value_set()
             if len(values) < cfg.min_column_size:
                 continue
             self._josie.insert(ref, values)
             mh = MinHash.from_values(values, num_perm=cfg.num_perm)
-            self._sizes[ref] = len(values)
-            entries.append((ref, mh, len(values)))
+            columns.append((ref, mh, len(values)))
+        # The ensemble keeps lake order but stores key ids (a build-time map).
+        key_id = {ref: i for i, ref in enumerate(self._josie.keys)}
         self._ensemble = LSHEnsemble(
             num_partitions=cfg.num_partitions, num_perm=cfg.num_perm
         )
-        self._ensemble.index(entries)
+        self._ensemble.index([(key_id[ref], mh, n) for ref, mh, n in columns])
         self._jaccard_lsh = MinHashLSH(
             threshold=cfg.lsh_threshold, num_perm=cfg.num_perm
         )
-        for ref, mh, _ in entries:
+        for ref, mh, _ in columns:
             self._jaccard_lsh.insert(ref, mh)
         self._built = True
-        METRICS.inc("index.minhash.signatures_built", len(entries))
+        METRICS.inc("index.minhash.signatures_built", len(columns))
         return self
 
     def _require_built(self) -> None:
@@ -86,7 +89,8 @@ class JoinableSearch:
 
     @property
     def ensemble(self) -> LSHEnsemble | None:
-        """The LSH Ensemble containment filter (built)."""
+        """The LSH Ensemble containment filter (built), keyed by JOSIE key
+        id."""
         return self._ensemble
 
     @property
@@ -97,21 +101,17 @@ class JoinableSearch:
     @property
     def indexed_columns(self) -> int:
         """Number of text columns indexed by all three structures."""
-        return len(self._sizes)
+        return len(self._josie)
 
     def stats(self) -> dict:
         """Introspection over the three join indexes this facade holds."""
         self._require_built()
         return {
-            "columns": len(self._sizes),
+            "columns": len(self._josie),
             "josie": self._josie.stats(),
             "lshensemble": self._ensemble.stats(),
             "jaccard_lsh": self._jaccard_lsh.stats(),
         }
-
-    @staticmethod
-    def _query_values(column: Column) -> set[str]:
-        return set(column.value_set())
 
     # -- online -------------------------------------------------------------------
 
@@ -127,14 +127,13 @@ class JoinableSearch:
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
         self._require_built()
-        values = self._query_values(column)
-        raw, stats = self._josie.topk_with_stats(values, k + 8)
-        out = [
-            ColumnResult(ref, overlap / max(len(values), 1))
-            for ref, overlap in raw
-            if exclude_table is None or ref.table != exclude_table
-        ]
-        out = sorted(out)[:k]
+        values = column.value_set()
+        exclude = None if exclude_table is None else (
+            lambda ref: ref.table == exclude_table
+        )
+        raw, stats = self._josie.topk_with_stats(values, k, exclude)
+        # JOSIE ranks by (overlap desc, str(key)): already ColumnResult order.
+        out = [ColumnResult(ref, overlap / max(len(values), 1)) for ref, overlap in raw]
         if explain:
             report = ExplainReport(
                 "josie",
@@ -170,18 +169,19 @@ class JoinableSearch:
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
         self._require_built()
-        values = self._query_values(column)
+        values = column.value_set()
         mh = MinHash.from_values(values, num_perm=self.config.num_perm)
-        candidates = list(self._ensemble.query(mh, len(values), threshold))
+        candidates = self._ensemble.query(mh, len(values), threshold)
+        store, keys = self._josie.inverted, self._josie.keys
+        mask = store.token_mask(store.token_ids(values))
         out = []
         checked = 0
-        for ref in candidates:
+        for i in candidates:
+            ref = keys[i]
             if exclude_table is not None and ref.table == exclude_table:
                 continue
             checked += 1
-            containment = len(values & self._josie.set_of(ref)) / max(
-                len(values), 1
-            )
+            containment = store.overlap(i, mask) / max(len(values), 1)
             if containment >= threshold:
                 out.append(ColumnResult(ref, containment))
         METRICS.inc("search.containment.candidates_checked", checked)
@@ -201,7 +201,7 @@ class JoinableSearch:
                     "num_partitions": self.config.num_partitions,
                 },
             )
-            report.stage("indexed_columns", len(self._sizes))
+            report.stage("indexed_columns", len(self._josie))
             report.stage("candidates", len(candidates))
             report.stage("checked", checked)
             report.stage("passed_threshold", len(out))
@@ -214,16 +214,17 @@ class JoinableSearch:
     ) -> list[ColumnRef]:
         """Unverified LSH Ensemble candidate set (recall measurement)."""
         self._require_built()
-        values = self._query_values(column)
+        values = column.value_set()
         mh = MinHash.from_values(values, num_perm=self.config.num_perm)
-        return list(self._ensemble.query(mh, len(values), threshold))
+        keys = self._josie.keys
+        return [keys[i] for i in self._ensemble.query(mh, len(values), threshold)]
 
     def jaccard_baseline(
         self, column: Column, exclude_table: str | None = None
     ) -> list[ColumnResult]:
         """Plain Jaccard-threshold LSH (the biased baseline of E2)."""
         self._require_built()
-        values = self._query_values(column)
+        values = column.value_set()
         mh = MinHash.from_values(values, num_perm=self.config.num_perm)
         hits = self._jaccard_lsh.query_verified(mh)
         return [

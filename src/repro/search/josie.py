@@ -8,12 +8,20 @@ with *list probing*, terminating early once no unverified candidate's upper
 bound — current partial count plus remaining unprocessed tokens — can beat
 the k-th best verified overlap.  Results are exact; early termination only
 skips work that provably cannot change the answer.
+
+Sets live in one CSR token-set store (:class:`InvertedIndex`).  The query's
+posting lists are gathered in one numpy pass; the probe's stop point is a
+binary search over prefix counts of that gather, and the work counters
+report the lists and sets the algorithm needed, not the gather's copy.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable
+from bisect import bisect_left
+from typing import Callable, Hashable, Iterable
+
+import numpy as np
 
 from repro.core.errors import IndexError_
 from repro.obs import METRICS, TRACER
@@ -21,38 +29,56 @@ from repro.sketch.inverted import InvertedIndex
 
 
 class JosieIndex:
-    """Inverted index + stored sets supporting exact top-k overlap search."""
+    """Exact top-k overlap search over one CSR token-set store.
+
+    ``insert`` buffers; the first read freezes the buffer into an
+    :class:`InvertedIndex` whose key ids follow ``str(key)`` order, so
+    ranking ties break by key on plain ids.  Ids become keys only in
+    results.
+    """
 
     def __init__(self):
+        self._pending: dict[Hashable, frozenset[str]] = {}
+        self._keys: list[Hashable] = []  # key id -> key, once frozen
         self._inv = InvertedIndex()
-        self._sets: dict[Hashable, frozenset[str]] = {}
 
     def __len__(self) -> int:
-        return len(self._sets)
+        return len(self._keys) + len(self._pending)
 
     def insert(self, key: Hashable, values: Iterable[str]) -> None:
-        if key in self._sets:
+        if self._keys:  # frozen: fold the store back into the buffer
+            self._pending = dict(zip(self._keys, self._inv.token_sets()))
+            self._keys = []
+        if key in self._pending:
             raise IndexError_(f"duplicate key {key!r}")
-        vset = frozenset(str(v) for v in values)
-        self._sets[key] = vset
-        self._inv.insert(key, vset)
+        vset = frozenset(map(str, values))
+        self._pending[key] = vset
         METRICS.inc("index.josie.sets_indexed")
         METRICS.inc("index.josie.values_indexed", len(vset))
 
+    @property
+    def inverted(self) -> InvertedIndex:
+        """The frozen store; key id ``i`` is ``keys[i]``."""
+        if self._pending:
+            self._keys = sorted(self._pending, key=str)
+            self._inv = InvertedIndex(self._pending[key] for key in self._keys)
+            self._pending = {}
+        return self._inv
+
+    @property
+    def keys(self) -> list[Hashable]:
+        """Indexed keys by key id (``str(key)`` order)."""
+        self.inverted  # freezes pending inserts
+        return self._keys
+
     def set_of(self, key: Hashable) -> frozenset[str]:
-        return self._sets[key]
+        """The key's value set (decodes the store; for introspection)."""
+        return self.inverted.token_sets()[self._keys.index(key)]
 
     def stats(self) -> dict:
         """Introspection: set-size skew plus the inverted index's posting
         distribution (the two drivers of JOSIE's probe/verify cost)."""
-        from repro.obs.introspect import summarize_distribution
-
-        out = self._inv.stats()
-        out["sets"] = len(self._sets)
-        out["set_size"] = summarize_distribution(
-            len(s) for s in self._sets.values()
-        )
-        return out
+        return self.inverted.stats()
 
     # -- baseline -------------------------------------------------------------------
 
@@ -61,9 +87,10 @@ class JosieIndex:
     ) -> list[tuple[Hashable, int]]:
         """Exact top-k by merging *all* posting lists (the MergeList baseline
         JOSIE compares against)."""
-        counts = self._inv.overlaps(set(query))
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
-        return ranked[:k]
+        counts = self.inverted.overlaps(str(v) for v in query)
+        ids = np.flatnonzero(counts)
+        ranked = ids[np.argsort(-counts[ids], kind="stable")][:k]
+        return [(self._keys[i], int(counts[i])) for i in ranked]
 
     # -- JOSIE ------------------------------------------------------------------------
 
@@ -74,73 +101,79 @@ class JosieIndex:
 
         Returns [(key, overlap)] sorted by overlap desc; ties by key.
         """
-        stats = self.topk_with_stats(query, k)
-        return stats[0]
+        return self.topk_with_stats(query, k)[0]
 
     def topk_with_stats(
-        self, query: Iterable[str], k: int = 10
+        self,
+        query: Iterable[str],
+        k: int = 10,
+        exclude: Callable[[Hashable], bool] | None = None,
     ) -> tuple[list[tuple[Hashable, int]], dict]:
-        """As ``topk`` but also reports probe/verification work counters."""
-        qset = set(str(v) for v in query)
-        # Rare tokens first: smallest posting lists shrink candidates fastest.
-        tokens = sorted(
-            (t for t in qset if self._inv.document_frequency(t) > 0),
-            key=lambda t: (self._inv.document_frequency(t), t),
-        )
-        total = len(tokens)
-        partial: dict[Hashable, int] = {}
-        posting_lists_read = 0
-        posting_entries_read = 0
-        remaining = total
+        """As ``topk`` but also reports probe/verification work counters.
+
+        Keys for which ``exclude`` returns true are never ranked; the
+        bounds are exact over the remaining keys.
+        """
+        inv = self.inverted
+        n = len(inv)
+        # Rare tokens first: smallest posting lists shrink candidates fastest
+        # (ties by token).
+        tids = inv.token_ids(sorted({str(v) for v in query}))
+        tids = tids[np.argsort(np.diff(inv.offsets)[tids], kind="stable")]
+        total = tids.size
+        flat, bounds = inv.gather(tids)
+        seen = np.unique(flat).tolist() if exclude else []
+        drop = [i for i in seen if exclude(self._keys[i])]
+
+        def partial(lists: int) -> np.ndarray:
+            """Per-key counts after probing the first ``lists`` lists."""
+            counts = np.bincount(flat[: bounds[lists]], minlength=n)
+            counts[drop] = 0
+            return counts
+
+        def saturated(lists: int) -> bool:
+            # Strict: an unseen candidate reaching exactly `remaining` could
+            # otherwise tie with the kth result and win the key tie-break.
+            kth = n - k
+            return 0 <= kth and np.partition(partial(lists), kth)[kth] > total - lists
 
         # Phase 1 — probe posting lists until no *unseen* candidate can still
         # reach the top-k: the kth largest partial count (a lower bound on
-        # exact overlap) must beat `remaining` (an upper bound for unseen).
-        for i, token in enumerate(tokens):
-            remaining = total - i - 1
-            postings = self._inv.postings(token)
-            posting_lists_read += 1
-            posting_entries_read += len(postings)
-            for key in postings:
-                partial[key] = partial.get(key, 0) + 1
-            if len(partial) >= k:
-                kth_lower = heapq.nlargest(k, partial.values())[-1]
-                # Strict: an unseen candidate reaching exactly `remaining`
-                # could otherwise tie with the kth result and win the
-                # deterministic key tie-break.
-                if kth_lower > remaining:
-                    break
+        # exact overlap) must beat the lists left (an upper bound for
+        # unseen).  Both sides move monotonically, so the first list count
+        # where that holds is found by binary search (else all are read).
+        read = min(total, 1 + bisect_left(range(1, total), True, key=saturated))
+        counts = partial(read)
+        remaining = total - read
 
-        # Phase 2 — verify candidates in upper-bound order; stop when the
-        # next upper bound cannot beat the kth best verified exact overlap.
-        order = sorted(
-            partial.items(), key=lambda kv: (-(kv[1] + remaining), str(kv[0]))
-        )
-        verified: dict[Hashable, int] = {}
-        best: list[tuple[int, str]] = []  # min-heap of top-k exact overlaps
-        sets_verified = 0
-        for key, cnt in order:
-            upper = cnt + remaining
-            if len(best) >= k and upper < best[0][0]:
+        # Phase 2 — verify candidates in upper-bound order (ties by key id);
+        # stop when the next upper bound cannot beat the kth best verified
+        # exact overlap.
+        cand = np.flatnonzero(counts)
+        cand = cand[np.argsort(-counts[cand], kind="stable")]
+        mask = inv.token_mask(tids)
+        verified: list[tuple[int, int]] = []
+        best: list[int] = []  # min-heap of top-k exact overlaps
+        for i, cnt in zip(cand.tolist(), counts[cand].tolist()):
+            if len(best) >= k and cnt + remaining < best[0]:
                 break  # no later candidate can beat or tie the kth verified
-            overlap = len(qset & self._sets[key])
-            verified[key] = overlap
-            sets_verified += 1
-            heapq.heappush(best, (overlap, str(key)))
+            # With every list probed, the partial count is exact.
+            overlap = inv.overlap(i, mask) if remaining else cnt
+            verified.append((i, overlap))
+            heapq.heappush(best, overlap)
             if len(best) > k:
                 heapq.heappop(best)
 
-        ranked = sorted(
-            verified.items(), key=lambda kv: (-kv[1], str(kv[0]))
-        )[:k]
-        ranked = [(key, ov) for key, ov in ranked if ov > 0]
+        verified.sort(key=lambda kv: (-kv[1], kv[0]))
+        ranked = [(self._keys[i], ov) for i, ov in verified[:k]]
         stats = {
-            "posting_lists_read": posting_lists_read,
-            "posting_entries_read": posting_entries_read,
-            "candidates_examined": len(partial),
-            "sets_verified": sets_verified,
+            "posting_lists_read": read,
+            "posting_entries_read": int(bounds[read]),
+            "candidates_examined": int(cand.size),
+            "sets_verified": len(verified),
             "query_tokens": total,
         }
+        METRICS.inc("index.inverted.postings_reads", read)
         METRICS.inc("search.josie.queries")
         for name, value in stats.items():
             METRICS.inc(f"search.josie.{name}", value)

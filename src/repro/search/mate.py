@@ -21,6 +21,7 @@ from repro.datalake.table import Table
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.sketch.hashing import stable_hash64
+from repro.sketch.inverted import InvertedIndex
 
 
 def _cell_mask(value: str, bits: int) -> int:
@@ -69,9 +70,9 @@ class MateIndex:
     plus one super key per row.
 
     A cell is a stripped, lower-cased, non-empty text-column value.  Rows
-    are numbered across the lake in table order; ``postings[offsets[c]:
-    offsets[c + 1]]`` lists, ascending, the rows that hold cell id ``c``
-    (``vocab`` maps cell text to id), ``row_table`` maps a row to its table
+    are numbered across the lake in table order and are the key ids of
+    ``cells``, an :class:`InvertedIndex` over each row's cell set, whose
+    arrays the probe reads directly; ``row_table`` maps a row to its table
     index in ``tables``, and ``super_keys`` holds each row's super key.
     """
 
@@ -80,48 +81,31 @@ class MateIndex:
             raise ValueError(f"super keys are uint64: bits must be 1-64, got {bits}")
         self.bits = bits
         self.tables: list[str] = []
-        self.vocab: dict[str, int] = {}
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.postings = np.zeros(0, dtype=np.int32)
+        self.cells = InvertedIndex()
         self.row_table = np.zeros(0, dtype=np.int32)
         self.super_keys = np.zeros(0, dtype=np.uint64)
 
     def index_lake(self, lake: DataLake) -> None:
-        vocab: dict[str, int] = {}
         tables: list[str] = []
         row_table: list[int] = []
-        cell_ids: list[int] = []  # one (row, cell) pair per entry ...
-        cell_rows: list[int] = []  # ... rows ascending, cells distinct per row
+        row_cells: list[set[str]] = []
         for t, table in enumerate(lake):
             tables.append(table.name)
             cols = [c.values for _, c in table.text_columns()]
-            rows = zip(*cols) if cols else repeat((), table.num_rows)
-            for values in rows:
-                row = len(row_table)
+            for values in zip(*cols) if cols else repeat((), table.num_rows):
                 row_table.append(t)
-                row_cells = {
-                    vocab.setdefault(cell, len(vocab))
-                    for cell in (v.strip().lower() for v in values)
-                    if cell
-                }
-                cell_ids.extend(row_cells)
-                cell_rows.extend(repeat(row, len(row_cells)))
-        ids = np.asarray(cell_ids, dtype=np.int64)
-        rows = np.asarray(cell_rows, dtype=np.int32)
+                row_cells.append({c for c in (v.strip().lower() for v in values) if c})
+        cells = InvertedIndex(row_cells)
         masks = np.fromiter(
-            (_cell_mask(cell, self.bits) for cell in vocab),
+            (_cell_mask(cell, self.bits) for cell in cells.vocab),
             dtype=np.uint64,
-            count=len(vocab),
+            count=cells.num_tokens,
         )
-        super_keys = np.zeros(len(row_table), dtype=np.uint64)
-        np.bitwise_or.at(super_keys, rows, masks[ids])
-        offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ids, minlength=len(vocab)), out=offsets[1:])
+        rows = np.repeat(np.arange(len(cells)), np.diff(cells.set_offsets))
+        super_keys = np.zeros(len(cells), dtype=np.uint64)
+        np.bitwise_or.at(super_keys, rows, masks[cells.set_tokens])
         self.tables = tables
-        self.vocab = vocab
-        self.offsets = offsets
-        # A stable sort keeps each cell's rows in ascending row order.
-        self.postings = rows[np.argsort(ids, kind="stable")]
+        self.cells = cells
         self.row_table = np.asarray(row_table, dtype=np.int32)
         self.super_keys = super_keys
         METRICS.inc("index.mate.rows_indexed", len(row_table))
@@ -158,9 +142,10 @@ class MateIndex:
                 distinct.add(cells)
         matched = np.zeros(len(self.tables), dtype=np.int64)
         checked = passed = 0
-        offsets, postings = self.offsets, self.postings
+        vocab, offsets = self.cells.vocab, self.cells.offsets
+        postings = self.cells.posting_ids
         for cells in distinct:
-            ids = [self.vocab.get(cell) for cell in set(cells)]
+            ids = [vocab.get(cell) for cell in set(cells)]
             if None in ids:
                 continue
             ids.sort(key=lambda c: offsets[c + 1] - offsets[c])

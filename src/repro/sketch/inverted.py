@@ -1,81 +1,111 @@
-"""Token -> posting-list inverted index.
+"""Token-set store: a CSR inverted index over integer key ids.
 
-The substrate for exact overlap search (JOSIE, §2.4) and BM25 keyword search
-(§2.3).  Postings are kept sorted by key for deterministic iteration; global
-document-frequency statistics support both JOSIE's rare-token-first probing
-order and BM25 weighting.
+The substrate for exact overlap search (JOSIE, §2.4), LSH Ensemble's exact
+containment verification and MATE's cell postings.  Built once from a list
+of token sets, whose positions are the key ids:
+
+* ``vocab`` maps a token to its id (ids in first-seen order);
+* ``posting_ids[offsets[t]:offsets[t + 1]]`` lists, ascending, the key ids whose
+  set holds token ``t`` (its length is the token's document frequency);
+* ``set_tokens[set_offsets[i]:set_offsets[i + 1]]`` is key ``i``'s set as
+  sorted token ids (the forward rows; their lengths are the set sizes).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from itertools import chain, count
+from typing import Iterable
+
+import numpy as np
 
 from repro.obs import METRICS
 
 
 class InvertedIndex:
-    """Maps tokens to the set of keys whose token set contains them."""
+    """Maps tokens to the ids of the keys whose token set contains them."""
 
-    def __init__(self):
-        self._postings: dict[str, list[Hashable]] = {}
-        self._sizes: dict[Hashable, int] = {}
-        self._sorted = True
+    def __init__(self, sets: Iterable[Iterable[str]] = ()):
+        sets = [frozenset(s) for s in sets]  # free for frozensets
+        self.vocab = vocab = dict(zip(dict.fromkeys(chain.from_iterable(sets)), count()))
+        sizes = list(map(len, sets))
+        self.set_offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        keys = np.repeat(np.arange(len(sets), dtype=np.int32), sizes)
+        ids = np.fromiter(
+            map(vocab.__getitem__, chain.from_iterable(sets)), np.int64, keys.size
+        )
+        # Sort each key's token ids; keys are already grouped ascending.
+        width = np.int64(max(len(vocab), 1))
+        self.set_tokens = (np.sort(keys * width + ids) % width).astype(np.int32)
+        order = np.argsort(self.set_tokens, kind="stable")  # keys stay ascending
+        self.posting_ids = keys[order]
+        self.offsets = np.searchsorted(self.set_tokens[order], np.arange(len(vocab) + 1))
+        METRICS.inc("index.inverted.keys_indexed", len(sets))
+        METRICS.inc("index.inverted.postings_written", keys.size)
 
     def __len__(self) -> int:
-        return len(self._sizes)
+        return self.set_offsets.size - 1
 
     @property
     def num_tokens(self) -> int:
-        return len(self._postings)
+        return len(self.vocab)
 
-    def insert(self, key: Hashable, tokens: Iterable[str]) -> None:
-        """Index a key under its distinct tokens."""
-        distinct = set(tokens)
-        self._sizes[key] = len(distinct)
-        for t in distinct:
-            self._postings.setdefault(t, []).append(key)
-        self._sorted = False
-        METRICS.inc("index.inverted.keys_indexed")
-        METRICS.inc("index.inverted.postings_written", len(distinct))
+    def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """Ids of the indexed tokens among ``tokens``, in the given order."""
+        vocab = self.vocab
+        return np.array([vocab[t] for t in tokens if t in vocab], dtype=np.int64)
 
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            for plist in self._postings.values():
-                plist.sort(key=str)
-            self._sorted = True
+    def gather(self, token_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The posting lists of ``token_ids`` concatenated in that order, and
+        their bounds: list ``j`` is ``flat[bounds[j]:bounds[j + 1]]``."""
+        starts = self.offsets[token_ids]
+        lens = self.offsets[token_ids + 1] - starts
+        bounds = np.concatenate(([0], np.cumsum(lens)))
+        index = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], lens)
+        return self.posting_ids[index], bounds
 
-    def postings(self, token: str) -> list[Hashable]:
-        """Keys containing the token (sorted; empty list if unseen)."""
-        self._ensure_sorted()
+    def postings(self, token: str) -> np.ndarray:
+        """Ascending ids of the keys containing the token (empty if unseen)."""
         METRICS.inc("index.inverted.postings_reads")
-        return self._postings.get(token, [])
+        return self.gather(self.token_ids([token]))[0]
 
     def document_frequency(self, token: str) -> int:
-        return len(self._postings.get(token, ()))
+        return int(self.gather(self.token_ids([token]))[1][-1])
 
-    def size_of(self, key: Hashable) -> int:
+    def size_of(self, key_id: int) -> int:
         """Distinct-token count of an indexed key."""
-        return self._sizes[key]
+        return int(self.set_offsets[key_id + 1] - self.set_offsets[key_id])
 
-    def keys(self) -> list[Hashable]:
-        return list(self._sizes)
+    def token_sets(self) -> list[frozenset[str]]:
+        """Every key's token set, by key id (one pass over the vocabulary)."""
+        tokens = list(self.vocab)  # vocab ids are insertion positions
+        ids, bounds = self.set_tokens.tolist(), self.set_offsets.tolist()
+        return [frozenset(tokens[t] for t in ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def token_mask(self, token_ids: np.ndarray) -> np.ndarray:
+        """Boolean vocabulary mask of ``token_ids``, for :meth:`overlap`."""
+        mask = np.zeros(len(self.vocab), dtype=bool)
+        mask[token_ids] = True
+        return mask
+
+    def overlap(self, key_id: int, mask: np.ndarray) -> int:
+        """Exact |Q ∩ X| of key ``key_id`` and the query whose mask is given."""
+        row = self.set_tokens[self.set_offsets[key_id] : self.set_offsets[key_id + 1]]
+        return int(np.count_nonzero(mask[row]))
+
+    def overlaps(self, tokens: Iterable[str]) -> np.ndarray:
+        """Exact overlap |Q ∩ X| of every key, by key id (full merge)."""
+        flat, _ = self.gather(self.token_ids(set(tokens)))
+        return np.bincount(flat, minlength=len(self))
 
     def stats(self) -> dict:
-        """Introspection: vocabulary size and posting-list skew."""
+        """Introspection: vocabulary, posting-list and set-size skew, bytes."""
         from repro.obs.introspect import summarize_distribution
 
+        arrays = (self.offsets, self.posting_ids, self.set_offsets, self.set_tokens)
         return {
-            "keys": len(self._sizes),
-            "vocabulary": len(self._postings),
-            "posting_list_len": summarize_distribution(
-                len(p) for p in self._postings.values()
-            ),
+            "keys": len(self),
+            "vocabulary": len(self.vocab),
+            "posting_list_len": summarize_distribution(np.diff(self.offsets).tolist()),
+            "set_size": summarize_distribution(np.diff(self.set_offsets).tolist()),
+            "store_bytes": sum(int(a.nbytes) for a in arrays),
         }
-
-    def overlaps(self, tokens: Iterable[str]) -> dict[Hashable, int]:
-        """Exact overlap |Q ∩ X| for every indexed key X (full scan merge)."""
-        counts: dict[Hashable, int] = {}
-        for t in set(tokens):
-            for key in self._postings.get(t, ()):
-                counts[key] = counts.get(key, 0) + 1
-        return counts

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import networkx as nx
 
 from repro.datalake.lake import DataLake
 from repro.datalake.table import ColumnRef
+from repro.sketch.inverted import InvertedIndex
 
 
 @dataclass
@@ -53,18 +55,13 @@ class DomainDiscovery:
 
         # Candidate pairs via a value -> columns inverted index (avoids the
         # all-pairs comparison on large lakes).
-        by_value: dict[str, list[int]] = {}
-        for i, (_, vs) in enumerate(cols):
-            for v in vs:
-                by_value.setdefault(v, []).append(i)
-
+        index = InvertedIndex(vs for _, vs in cols)
+        owners, bounds = index.posting_ids.tolist(), index.offsets.tolist()
         pair_overlap: Counter[tuple[int, int]] = Counter()
-        for owners in by_value.values():
-            if len(owners) < 2 or len(owners) > 50:
-                continue  # values in too many columns are uninformative
-            for a in range(len(owners)):
-                for b in range(a + 1, len(owners)):
-                    pair_overlap[(owners[a], owners[b])] += 1
+        for lo, hi in zip(bounds, bounds[1:]):
+            # Values in too many columns are uninformative.
+            if 2 <= hi - lo <= 50:
+                pair_overlap.update(combinations(owners[lo:hi], 2))
 
         graph = nx.Graph()
         graph.add_nodes_from(range(len(cols)))

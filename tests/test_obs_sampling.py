@@ -148,25 +148,26 @@ class TestSamplingOverhead:
             return sum(i * i for i in range(3000))
 
         def timed(tracer, n=300):
-            t0 = time.perf_counter()
-            for i in range(n):
+            # This thread's CPU time, not wall time: time the host spends
+            # on other processes (preemption) is not charged to either side.
+            t0 = time.thread_time()
+            for _ in range(n):
                 if tracer is None:
                     workload()
                 else:
                     with tracer.span("q"):
                         workload()
-            return (time.perf_counter() - t0) / n
+            return (time.thread_time() - t0) / n
 
         sampler = TraceSampler(rate=0.01, seed=1)
         tracer = Tracer(enabled=True, sampler=sampler)
         timed(None)  # warm up
         timed(tracer)
         # Alternate the two sides pair by pair so host-speed drift during
-        # the measurement hits both equally.
-        baseline = sampled = float("inf")
-        for _ in range(5):
-            baseline = min(baseline, timed(None))
-            sampled = min(sampled, timed(tracer))
-        assert sampled <= baseline * 1.10, (
-            f"sampled={sampled * 1e6:.1f}us baseline={baseline * 1e6:.1f}us"
+        # the measurement hits both equally, and judge the median pair: a
+        # few pairs that a cache or frequency dip skewed cannot decide it.
+        ratios = sorted(timed(tracer) / timed(None) for _ in range(15))
+        ratio = ratios[len(ratios) // 2]
+        assert ratio <= 1.10, (
+            f"median sampled/baseline ratio {ratio:.3f}; pairs {ratios}"
         )

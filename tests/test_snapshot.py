@@ -261,6 +261,18 @@ class TestRejection:
         err = self._assert_miss(d)
         assert "format version 8" in str(err)
 
+    def test_v9_format_version_refused(self, built, tmp_path):
+        """A v9 snapshot pickles JOSIE's posting dict and frozensets and
+        MATE's private cell postings, which the shared CSR token-set store
+        cannot serve, so it is refused."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 9
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 9" in str(err)
+
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
         built.save(d)
