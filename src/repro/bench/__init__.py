@@ -1,12 +1,6 @@
 """Benchmark substrate: metrics, workloads, and the experiment harness."""
 
-from repro.bench.harness import (
-    BenchComparison,
-    BenchTrajectory,
-    ExperimentTable,
-    compare_trajectories,
-    time_call,
-)
+from repro.bench.harness import ExperimentTable
 from repro.bench.metrics import (
     average_precision,
     classification_report,
@@ -21,13 +15,9 @@ from repro.bench.metrics import (
 from repro.bench.workloads import JoinWorkload, UnionWorkload
 
 __all__ = [
-    "BenchComparison",
-    "BenchTrajectory",
     "ExperimentTable",
     "JoinWorkload",
     "UnionWorkload",
-    "compare_trajectories",
-    "time_call",
     "average_precision",
     "classification_report",
     "f1_score",

@@ -19,7 +19,7 @@ from repro.core.engine import (
     QueryRequest,
     register_engine,
 )
-from repro.core.pipeline import STAGES, pipeline_report, run_pipeline
+from repro.core.pipeline import STAGES, pipeline_report
 from repro.core.snapshot import SnapshotManifest
 from repro.core.system import STAGE_DEPS, DiscoverySystem
 
@@ -47,5 +47,4 @@ __all__ = [
     "StageCycleError",
     "StageGraph",
     "pipeline_report",
-    "run_pipeline",
 ]

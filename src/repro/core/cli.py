@@ -13,8 +13,6 @@ Usage::
     python -m repro domains   <lake_dir>
     python -m repro profile   <lake_dir> [-o report.json] [--no-embeddings]
     python -m repro serve-metrics <lake_dir> [--port 9095] [--duration 60]
-    python -m repro bench     <lake_dir> [-o BENCH_queries.json] [--repeat 3]
-    python -m repro bench-compare old.json new.json [--threshold 0.2]
     python -m repro slo       [--log queries.jsonl | --url http://host:9095]
     python -m repro inspect   <lake_dir> [--json]
     python -m repro engines   [<lake_dir>] [--json]
@@ -42,7 +40,6 @@ import sys
 import time
 
 from repro import obs
-from repro.bench.harness import BenchTrajectory, compare_trajectories
 from repro.core.config import DiscoveryConfig
 from repro.core.errors import DiscoveryError
 from repro.core.system import JOIN_METHODS, UNION_METHODS, DiscoverySystem
@@ -233,42 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="serve for N seconds then exit (default: until interrupted)",
-    )
-    common(p)
-
-    p = sub.add_parser(
-        "bench",
-        help="time every online query path on a lake; write a "
-        "BENCH_<experiment>.json trajectory",
-    )
-    p.add_argument("lake_dir", help="directory of CSV files")
-    p.add_argument(
-        "-o",
-        "--output",
-        default=".",
-        help="output file, or a directory to get BENCH_<experiment>.json",
-    )
-    p.add_argument("--experiment", default="queries")
-    p.add_argument("--repeat", type=int, default=3)
-    common(p)
-
-    p = sub.add_parser(
-        "bench-compare",
-        help="regression gate: compare two BENCH_*.json trajectories; "
-        "exits 1 on latency regressions beyond the threshold",
-    )
-    p.add_argument("old", help="baseline trajectory JSON")
-    p.add_argument("new", help="candidate trajectory JSON")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="allowed latency growth factor (0.2 = +20%%)",
-    )
-    p.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print the comparison but always exit 0",
     )
     common(p)
 
@@ -544,74 +505,6 @@ def _run_serve_metrics(args, out) -> int:
     return 0
 
 
-def _run_bench(args, out) -> int:
-    """The ``bench`` subcommand: time each online query path, write a
-    ``BENCH_<experiment>.json`` trajectory."""
-    lake = DataLake.from_directory(args.lake_dir)
-    config = DiscoveryConfig(enable_embeddings=True, embedding_min_count=1)
-    traj = BenchTrajectory(
-        experiment=args.experiment,
-        meta={"lake": lake.stats(), "repeat": args.repeat},
-    )
-    t0 = time.perf_counter()
-    system = DiscoverySystem(lake, config).build()
-    traj.add("pipeline.build", (time.perf_counter() - t0) * 1000)
-
-    names = system.lake.table_names()
-    table = system.lake.table(names[0])
-    text_cols = [i for i, _ in table.text_columns()]
-    num_cols = [i for i, _ in table.numeric_columns()]
-    kw = " ".join(table.header[:2]) or "data"
-    cases = [("query.keyword", lambda: system.keyword_search(kw, k=5))]
-    if text_cols:
-        ref = ColumnRef(table.name, text_cols[0])
-        cases += [
-            ("query.join.exact", lambda: system.joinable_search(ref, k=5)),
-            (
-                "query.join.containment",
-                lambda: system.joinable_search(ref, k=5, method="containment"),
-            ),
-            (
-                "query.fuzzy_join",
-                lambda: system.fuzzy_joinable_search(ref, k=5),
-            ),
-            (
-                "query.multi_attribute",
-                lambda: system.multi_attribute_search(
-                    table, [text_cols[0]], k=5
-                ),
-            ),
-        ]
-        if num_cols:
-            cases.append(
-                (
-                    "query.correlated",
-                    lambda: system.correlated_search(
-                        table.name, text_cols[0], num_cols[0], k=5
-                    ),
-                )
-            )
-    cases += [
-        (
-            "query.union.starmie",
-            lambda: system.unionable_search(table.name, k=5),
-        ),
-        (
-            "query.union.tus",
-            lambda: system.unionable_search(table.name, k=5, method="tus"),
-        ),
-    ]
-    for name, fn in cases:
-        try:
-            stats = traj.add_timed(name, fn, repeat=args.repeat)
-            log.info("bench %s: %.3f ms", name, stats["latency_ms"])
-        except Exception as exc:
-            log.warning("bench %s skipped: %s", name, exc)
-    path = traj.write(args.output)
-    print(f"wrote {path} ({len(traj.records)} records)", file=out)
-    return 0
-
-
 def _run_slo(args, out) -> int:
     """The ``slo`` subcommand: the SLO burn-rate gate."""
     from repro.obs import health
@@ -734,17 +627,6 @@ def _run_top(args, out) -> int:
     return 0 if frames else 1
 
 
-def _run_bench_compare(args, out) -> int:
-    """The ``bench-compare`` subcommand: the latency regression gate."""
-    old = BenchTrajectory.load(args.old)
-    new = BenchTrajectory.load(args.new)
-    cmp = compare_trajectories(old, new, threshold=args.threshold)
-    print(cmp.render(), file=out)
-    if args.report_only:
-        return 0
-    return 0 if cmp.ok else 1
-
-
 def _run(args, out) -> int:
     if args.command == "stats":
         lake = DataLake.from_directory(args.lake_dir)
@@ -763,12 +645,6 @@ def _run(args, out) -> int:
 
     if args.command == "serve-metrics":
         return _run_serve_metrics(args, out)
-
-    if args.command == "bench":
-        return _run_bench(args, out)
-
-    if args.command == "bench-compare":
-        return _run_bench_compare(args, out)
 
     if args.command == "slo":
         return _run_slo(args, out)

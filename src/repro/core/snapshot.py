@@ -71,7 +71,9 @@ log = get_logger("core.snapshot")
 #: per-band bucket dicts.  Version 10: JOSIE and MATE each hold one CSR
 #: token-set store (vocab, offsets, key-id postings and sorted forward
 #: rows) instead of a posting dict plus frozensets and a private CSR.
-FORMAT_VERSION = 10
+#: Version 11: MATE keeps only the store's posting side (vocab, offsets,
+#: postings), not its forward rows.
+FORMAT_VERSION = 11
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

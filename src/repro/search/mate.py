@@ -70,10 +70,11 @@ class MateIndex:
     plus one super key per row.
 
     A cell is a stripped, lower-cased, non-empty text-column value.  Rows
-    are numbered across the lake in table order and are the key ids of
-    ``cells``, an :class:`InvertedIndex` over each row's cell set, whose
-    arrays the probe reads directly; ``row_table`` maps a row to its table
-    index in ``tables``, and ``super_keys`` holds each row's super key.
+    are numbered across the lake in table order.  The build puts each row's
+    cell set in an :class:`InvertedIndex` and keeps only its posting side:
+    ``vocab`` (cell → id) and ``postings[offsets[c]:offsets[c + 1]]``, the
+    ascending rows holding cell ``c``.  ``row_table`` maps a row to its
+    table index in ``tables``, and ``super_keys`` holds each row's super key.
     """
 
     def __init__(self, bits: int = 64):
@@ -81,7 +82,9 @@ class MateIndex:
             raise ValueError(f"super keys are uint64: bits must be 1-64, got {bits}")
         self.bits = bits
         self.tables: list[str] = []
-        self.cells = InvertedIndex()
+        self.vocab: dict[str, int] = {}
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.postings = np.zeros(0, dtype=np.int32)
         self.row_table = np.zeros(0, dtype=np.int32)
         self.super_keys = np.zeros(0, dtype=np.uint64)
 
@@ -105,7 +108,11 @@ class MateIndex:
         super_keys = np.zeros(len(cells), dtype=np.uint64)
         np.bitwise_or.at(super_keys, rows, masks[cells.set_tokens])
         self.tables = tables
-        self.cells = cells
+        # The probe reads only the posting side; the forward rows
+        # (``set_offsets``/``set_tokens``) are needed only for the super
+        # keys above, so they are not kept.
+        self.vocab, self.offsets = cells.vocab, cells.offsets
+        self.postings = cells.posting_ids
         self.row_table = np.asarray(row_table, dtype=np.int32)
         self.super_keys = super_keys
         METRICS.inc("index.mate.rows_indexed", len(row_table))
@@ -142,8 +149,7 @@ class MateIndex:
                 distinct.add(cells)
         matched = np.zeros(len(self.tables), dtype=np.int64)
         checked = passed = 0
-        vocab, offsets = self.cells.vocab, self.cells.offsets
-        postings = self.cells.posting_ids
+        vocab, offsets, postings = self.vocab, self.offsets, self.postings
         for cells in distinct:
             ids = [vocab.get(cell) for cell in set(cells)]
             if None in ids:

@@ -132,7 +132,7 @@ class TestHelpSmoke:
 
     def test_subcommand_inventory(self):
         commands = all_subcommands()
-        assert {"slo", "inspect", "top", "bench-compare"} <= set(commands)
+        assert {"slo", "inspect", "top", "engines"} <= set(commands)
 
     @pytest.mark.parametrize("command", all_subcommands())
     def test_help_exits_zero(self, command, capsys):

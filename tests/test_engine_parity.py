@@ -186,12 +186,12 @@ class TestFacadeParity:
 
 
 class TestSnapshotRoundTrip:
-    def test_v10_manifest_and_identical_queries(
+    def test_v11_manifest_and_identical_queries(
         self, system, union_corpus, tmp_path
     ):
         snapdir = tmp_path / "snap"
         manifest = system.save(snapdir)
-        assert manifest.format_version == FORMAT_VERSION == 10
+        assert manifest.format_version == FORMAT_VERSION == 11
         assert set(manifest.engines) == set(system.engines)
         on_disk = read_manifest(snapdir)
         assert on_disk.engines == manifest.engines

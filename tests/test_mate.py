@@ -1,5 +1,8 @@
 """Tests for MATE multi-attribute join search."""
 
+import pickle
+from collections import Counter, defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.datalake.generate import make_composite_key_corpus, make_join_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, Table
 from repro.search.mate import MateIndex, row_super_key
+from repro.sketch.inverted import InvertedIndex
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +197,82 @@ class TestExactness:
         assert mate_topk(index, query, keys, k, exclude) == naive_key_join(
             lake, query, keys, k, exclude
         )
+
+
+class RowSets:
+    """MATE's probe recomputed from each row's cell set, as a reference.
+
+    Per distinct key, the rows checked are those holding its rarest cell
+    (ties broken in ``set`` order, as the probe breaks them); of those, the
+    rows whose super key covers the key's pass the filter, and each table
+    with a row holding every cell of the key is credited once.
+    """
+
+    def __init__(self, lake):
+        self.names, self.rows = [], []
+        for t, table in enumerate(lake):
+            self.names.append(table.name)
+            cols = [c.values for _, c in table.text_columns()]
+            for values in zip(*cols) if cols else [()] * table.num_rows:
+                self.rows.append((t, {v.strip().lower() for v in values} - {""}))
+        self.super_keys = [row_super_key(cells) for _, cells in self.rows]
+        self.rows_of = defaultdict(list)
+        for r, (_, cells) in enumerate(self.rows):
+            for cell in cells:
+                self.rows_of[cell].append(r)
+
+    def probe(self, query, key_columns, k):
+        """``[(table, matched, total)]`` best first, and the funnel counts."""
+        rows, rows_of = self.rows, self.rows_of
+        keys = set()
+        for i in range(query.num_rows):
+            key = tuple(query.columns[c].values[i].strip().lower() for c in key_columns)
+            if all(key):
+                keys.add(key)
+        matched, checked, passed = Counter(), 0, 0
+        for key in keys:
+            cells = set(key)
+            if any(cell not in rows_of for cell in cells):
+                continue
+            rarest = rows_of[min(cells, key=lambda c: len(rows_of[c]))]
+            mask = row_super_key(key)
+            checked += len(rarest)
+            passed += sum(self.super_keys[r] & mask == mask for r in rarest)
+            for t in {rows[r][0] for r in rarest if cells <= rows[r][1]}:
+                matched[self.names[t]] += 1
+        matched.pop(query.name, None)
+        hits = sorted(matched.items(), key=lambda tm: (-tm[1], tm[0]))
+        counts = {
+            "rows_checked": checked,
+            "rows_passed_filter": passed,
+            "keys_matched": sum(matched.values()),
+            "tables_matched": len(matched),
+        }
+        return [(t, m, len(keys)) for t, m in hits[:k]], counts
+
+
+class TestPostingSideOnly:
+    """The index keeps only the cell store's posting side after the build."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_hits_and_counts_match_row_sets_on_join_lake(self, seed):
+        corpus = make_join_corpus(n_tables=120, n_queries=10, base_size=1500, seed=seed)
+        index, reference = _indexed(corpus.lake), RowSets(corpus.lake)
+        tables = [corpus.lake.table(q.column.table) for q in corpus.queries]
+        tables += list(corpus.lake)[::12]
+        for table in tables:
+            for keys in ([0], [0, 1])[: table.num_cols]:
+                hits, report = index.search(table, keys, k=10, explain=True)
+                want_hits, want_counts = reference.probe(table, keys, 10)
+                assert [(h.table, h.matched, h.total) for h in hits] == want_hits
+                counts = report.counts()
+                assert {name: counts[name] for name in want_counts} == want_counts
+
+    def test_pickled_index_holds_no_forward_rows(self, mate_corpus, mate):
+        loaded = pickle.loads(pickle.dumps(mate))
+        attrs = vars(loaded)
+        assert not any(isinstance(v, InvertedIndex) for v in attrs.values())
+        assert not {"cells", "set_offsets", "set_tokens"} & set(attrs)
+        query = mate_corpus.lake.table(mate_corpus.query_table)
+        keys = list(mate_corpus.key_columns)
+        assert loaded.search(query, keys) == mate.search(query, keys)

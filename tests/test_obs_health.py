@@ -102,6 +102,20 @@ class TestEvaluate:
         assert status.long_window.bad == 20
         assert status.long_window.burn == pytest.approx(0.5 / 0.05)
 
+    def test_partial_federated_query_counts_as_error(self):
+        """A federated query that lost an engine is logged ``partial``; the
+        error objective counts it as bad, exactly like ``error``."""
+        objectives = (SloObjective("*", p95_ms=None, error_rate=0.05),)
+        records = [
+            record(engine="federated", status="partial" if i % 2 else "ok")
+            for i in range(40)
+        ]
+        report = evaluate(records, objectives, now=NOW)
+        (status,) = report.statuses
+        assert status.breached
+        assert status.long_window.bad == 20
+        assert status.short_window.bad == 20
+
     def test_old_incident_does_not_page(self):
         """Multi-window: bad events outside the short window stay quiet."""
         objectives = (

@@ -1,6 +1,6 @@
 """Regression tests for the pipeline skip/config/sampler bugfixes.
 
-Each of these fails on the pre-fix code: ``run_pipeline`` used to mutate
+Each of these fails on the pre-fix code: a skipping build used to mutate
 the caller's config, index-stage skips were validated but silently
 ignored, and every ``DiscoverySystem.__init__`` clobbered the
 process-wide trace sampler.
@@ -13,7 +13,6 @@ import pytest
 from repro.core.config import DiscoveryConfig
 from repro.core.engine import REGISTRY
 from repro.core.errors import LakeError
-from repro.core.pipeline import run_pipeline
 from repro.core.system import DiscoverySystem
 from repro.datalake.table import ColumnRef
 from repro.obs import SAMPLER
@@ -29,19 +28,17 @@ def restore_sampler():
 class TestConfigNotMutated:
     def test_skip_leaves_caller_config_unchanged(self, tiny_lake):
         config = DiscoveryConfig(embedding_dim=16, embedding_min_count=1)
-        run_pipeline(
-            tiny_lake, config, skip={"embeddings", "domains", "annotation"}
+        DiscoverySystem(tiny_lake, config).build(
+            skip={"embeddings", "domains", "annotation"}
         )
         assert config.enable_embeddings is True
         assert config.enable_annotation is True
         assert config.enable_domains is False  # the dataclass default
 
     def test_skip_still_takes_effect(self, tiny_lake):
-        system = run_pipeline(
-            tiny_lake,
-            DiscoveryConfig(embedding_dim=16),
-            skip={"embeddings"},
-        )
+        system = DiscoverySystem(
+            tiny_lake, DiscoveryConfig(embedding_dim=16)
+        ).build(skip={"embeddings"})
         assert "embeddings" not in system.stats.stage_seconds
         assert system.space is None
 
@@ -70,11 +67,9 @@ FACADE_CALLS = {
 
 class TestIndexStageSkips:
     def test_skipped_index_stages_not_built(self, tiny_lake):
-        system = run_pipeline(
-            tiny_lake,
-            DiscoveryConfig(enable_embeddings=False),
-            skip={"keyword_index", "mate_index", "correlation_index"},
-        )
+        system = DiscoverySystem(
+            tiny_lake, DiscoveryConfig(enable_embeddings=False)
+        ).build(skip={"keyword_index", "mate_index", "correlation_index"})
         assert system.engines["keyword"].raw is None
         assert system.engines["mate"].raw is None
         assert system.engines["qcr"].raw is None
@@ -83,9 +78,9 @@ class TestIndexStageSkips:
         assert system.engines["josie"].raw is not None
 
     def test_skipped_engines_raise_lake_error(self, tiny_lake):
-        system = run_pipeline(
-            tiny_lake,
-            DiscoveryConfig(enable_embeddings=False),
+        system = DiscoverySystem(
+            tiny_lake, DiscoveryConfig(enable_embeddings=False)
+        ).build(
             skip={
                 "keyword_index",
                 "join_index",
@@ -93,7 +88,7 @@ class TestIndexStageSkips:
                 "correlation_index",
                 "mate_index",
                 "navigation",
-            },
+            }
         )
         table = tiny_lake.table_names()[0]
         with pytest.raises(LakeError, match="keyword_index.*skipped"):
@@ -133,9 +128,7 @@ class TestIndexStageSkips:
             call(system)
 
     def test_unknown_skip_still_rejected(self, tiny_lake):
-        with pytest.raises(ValueError):
-            run_pipeline(tiny_lake, skip={"warp-drive"})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="warp-drive"):
             DiscoverySystem(tiny_lake).build(skip={"warp-drive"})
 
 

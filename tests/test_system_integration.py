@@ -9,7 +9,7 @@ import pytest
 from repro.bench.metrics import precision_at_k
 from repro.core.config import DiscoveryConfig
 from repro.core.errors import ConfigError, LakeError
-from repro.core.pipeline import STAGES, pipeline_report, run_pipeline
+from repro.core.pipeline import STAGES, pipeline_report
 from repro.core.system import DiscoverySystem
 from repro.datalake.table import ColumnRef
 
@@ -59,21 +59,17 @@ class TestOfflinePipeline:
         assert system.stats.domains_found > 0
 
     def test_run_pipeline_helper(self, union_corpus):
-        seen = {}
-        sys2 = run_pipeline(
-            union_corpus.lake,
-            DiscoveryConfig(embedding_dim=16),
-            skip={"domains", "annotation"},
-            progress=lambda s, t: seen.__setitem__(s, t),
-        )
-        assert "embeddings" in seen
+        sys2 = DiscoverySystem(
+            union_corpus.lake, DiscoveryConfig(embedding_dim=16)
+        ).build(skip={"domains", "annotation"})
+        assert "embeddings" in sys2.stats.stage_seconds
         assert "domains" not in sys2.stats.stage_seconds
         report = pipeline_report(sys2)
         assert "tables" in report
 
     def test_run_pipeline_unknown_stage(self, union_corpus):
         with pytest.raises(ValueError):
-            run_pipeline(union_corpus.lake, skip={"warp-drive"})
+            DiscoverySystem(union_corpus.lake).build(skip={"warp-drive"})
 
     def test_stage_names_documented(self):
         assert "union_index" in STAGES
