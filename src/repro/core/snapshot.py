@@ -72,8 +72,10 @@ log = get_logger("core.snapshot")
 #: token-set store (vocab, offsets, key-id postings and sorted forward
 #: rows) instead of a posting dict plus frozensets and a private CSR.
 #: Version 11: MATE keeps only the store's posting side (vocab, offsets,
-#: postings), not its forward rows.
-FORMAT_VERSION = 11
+#: postings), not its forward rows.  Version 12: PEXESO holds int32 rows
+#: of the embedding space's vector matrix per indexed column instead of a
+#: private copy of the value vectors.
+FORMAT_VERSION = 12
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -6,9 +6,10 @@ into vectors and declares a query value matched if some candidate value lies
 within a cosine threshold; a column is joinable if enough query values
 match.  Like the original, the search is exact.  Where the paper blocks with
 pivot-based metric filtering, this reproduction blocks and verifies in one
-numpy pass: every indexed value vector is a row of one matrix, a single
-product scores the query values against all of them, and a segmented OR
-reduces the threshold hits to each column's exact match fraction.
+numpy pass: every indexed value is a row id of the embedding space's one
+vector matrix, a single product scores the query values against it, and a
+segmented OR reduces the hits at the indexed ids to each column's exact
+match fraction.
 """
 
 from __future__ import annotations
@@ -38,55 +39,49 @@ class PexesoIndex:
     def __init__(self, space: EmbeddingSpace, config: PexesoConfig | None = None):
         self.space = space
         self.config = config or PexesoConfig()
-        #: every indexed value vector, one row each, grouped by column
-        self._matrix: np.ndarray | None = None
-        #: the indexed columns in matrix order, and each one's first row
+        #: every indexed value's row of ``space.vectors``, grouped by column
+        self._ids: np.ndarray | None = None
+        #: the indexed columns in id order, and each one's first id
         self._refs: list[ColumnRef] = []
         self._starts = np.zeros(0, dtype=np.intp)
 
-    def _vectors(self, column: Column) -> np.ndarray:
-        """Unit vectors of the column's first ``max_values_per_column``
+    def _value_ids(self, column: Column) -> np.ndarray:
+        """Vocabulary rows of the column's first ``max_values_per_column``
         sorted distinct values (out-of-vocabulary values are skipped)."""
-        vecs = []
-        for value in sorted(column.value_set())[: self.config.max_values_per_column]:
-            v = self.space.vector(value)
-            if v is not None:
-                vecs.append(v)
-        return np.vstack(vecs) if vecs else np.zeros((0, self.space.dim))
+        return self.space.ids(
+            sorted(column.value_set())[: self.config.max_values_per_column]
+        )
 
     def build(self, lake: DataLake) -> "PexesoIndex":
-        refs, starts, blocks = [], [], []
-        rows = 0
-        for ref, col in lake.iter_text_columns():
-            vectors = self._vectors(col)
-            if len(vectors):
-                refs.append(ref)
-                starts.append(rows)
-                blocks.append(vectors)
-                rows += len(vectors)
-                METRICS.inc("index.pexeso.vectors_indexed", len(vectors))
-                METRICS.inc("index.pexeso.columns_indexed")
-        self._refs = refs
-        self._starts = np.asarray(starts, dtype=np.intp)
-        self._matrix = (
-            np.vstack(blocks) if blocks else np.zeros((0, self.space.dim))
+        indexed = [
+            (ref, ids)
+            for ref, col in lake.iter_text_columns()
+            if len(ids := self._value_ids(col))
+        ]
+        self._refs = [ref for ref, _ in indexed]
+        lengths = np.array([len(ids) for _, ids in indexed], dtype=np.intp)
+        self._starts = np.cumsum(lengths) - lengths
+        self._ids = np.concatenate(
+            [np.zeros(0, dtype=np.int32)] + [ids for _, ids in indexed]
         )
+        METRICS.inc("index.pexeso.ids_indexed", len(self._ids))
+        METRICS.inc("index.pexeso.columns_indexed", len(self._refs))
         return self
 
     def stats(self) -> dict:
-        """Introspection: indexed columns and the size of the vector matrix."""
+        """Introspection: indexed columns and the size of the id array."""
         from repro.obs.introspect import summarize_distribution
 
-        matrix = self._matrix
-        rows = 0 if matrix is None else len(matrix)
+        ids = self._ids
+        n_ids = 0 if ids is None else len(ids)
         return {
             "columns": len(self._refs),
-            "vectors": rows,
+            "ids": n_ids,
             "dim": self.space.dim,
-            "vectors_per_column": summarize_distribution(
-                np.diff(self._starts, append=rows).tolist()
+            "ids_per_column": summarize_distribution(
+                np.diff(self._starts, append=n_ids).tolist()
             ),
-            "matrix_bytes": 0 if matrix is None else matrix.nbytes,
+            "id_bytes": 0 if ids is None else ids.nbytes,
         }
 
     def search(
@@ -98,25 +93,20 @@ class PexesoIndex:
     ):
         """Top-k fuzzy-joinable columns by exact match fraction.
 
-        Block and verify are one step: ``Q @ M.T >= tau`` marks every
-        (query value, indexed value) match, ``logical_or.reduceat`` over the
-        column segments turns it into (query value, column) matches, and a
-        column's score is the share of query values it matches.  Columns
-        with at least one match are the blocked candidates; those scoring
-        >= sigma are results.  With ``explain=True`` returns
-        ``(hits, ExplainReport)``.
+        Block and verify are one step: ``(Q @ V.T >= tau)[:, ids]`` marks
+        every (query value, indexed value) match, ``logical_or.reduceat``
+        over the column segments turns it into (query value, column)
+        matches, and a column's score is the share of query values it
+        matches.  Columns with at least one match are the blocked
+        candidates; those scoring >= sigma are results.  With
+        ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        if self._matrix is None:
+        if self._ids is None:
             raise RuntimeError("call build() before searching")
         cfg = self.config
-        qvecs = self._vectors(column)
-        if len(qvecs) == 0:
-            if explain:
-                return [], ExplainReport(
-                    "pexeso", query="<no embeddable query values>", k=k
-                )
-            return []
-        hit = qvecs @ self._matrix.T >= cfg.tau  # unit vectors: dot = cosine
+        vectors = self.space.vectors  # unit rows: dot = cosine
+        qids = self._value_ids(column)
+        hit = (vectors[qids] @ vectors.T >= cfg.tau)[:, self._ids]
         if self._refs:  # with no columns indexed, hit is already (|Q|, 0)
             hit = np.logical_or.reduceat(hit, self._starts, axis=1)
         matched = hit.sum(axis=0)
@@ -127,7 +117,7 @@ class PexesoIndex:
         ]
         results = []
         for j in blocked:
-            frac = float(matched[j] / len(qvecs))
+            frac = float(matched[j] / len(qids))
             if frac >= cfg.sigma:
                 results.append(ColumnResult(self._refs[j], frac))
         METRICS.inc("search.pexeso.queries")
@@ -141,7 +131,7 @@ class PexesoIndex:
         if explain:
             report = ExplainReport(
                 "pexeso",
-                query=f"column<{len(qvecs)} vectors>",
+                query=f"column<{len(qids)} vectors>",
                 k=k,
                 params={"tau": cfg.tau, "sigma": cfg.sigma},
             )

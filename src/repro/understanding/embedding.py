@@ -20,6 +20,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import svds
 
 from repro.datalake.lake import DataLake
+from repro.datalake.table import normalize_cell
 
 
 class EmbeddingSpace:
@@ -38,13 +39,23 @@ class EmbeddingSpace:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    def _row(self, value) -> int | None:
+        return self._index.get(str(value).lower())
+
     def __contains__(self, value: str) -> bool:
-        return str(value).lower() in self._index
+        return self._row(value) is not None
 
     def vector(self, value: str) -> np.ndarray | None:
         """Unit vector for a value, or None if out-of-vocabulary."""
-        i = self._index.get(str(value).lower())
+        i = self._row(value)
         return self.vectors[i] if i is not None else None
+
+    def ids(self, values) -> np.ndarray:
+        """Rows of ``vectors`` for the known values, in the given order
+        (int32; out-of-vocabulary values are dropped)."""
+        return np.fromiter(
+            (i for v in values if (i := self._row(v)) is not None), dtype=np.int32
+        )
 
     def embed_set(self, values, sample: int = 200) -> np.ndarray:
         """Mean vector of (a sample of) the values; zero vector if none known.
@@ -56,16 +67,10 @@ class EmbeddingSpace:
         vals = sorted(values)
         if len(vals) > sample:
             vals = random.Random(0).sample(vals, sample)
-        acc = np.zeros(self.dim)
-        n = 0
-        for v in vals:
-            vec = self.vector(v)
-            if vec is not None:
-                acc += vec
-                n += 1
-        if n == 0:
-            return acc
-        acc /= n
+        ids = self.ids(vals)
+        if len(ids) == 0:
+            return np.zeros(self.dim)
+        acc = self.vectors[ids].sum(axis=0) / len(ids)
         norm = np.linalg.norm(acc)
         return acc / norm if norm > 0 else acc
 
@@ -77,18 +82,12 @@ class EmbeddingSpace:
 
     def nearest(self, value: str, k: int = 10) -> list[tuple[str, float]]:
         """k most-similar vocabulary values by cosine."""
-        v = self.vector(value)
-        if v is None:
+        i = self._row(value)
+        if i is None:
             return []
-        sims = self.vectors @ v
+        sims = self.vectors @ self.vectors[i]
         order = np.argsort(-sims)
-        out = []
-        for i in order:
-            if self.vocab[i] != str(value).lower():
-                out.append((self.vocab[i], float(sims[i])))
-            if len(out) == k:
-                break
-        return out
+        return [(self.vocab[j], float(sims[j])) for j in order[order != i][:k]]
 
 
 def ppmi_matrix(
@@ -140,7 +139,7 @@ def ppmi_matrix(
         if row_context and len(text_cols) >= 2:
             cells = [
                 np.array(
-                    [index.get(v.strip().lower(), -1) for v in c.values],
+                    [index.get(normalize_cell(v), -1) for v in c.values],
                     dtype=np.int64,
                 )
                 for c in text_cols

@@ -12,7 +12,7 @@ from scipy.sparse import coo_matrix
 
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table
+from repro.datalake.table import Table, normalize_cell
 from repro.understanding.embedding import (
     EmbeddingSpace,
     ppmi_matrix,
@@ -57,6 +57,13 @@ class TestEmbeddingSpace:
         backward = space.embed_set(list(reversed(words)))
         assert forward.tobytes() == backward.tobytes()
 
+    def test_ids_keep_order_and_drop_unknowns(self):
+        space = EmbeddingSpace(["a", "b", "c"], np.eye(3))
+        ids = space.ids(["C", "zzz", "a", "c", "", "b"])
+        assert ids.dtype == np.int32
+        assert ids.tolist() == [2, 0, 2, 1]
+        assert space.ids([]).tolist() == []
+
     def test_cosine_oov_zero(self):
         space = EmbeddingSpace(["a"], np.ones((1, 2)))
         assert space.cosine("a", "zzz") == 0.0
@@ -69,6 +76,56 @@ class TestEmbeddingSpace:
         names = [n for n, _ in space.nearest("a", k=2)]
         assert "a" not in names
         assert names[0] == "b"
+
+
+def loop_embed_set(space, values, sample=200):
+    """Reference: one ``vector`` lookup and one in-place add per value."""
+    vals = sorted(values)
+    if len(vals) > sample:
+        vals = random.Random(0).sample(vals, sample)
+    acc = np.zeros(space.dim)
+    n = 0
+    for v in vals:
+        vec = space.vector(v)
+        if vec is not None:
+            acc += vec
+            n += 1
+    if n == 0:
+        return acc
+    acc /= n
+    norm = np.linalg.norm(acc)
+    return acc / norm if norm > 0 else acc
+
+
+class TestEmbedSetProperty:
+    """``embed_set`` (an id lookup and one gather) equals the per-value
+    loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_vocab=st.integers(1, 80),
+        dim=st.integers(1, 12),
+        vector_seed=st.integers(0, 10_000),
+        picks=st.lists(
+            st.one_of(
+                st.integers(0, 79).map(lambda i: f"w{i}"),
+                st.integers(0, 79).map(lambda i: f"W{i}"),
+                st.text(alphabet="xyz ", max_size=4),
+            ),
+            max_size=260,
+        ),
+        sample=st.sampled_from([1, 7, 50, 200]),
+    )
+    def test_equals_loop_reference(
+        self, n_vocab, dim, vector_seed, picks, sample
+    ):
+        vocab = [f"w{i}" for i in range(n_vocab)]
+        rng = np.random.default_rng(vector_seed)
+        space = EmbeddingSpace(vocab, rng.normal(size=(n_vocab, dim)))
+        got = space.embed_set(picks, sample=sample)
+        want = loop_embed_set(space, picks, sample=sample)
+        assert got.shape == want.shape == (dim,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:
@@ -129,7 +186,7 @@ def naive_ppmi(lake, min_count, max_pairs_per_column, row_context, seed):
                 record(rng.choice(vals), rng.choice(vals))
         if row_context and len(text_cols) >= 2:
             for i in range(table.num_rows):
-                cells = [c.values[i].strip().lower() for c in text_cols]
+                cells = [normalize_cell(c.values[i]) for c in text_cols]
                 for a in range(len(cells)):
                     for b in range(a + 1, len(cells)):
                         record(cells[a], cells[b])
@@ -211,21 +268,28 @@ class TestExactness:
         assert (mat.indices == ref.indices).all()
         assert (mat.data == ref.data).all()
 
-    def test_padded_cells_miss_the_vocabulary_in_row_context(self):
-        """Row context normalizes with ``strip().lower()`` only, as the
-        reference does: an inner double space misses the vocabulary."""
-        lake = DataLake(
-            [
-                Table.from_dict(
-                    "t",
-                    {
-                        "a": ["new  york", "new york", "oslo", "oslo"],
-                        "b": ["usa", "usa", "norway", "norway"],
-                    },
-                )
-            ]
+    def test_padded_cells_count_in_row_context(self):
+        """Row context normalizes cells as the vocabulary does: a lake with
+        padded, upper-cased cells gives the matrix of its clean copy."""
+        clean = {
+            "a": ["new york", "new york", "oslo", "oslo"],
+            "b": ["usa", "usa", "norway", "norway"],
+        }
+        padded = {
+            "a": ["new  york", " New York", "oslo ", "OSLO"],
+            "b": ["usa", "USA  ", "norway", " norway"],
+        }
+        got_vocab, got = ppmi_matrix(
+            DataLake([Table.from_dict("t", padded)]), 1, 0, True, 0
         )
-        vocab, mat = ppmi_matrix(lake, 1, 0, True, 0)
-        ref_vocab, ref = naive_ppmi(lake, 1, 0, True, 0)
-        assert vocab == ref_vocab
-        assert (mat.toarray() == ref.toarray()).all()
+        want_vocab, want = ppmi_matrix(
+            DataLake([Table.from_dict("t", clean)]), 1, 0, True, 0
+        )
+        assert got_vocab == want_vocab == ["new york", "norway", "oslo", "usa"]
+        assert got.nnz > 0
+        assert (got.toarray() == want.toarray()).all()
+        ref_vocab, ref = naive_ppmi(
+            DataLake([Table.from_dict("t", padded)]), 1, 0, True, 0
+        )
+        assert ref_vocab == got_vocab
+        assert (ref.toarray() == got.toarray()).all()

@@ -1,19 +1,16 @@
 """Registry parity suite: the facade shims must return bit-identical
 results to direct engine-protocol queries, and snapshots must round-trip
-on the v2 per-engine payload format.
+on the per-engine payload format.
 
 The refactor promise is "same results, new seam": every pre-refactor
 query path (all explain-capable engines, navigation, related_columns)
 goes through ``Engine.query`` now, and these tests pin the equivalence.
 """
 
-import json
-
 import pytest
 
 from repro.core.config import DiscoveryConfig
 from repro.core.engine import QueryRequest
-from repro.core.errors import SnapshotError
 from repro.core.snapshot import FORMAT_VERSION, read_manifest
 from repro.core.system import DiscoverySystem
 from repro.datalake.table import ColumnRef
@@ -186,12 +183,12 @@ class TestFacadeParity:
 
 
 class TestSnapshotRoundTrip:
-    def test_v11_manifest_and_identical_queries(
+    def test_manifest_and_identical_queries(
         self, system, union_corpus, tmp_path
     ):
         snapdir = tmp_path / "snap"
         manifest = system.save(snapdir)
-        assert manifest.format_version == FORMAT_VERSION == 11
+        assert manifest.format_version == FORMAT_VERSION
         assert set(manifest.engines) == set(system.engines)
         on_disk = read_manifest(snapdir)
         assert on_disk.engines == manifest.engines
@@ -205,6 +202,11 @@ class TestSnapshotRoundTrip:
         assert loaded.joinable_search(
             ref, k=5, method="containment"
         ) == system.joinable_search(ref, k=5, method="containment")
+        fuzzy = system.fuzzy_joinable_search(ref, k=5, explain=True)
+        assert fuzzy[0]
+        reloaded = loaded.fuzzy_joinable_search(ref, k=5, explain=True)
+        assert reloaded[0] == fuzzy[0]
+        assert_same_report(reloaded[1], fuzzy[1])
         assert loaded.unionable_search(
             qname, k=5, method="tus"
         ) == system.unionable_search(qname, k=5, method="tus")
@@ -224,13 +226,3 @@ class TestSnapshotRoundTrip:
             is loaded.engines["lshensemble"].raw
             is loaded.engines["jaccard_lsh"].raw
         )
-
-    def test_old_format_version_refused(self, system, tmp_path):
-        snapdir = tmp_path / "snap_old"
-        system.save(snapdir)
-        manifest_path = snapdir / "manifest.json"
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        doc["format_version"] = 1
-        manifest_path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(SnapshotError, match="format version"):
-            DiscoverySystem.load(snapdir)

@@ -2,10 +2,13 @@
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DiscoveryConfig
+from repro.core.system import DiscoverySystem
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
@@ -56,8 +59,21 @@ class TestSearch:
     def test_oov_query_returns_empty(self, union_corpus, pexeso):
         from repro.datalake.table import Column
 
-        res = pexeso.search(Column("q", ["never-seen-1", "never-seen-2"]))
-        assert res == []
+        query = Column("q", ["never-seen-1", "never-seen-2"])
+        assert pexeso.search(query) == []
+        hits, report = pexeso.search(query, explain=True)
+        assert hits == []
+        assert report.counts()["columns_indexed"] == pexeso.stats()["columns"]
+        assert report.counts()["columns_blocked"] == 0
+
+    def test_index_holds_vocabulary_ids_not_vectors(self, pexeso):
+        stats = pexeso.stats()
+        assert stats["ids"] > 0
+        assert stats["id_bytes"] == stats["ids"] * 4
+        assert not any(
+            isinstance(v, np.ndarray) and v.dtype.kind == "f"
+            for v in vars(pexeso).values()
+        )
 
     def test_block_agrees_with_exact_verification(
         self, union_corpus, union_space, pexeso
@@ -155,6 +171,40 @@ class TestExactProperty:
         ref = refs[pick % len(refs)]
         got = index.search(lake.column(ref), k=k, exclude_table=ref.table)
         assert got == _brute_force_topk(lake, space, config, ref, k)
+
+
+@functools.lru_cache(maxsize=3)
+def _small_system(seed):
+    corpus = make_union_corpus(
+        n_groups=3, tables_per_group=3, rows_per_table=25, seed=seed
+    )
+    return DiscoverySystem(
+        corpus.lake,
+        DiscoveryConfig(embedding_dim=16, num_partitions=4),
+        ontology=corpus.ontology,
+    ).build()
+
+
+class TestFacadeProperty:
+    """``DiscoverySystem.fuzzy_joinable_search`` on small generated lakes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.sampled_from([2, 5, 8]),
+        pick=st.integers(min_value=0, max_value=10_000),
+        k=st.integers(min_value=1, max_value=6),
+    )
+    def test_hits_bounded_sorted_exclusive_and_exact(self, seed, pick, k):
+        system = _small_system(seed)
+        lake = system.lake
+        refs = [ref for ref, _ in lake.iter_text_columns()]
+        ref = refs[pick % len(refs)]
+        hits = system.fuzzy_joinable_search(ref, k=k)
+        assert len(hits) <= k
+        assert hits == sorted(hits)
+        assert all(h.ref.table != ref.table for h in hits)
+        config = system.engines["pexeso"].raw.config
+        assert hits == _brute_force_topk(lake, system.space, config, ref, k)
 
 
 class TestFuzzyVsExact:

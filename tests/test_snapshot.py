@@ -180,98 +180,17 @@ class TestRejection:
         err = self._assert_miss(d)
         assert "format version" in str(err)
 
-    def test_v2_format_version_refused(self, built, tmp_path):
-        """A v2 snapshot pickles PEXESO's old HNSW-backed layout; loading
-        it would fail on the first fuzzy query, so it is refused."""
+    @pytest.mark.parametrize("version", range(1, FORMAT_VERSION))
+    def test_old_format_version_refused(self, built, tmp_path, version):
+        """Every earlier format pickles a layout this code cannot serve
+        (see the ``FORMAT_VERSION`` history), so each is refused."""
         d = tmp_path / "snap"
         built.save(d)
         manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 2
+        manifest["format_version"] = version
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)
-        assert "format version 2" in str(err)
-
-    def test_v3_format_version_refused(self, built, tmp_path):
-        """A v3 snapshot pickles Starmie's old vector-dict-plus-HNSW
-        layout, which the exact scan cannot serve, so it is refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 3
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 3" in str(err)
-
-    def test_v4_format_version_refused(self, built, tmp_path):
-        """A v4 snapshot pickles MATE's old per-row cell sets, which the
-        inverted-postings search cannot serve, so it is refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 4
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 4" in str(err)
-
-    def test_v5_format_version_refused(self, built, tmp_path):
-        """A v5 snapshot pickles TUS's old per-column dicts and MinHash
-        LSH, which the signature-matrix search cannot serve, so it is
-        refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 5
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 5" in str(err)
-
-    def test_v6_format_version_refused(self, built, tmp_path):
-        """A v6 snapshot pickles the ontology's relations as name -> pair
-        sets, which the one-lookup class-pair index cannot serve, so it is
-        refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 6
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 6" in str(err)
-
-    def test_v7_format_version_refused(self, built, tmp_path):
-        """A v7 snapshot pickles QCR as one ``CorrelationSketch`` per column
-        pair, which the columnar correlated search cannot serve, so it is
-        refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 7
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 7" in str(err)
-
-    def test_v8_format_version_refused(self, built, tmp_path):
-        """A v8 snapshot pickles LSH Ensemble and the Jaccard LSH as
-        per-band bucket dicts, which the signature-matrix band check cannot
-        serve, so it is refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 8
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 8" in str(err)
-
-    def test_v9_format_version_refused(self, built, tmp_path):
-        """A v9 snapshot pickles JOSIE's posting dict and frozensets and
-        MATE's private cell postings, which the shared CSR token-set store
-        cannot serve, so it is refused."""
-        d = tmp_path / "snap"
-        built.save(d)
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 9
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
-        err = self._assert_miss(d)
-        assert "format version 9" in str(err)
+        assert f"format version {version}" in str(err)
 
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
