@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator
 
 from repro.core.errors import ConfigError, LakeError
@@ -71,6 +72,11 @@ class QueryRequest:
         k = self.k
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ConfigError(f"k must be an int >= 1, got {k!r}")
+        t = self.threshold
+        if t is not None and (
+            isinstance(t, bool) or not isinstance(t, Real) or not 0 < t <= 1
+        ):
+            raise ConfigError(f"threshold must be None or in (0, 1], got {t!r}")
 
 
 @dataclass(frozen=True)

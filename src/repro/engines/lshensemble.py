@@ -22,9 +22,9 @@ class LshEnsembleEngine(JoinIndexEngine):
         return self.raw.ensemble
 
     def query(self, request: QueryRequest):
-        threshold = (
-            request.threshold or self.ctx.config.containment_threshold
-        )
+        threshold = request.threshold
+        if threshold is None:
+            threshold = self.ctx.config.containment_threshold
         hits, report = as_pair(
             self.raw.containment(
                 request.column,

@@ -6,9 +6,10 @@ probability j^r, so the probability of colliding in at least one band is
 minimizing weighted false positives + negatives at a target threshold, as in
 datasketch and the LSH Ensemble paper.
 
-Indexed signatures live in one uint64 ``(keys, num_perm)`` matrix; a band
-collision is byte equality of an r-row slice (``band_collisions``), which is
-exactly the key a per-band bucket dict would hash.
+Indexed signatures live in one uint64 ``(keys, num_perm)`` matrix.  A query
+compares the matrix with its signature once; a band collides when all r of
+its rows match (``band_collisions``), which is exactly the key equality a
+per-band bucket dict would hash.
 """
 
 from __future__ import annotations
@@ -53,17 +54,33 @@ def check_num_perm(mh: MinHash, num_perm: int) -> None:
         )
 
 
-def band_collisions(
-    sigs: np.ndarray, query: np.ndarray, b: int, r: int
-) -> np.ndarray:
-    """Mask of the rows of the uint64 ``(n, num_perm)`` matrix ``sigs`` that
-    equal ``query`` on at least one of the first ``b`` bands of ``r`` rows.
+#: The all-ones pattern of an r-byte word of a bool matrix (True is byte 1).
+_ALL_MATCH = {
+    r: np.array(int.from_bytes(b"\x01" * r, "little"), dtype=f"u{r}")
+    for r in (2, 4, 8)
+}
 
-    A band compares as one 8*r-byte value through zero-copy views (as uint64
-    when r == 1, which compares several times faster than a void view)."""
-    width = b * r
-    band = np.uint64 if r == 1 else np.dtype((np.void, 8 * r))
-    return (sigs[:, :width].view(band) == query[:width].view(band)).any(axis=1)
+
+def band_collisions(eq: np.ndarray, b: int, r: int) -> np.ndarray:
+    """Mask of the rows of the bool ``(n, num_perm)`` match matrix ``eq``
+    (signatures == query) that match on all ``r`` rows of at least one of
+    the first ``b`` bands.
+
+    The rows of a band are adjacent bytes, so a run of 2, 4 or 8 of them is
+    one unsigned word of a zero-copy view, all ones exactly when every row
+    in it matches; a band of r rows becomes a band of r / word words, down
+    to single cells.  Odd band widths AND their rows column by column."""
+    eq = eq[:, : b * r]
+    word = min(r & -r, 8)  # the largest power of two dividing r, at most 8
+    if word > 1:
+        return band_collisions(eq.view(f"u{word}") == _ALL_MATCH[word], b, r // word)
+    if r == 1:
+        return eq.any(axis=1)
+    bands = eq.reshape(len(eq), b, r)
+    match = bands[:, :, 0] & bands[:, :, 1]
+    for i in range(2, r):
+        match &= bands[:, :, i]
+    return match.any(axis=1)
 
 
 class MinHashLSH:
@@ -111,20 +128,21 @@ class MinHashLSH:
         self._key_set.add(key)
         self._pending.append(mh.hashvalues.copy())
 
-    def _candidate_rows(self, mh: MinHash) -> np.ndarray:
+    def _candidate_rows(self, mh: MinHash) -> tuple[np.ndarray, np.ndarray]:
+        """Colliding rows and the match matrix they were banded on."""
         check_num_perm(mh, self.num_perm)
-        mask = band_collisions(self._matrix(), mh.hashvalues, self.b, self.r)
-        return np.flatnonzero(mask)
+        eq = self._matrix() == mh.hashvalues
+        return np.flatnonzero(band_collisions(eq, self.b, self.r)), eq
 
     def query(self, mh: MinHash) -> list[Hashable]:
         """Keys colliding with the query in at least one band (candidates),
         in insertion order."""
-        return [self._keys[i] for i in self._candidate_rows(mh)]
+        return [self._keys[i] for i in self._candidate_rows(mh)[0]]
 
     def query_verified(self, mh: MinHash) -> list[tuple[Hashable, float]]:
         """Candidates with estimated Jaccard >= threshold, sorted descending."""
-        rows = self._candidate_rows(mh)
-        jaccard = (self._sigs[rows] == mh.hashvalues).mean(axis=1)
+        rows, eq = self._candidate_rows(mh)
+        jaccard = eq[rows].mean(axis=1)
         scored = [
             (self._keys[i], float(j))
             for i, j in zip(rows, jaccard)

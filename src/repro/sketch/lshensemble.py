@@ -13,7 +13,10 @@ partition degenerates to plain containment-converted LSH (the ablation
 baseline in E2).
 
 The index is one uint64 signature matrix sorted by set size; a partition is
-a row range of it, probed with :func:`repro.sketch.lsh.band_collisions`.
+a row range of it.  A query computes every partition's banding in one array
+expression, compares the matrix with its signature once, and bands each run
+of consecutive partitions that share a band width with one
+:func:`repro.sketch.lsh.band_collisions` call on that run's rows.
 """
 
 from __future__ import annotations
@@ -28,14 +31,21 @@ from repro.sketch.lsh import band_collisions, check_num_perm, collision_probabil
 from repro.sketch.minhash import MinHash
 
 
-def containment_to_jaccard(t: float, query_size: int, upper_size: int) -> float:
-    """Lower bound on Jaccard given containment >= t and |X| <= upper_size."""
+def containment_to_jaccard(
+    t: float, query_size: int, upper_size: int | np.ndarray
+) -> float | np.ndarray:
+    """Lower bound on Jaccard given containment >= t and |X| <= upper_size
+    (elementwise when ``upper_size`` is an array of bounds)."""
+    upper = np.asarray(upper_size, dtype=np.float64)
     if query_size <= 0:
-        return 0.0
-    denom = query_size + upper_size - t * query_size
-    if denom <= 0:
-        return 1.0
-    return max(0.0, min(1.0, t * query_size / denom))
+        j = np.zeros_like(upper)
+    else:
+        denom = query_size + upper - t * query_size
+        j = np.divide(
+            t * query_size, denom, out=np.ones_like(upper), where=denom > 0
+        )
+        np.clip(j, 0.0, 1.0, out=j)
+    return j if upper.ndim else float(j)
 
 
 class LSHEnsemble:
@@ -90,22 +100,24 @@ class LSHEnsemble:
         METRICS.set_gauge("index.lshensemble.partitions", len(self._partitions))
 
     def choose_rows(self, j: float) -> int:
-        """Pick r (b = num_perm//r) near threshold j.
+        """Pick r (b = num_perm//r) near threshold j (``_banding`` on one j)."""
+        return int(self._banding(np.array([j]))[0])
+
+    def _banding(self, j: np.ndarray) -> np.ndarray:
+        """Band width r for each Jaccard threshold in ``j``: the r of
+        ``rows`` with the least cost 5*fn + fp, the first on ties.
 
         False negatives are weighted heavily: the ensemble's contract is
         recall at the containment threshold (the paper optimizes partitions
         for zero false negatives and accepts extra candidates, which the
         caller verifies anyway).
         """
-        best_r, best_cost = self.rows[0], float("inf")
-        for r in self.rows:
-            b = self.num_perm // r
-            fn = 1.0 - collision_probability(j, b, r)
-            fp = collision_probability(max(0.0, j - 0.2), b, r)
-            cost = 5.0 * fn + fp
-            if cost < best_cost:
-                best_r, best_cost = r, cost
-        return best_r
+        r = np.array(self.rows)
+        b = self.num_perm // r
+        # One pass over (2, thresholds, r): collisions at j and at j - 0.2.
+        at = np.concatenate((j, np.maximum(0.0, j - 0.2))).reshape(2, -1, 1)
+        hit = collision_probability(at, b, r)
+        return r[(5.0 * (1.0 - hit[0]) + hit[1]).argmin(axis=1)]
 
     def stats(self) -> dict:
         """Introspection: per-partition occupancy and cardinality bounds.
@@ -130,34 +142,42 @@ class LSHEnsemble:
 
     def _candidate_rows(
         self, mh: MinHash, size: int, threshold: float
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Rows colliding with the query in some band of their partition's
-        banding, each partition banded for its own Jaccard threshold."""
+        banding, each partition banded for its own Jaccard threshold, and
+        the match matrix they were banded on."""
         if not self._partitions:
             raise IndexError_("query before index()")
         check_num_perm(mh, self.num_perm)
-        hits = []
-        for start, end, upper in self._partitions:
-            j = containment_to_jaccard(threshold, size, max(upper, 1))
-            r = self.choose_rows(j)
-            mask = band_collisions(
-                self._sigs[start:end], mh.hashvalues, self.num_perm // r, r
+        starts, ends, uppers = zip(*self._partitions)
+        widths = self._banding(
+            containment_to_jaccard(threshold, size, np.maximum(uppers, 1))
+        )
+        eq = self._sigs == mh.hashvalues
+        mask = np.empty(len(eq), dtype=bool)
+        # Runs of consecutive partitions with one band width share a call.
+        cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1), len(widths)]
+        for first, stop in zip(cuts, cuts[1:]):
+            r = int(widths[first])
+            start, end = starts[first], ends[stop - 1]
+            mask[start:end] = band_collisions(
+                eq[start:end], self.num_perm // r, r
             )
-            hits.append(start + np.flatnonzero(mask))
-        rows = np.concatenate(hits)
+        hits = np.flatnonzero(mask)
         METRICS.inc("index.lshensemble.queries")
         METRICS.inc("index.lshensemble.partitions_probed", len(self._partitions))
-        METRICS.inc("index.lshensemble.candidates_returned", len(rows))
+        METRICS.inc("index.lshensemble.candidates_returned", len(hits))
         sp = TRACER.current()
         sp.set("lshensemble.partitions_probed", len(self._partitions))
-        sp.set("lshensemble.candidates_returned", len(rows))
-        return rows
+        sp.set("lshensemble.candidates_returned", len(hits))
+        return hits, eq
 
     def query(
         self, mh: MinHash, size: int, threshold: float
     ) -> list[Hashable]:
         """Candidate keys whose containment of the query likely >= threshold."""
-        return [self._keys[i] for i in self._candidate_rows(mh, size, threshold)]
+        rows, _ = self._candidate_rows(mh, size, threshold)
+        return [self._keys[i] for i in rows]
 
     def query_verified(
         self, mh: MinHash, size: int, threshold: float
@@ -166,11 +186,11 @@ class LSHEnsemble:
 
         Containment comes from the MinHash Jaccard estimate and the two
         cardinalities, as in :meth:`MinHash.containment`."""
-        rows = self._candidate_rows(mh, size, threshold)
+        rows, eq = self._candidate_rows(mh, size, threshold)
         if size == 0:
             est = np.zeros(len(rows))
         else:
-            j = (self._sigs[rows] == mh.hashvalues).mean(axis=1)
+            j = eq[rows].mean(axis=1)
             est = np.clip(
                 j * (size + self._sizes[rows]) / (size * (1.0 + j)), 0.0, 1.0
             )

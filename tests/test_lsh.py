@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import IndexError_
-from repro.sketch.lsh import MinHashLSH, collision_probability, optimal_bands
+from repro.sketch.lsh import (
+    MinHashLSH,
+    band_collisions,
+    collision_probability,
+    optimal_bands,
+)
+from repro.sketch.lshensemble import LSHEnsemble
 from repro.sketch.minhash import MinHash
 
 
@@ -182,6 +189,26 @@ def test_query_equals_bucket_dicts(sets, query, threshold, num_perm):
     found = lsh.query(qmh)
     assert found == sorted(found)
     assert set(found) == _bucket_candidates(sigs, qmh.hashvalues, lsh.b, lsh.r)
+
+
+@pytest.mark.parametrize("r", sorted({*LSHEnsemble.ROWS, 3, 5}))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_band_collisions_equal_bucket_dicts(r, data):
+    """Property: the word-view band check flags exactly the rows a per-band
+    bucket-dict index returns, for every band width the ensemble uses and
+    for odd widths, on all or only the first bands of the signature."""
+    num_perm = data.draw(st.sampled_from([32, 64, 128]))
+    b = data.draw(st.integers(1, num_perm // r))
+    n = data.draw(st.integers(0, 12))
+    # A two-letter alphabet makes band collisions common.
+    sigs = data.draw(hnp.arrays(np.uint64, (n, num_perm), elements=st.integers(0, 1)))
+    query = data.draw(hnp.arrays(np.uint64, num_perm, elements=st.integers(0, 1)))
+    mask = band_collisions(sigs == query, b, r)
+    assert mask.shape == (n,) and mask.dtype == bool
+    assert set(np.flatnonzero(mask).tolist()) == _bucket_candidates(
+        list(enumerate(sigs)), query, b, r
+    )
 
 
 def test_insert_after_query_is_indexed():

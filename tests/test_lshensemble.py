@@ -1,8 +1,10 @@
 """Unit tests for LSH Ensemble containment search."""
 
+import math
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,64 @@ class TestConversion:
 
     def test_zero_query(self):
         assert containment_to_jaccard(0.5, 0, 100) == 0.0
+
+
+def _reference_jaccard(threshold, size, upper):
+    """The scalar containment -> Jaccard conversion, in Python floats."""
+    if size <= 0:
+        return 0.0
+    denom = size + upper - threshold * size
+    return 1.0 if denom <= 0 else max(0.0, min(1.0, threshold * size / denom))
+
+
+def _reference_rows(ens, j):
+    """The scalar r rule the vectorized plan replaced: the cheapest r by a
+    loop in Python floats, the first on ties."""
+    best_r, best_cost = ens.rows[0], math.inf
+    for r in ens.rows:
+        b = ens.num_perm // r
+        fn = 1.0 - (1.0 - (1.0 - j**r) ** b)
+        fp = 1.0 - (1.0 - max(0.0, j - 0.2) ** r) ** b
+        if 5.0 * fn + fp < best_cost:
+            best_r, best_cost = r, 5.0 * fn + fp
+    return best_r
+
+
+def _check_plan(ens, threshold, size, uppers):
+    """The ensemble's per-query plan (every partition's r in one pass)
+    equals per-partition conversion plus the scalar rule."""
+    js = [_reference_jaccard(threshold, size, u) for u in uppers]
+    assert [containment_to_jaccard(threshold, size, u) for u in uppers] == js
+    plan_js = containment_to_jaccard(threshold, size, np.array(uppers))
+    assert plan_js.tolist() == js
+    assert ens._banding(plan_js).tolist() == [_reference_rows(ens, j) for j in js]
+
+
+class TestBanding:
+    @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_plan_equals_per_partition_rule(self, threshold):
+        """Sizes 0..10^4 against partition bounds spanning the same range."""
+        ens = LSHEnsemble()
+        uppers = [1, 7, 40, 150, 600, 2500, 7000, 10**4]
+        for size in [*range(0, 200), *range(200, 10**4 + 1, 97)]:
+            _check_plan(ens, threshold, size, uppers)
+
+    def test_choose_rows_equals_scalar_rule(self):
+        ens = LSHEnsemble()
+        for j in np.linspace(0.0, 1.0, 401).tolist():
+            assert ens.choose_rows(j) == _reference_rows(ens, j)
+
+    @given(
+        st.integers(0, 10**4),
+        st.lists(st.integers(1, 10**4), min_size=1, max_size=16),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([16, 64, 128, 256]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plan_property(self, size, uppers, threshold, num_perm):
+        """Property: the plan equals per-partition ``containment_to_jaccard``
+        plus the scalar r rule, for any query size, bounds and threshold."""
+        _check_plan(LSHEnsemble(num_perm=num_perm), threshold, size, sorted(uppers))
 
 
 class TestIndexLifecycle:

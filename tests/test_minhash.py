@@ -17,6 +17,20 @@ class TestBasics:
     def test_empty_signature(self):
         assert MinHash().is_empty()
 
+    def test_golden_signature(self):
+        """Pinned signature prefixes: indexes and snapshots built from
+        these values stay valid only while the kernel reproduces them."""
+        mh = MinHash.from_values(["berlin", "paris", "rome", "madrid", "lisbon"])
+        assert mh.hashvalues[:8].tolist() == [
+            269707473, 255974437, 359312505, 398131405,
+            339741919, 1486139027, 40517827, 44540809,
+        ]
+        mh = MinHash.from_values(["x"], num_perm=64, seed=5)
+        assert mh.hashvalues[:8].tolist() == [
+            622654840, 396957175, 736154783, 601298685,
+            661799046, 1355315089, 827074527, 1776643138,
+        ]
+
     def test_update_changes_signature(self):
         mh = MinHash()
         mh.update("x")

@@ -181,6 +181,31 @@ class TestQueryValidation:
         with pytest.raises(error):
             call(system)
 
+    @pytest.mark.parametrize(
+        "threshold", [0.0, -1.0, 1.5, float("nan"), float("inf"), True, "0.5"]
+    )
+    def test_containment_threshold_out_of_range(self, system, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            system.joinable_search(
+                ColumnRef("normal", 0), method="containment", threshold=threshold
+            )
+
+    def test_containment_threshold_is_served(self, system):
+        """An explicit threshold reaches the engine; None takes the
+        config's.  normal.city is half contained in normal_two.city."""
+        ref = ColumnRef("normal", 0)
+        hits, report = system.joinable_search(
+            ref, method="containment", threshold=1.0, explain=True
+        )
+        assert report.params["threshold"] == 1.0
+        assert all(h.score == 1.0 for h in hits)
+        assert "normal_two" not in {h.ref.table for h in hits}
+        hits, report = system.joinable_search(
+            ref, method="containment", explain=True
+        )
+        assert report.params["threshold"] == 0.5
+        assert "normal_two" in {h.ref.table for h in hits}
+
 
 class TestHostileCsv:
     def test_round_trip_unicode(self, tmp_path, hostile_lake):
