@@ -74,8 +74,10 @@ log = get_logger("core.snapshot")
 #: Version 11: MATE keeps only the store's posting side (vocab, offsets,
 #: postings), not its forward rows.  Version 12: PEXESO holds int32 rows
 #: of the embedding space's vector matrix per indexed column instead of a
-#: private copy of the value vectors.
-FORMAT_VERSION = 12
+#: private copy of the value vectors.  Version 13: MATE holds per-cell
+#: super-key masks and per-table row offsets instead of a per-row table
+#: array, and its cell ids follow first-seen lake order.
+FORMAT_VERSION = 13
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -34,6 +34,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from numbers import Integral
 
 import repro.engines  # noqa: F401  - populate the engine registry
 from repro.apps.arda import ArdaAugmenter, AugmentationReport
@@ -499,16 +500,18 @@ class DiscoverySystem:
 
     @staticmethod
     def _check_columns(request: QueryRequest) -> None:
-        """Column indexes in ``request`` must address ``request.table``."""
+        """Column indexes in ``request`` must be integers (not bools) that
+        address ``request.table``."""
         if request.table is None:
             return
         width = request.table.num_cols
-        for i in (
-            *(request.key_columns or ()),
-            request.key_column,
-            request.value_column,
-        ):
-            if i is not None and not 0 <= i < width:
+        # key_column/value_column are None when unused; key_columns items
+        # never are.
+        scalars = (request.key_column, request.value_column)
+        for i in (*(request.key_columns or ()), *(c for c in scalars if c is not None)):
+            if isinstance(i, bool) or not isinstance(i, Integral):
+                raise ConfigError(f"column index must be an int, got {i!r}")
+            if not 0 <= i < width:
                 raise LakeError(
                     f"column {i} outside table {request.table.name!r} "
                     f"({width} columns)"

@@ -12,7 +12,7 @@ exact verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -70,11 +70,14 @@ class MateIndex:
     plus one super key per row.
 
     A cell is a stripped, lower-cased, non-empty text-column value.  Rows
-    are numbered across the lake in table order.  The build puts each row's
-    cell set in an :class:`InvertedIndex` and keeps only its posting side:
-    ``vocab`` (cell → id) and ``postings[offsets[c]:offsets[c + 1]]``, the
-    ascending rows holding cell ``c``.  ``row_table`` maps a row to its
-    table index in ``tables``, and ``super_keys`` holds each row's super key.
+    are numbered across the lake in table order, and cell ids in the order
+    cells are first seen there (row by row, column by column).  The build
+    puts each row's cells in an :class:`InvertedIndex` and keeps only its
+    posting side: ``vocab`` (cell → id) and
+    ``postings[offsets[c]:offsets[c + 1]]``, the ascending rows holding cell
+    ``c``.  ``cell_masks`` holds each cell's super-key bits,
+    ``super_keys`` each row's super key, and table ``t`` owns rows
+    ``table_rows[t]:table_rows[t + 1]``.
     """
 
     def __init__(self, bits: int = 64):
@@ -85,19 +88,24 @@ class MateIndex:
         self.vocab: dict[str, int] = {}
         self.offsets = np.zeros(1, dtype=np.int64)
         self.postings = np.zeros(0, dtype=np.int32)
-        self.row_table = np.zeros(0, dtype=np.int32)
+        self.cell_masks = np.zeros(0, dtype=np.uint64)
+        self.table_rows = np.zeros(1, dtype=np.int64)
         self.super_keys = np.zeros(0, dtype=np.uint64)
 
     def index_lake(self, lake: DataLake) -> None:
         tables: list[str] = []
-        row_table: list[int] = []
-        row_cells: list[set[str]] = []
-        for t, table in enumerate(lake):
+        table_rows = [0]
+        row_cells: list[dict[str, None]] = []
+        for table in lake:
             tables.append(table.name)
             cols = [c.values for _, c in table.text_columns()]
             for values in zip(*cols) if cols else repeat((), table.num_rows):
-                row_table.append(t)
-                row_cells.append({c for c in (v.strip().lower() for v in values) if c})
+                # A dict keeps the cells in column order, so cell ids do not
+                # depend on string hashing.
+                row_cells.append(
+                    dict.fromkeys(c for c in (v.strip().lower() for v in values) if c)
+                )
+            table_rows.append(len(row_cells))
         cells = InvertedIndex(row_cells)
         masks = np.fromiter(
             (_cell_mask(cell, self.bits) for cell in cells.vocab),
@@ -113,9 +121,10 @@ class MateIndex:
         # keys above, so they are not kept.
         self.vocab, self.offsets = cells.vocab, cells.offsets
         self.postings = cells.posting_ids
-        self.row_table = np.asarray(row_table, dtype=np.int32)
+        self.cell_masks = masks
+        self.table_rows = np.asarray(table_rows, dtype=np.int64)
         self.super_keys = super_keys
-        METRICS.inc("index.mate.rows_indexed", len(row_table))
+        METRICS.inc("index.mate.rows_indexed", len(row_cells))
 
     def stats(self) -> dict:
         """Introspection: indexed row counts per table (super-key store)."""
@@ -123,54 +132,86 @@ class MateIndex:
 
         return {
             "tables": len(self.tables),
-            "rows": int(self.row_table.size),
+            "rows": int(self.table_rows[-1]),
             "bits": self.bits,
-            "rows_per_table": summarize_distribution(
-                np.bincount(self.row_table, minlength=len(self.tables)).tolist()
-            ),
+            "rows_per_table": summarize_distribution(np.diff(self.table_rows).tolist()),
         }
 
     def _probe(
         self, query: Table, key_columns: list[int], exclude: str | None
     ) -> _Probe:
-        """Match every distinct query key against the lake.
+        """Match every distinct query key against the lake, in a fixed
+        number of array passes.
 
-        Per key: take the postings of its rarest cell, keep the rows whose
-        super key covers the key's cell masks, keep those that appear in
-        every other cell's postings, and credit each of their tables once.
-        A key with a cell that no row holds matches nothing.
+        Per key: take the postings of its rarest cell (fewest rows; ties go
+        to the lowest cell id), keep the rows whose super key covers the
+        key's cell masks, keep those that appear in every other cell's
+        postings, and credit each of their tables once.  A key with a cell
+        that no row holds matches nothing.
         """
-        distinct = set()
-        for i in range(query.num_rows):
-            cells = tuple(
-                query.columns[c].values[i].strip().lower() for c in key_columns
-            )
-            if all(cells):
-                distinct.add(cells)
+        cols = [
+            [v.strip().lower() for v in query.columns[c].values] for c in key_columns
+        ]
+        keys = list(dict.fromkeys(filter(all, zip(*cols))))
         matched = np.zeros(len(self.tables), dtype=np.int64)
-        checked = passed = 0
-        vocab, offsets, postings = self.vocab, self.offsets, self.postings
-        for cells in distinct:
-            ids = [vocab.get(cell) for cell in set(cells)]
-            if None in ids:
-                continue
-            ids.sort(key=lambda c: offsets[c + 1] - offsets[c])
-            cand = postings[offsets[ids[0]] : offsets[ids[0] + 1]]
-            checked += cand.size
-            mask = np.uint64(row_super_key(cells, self.bits))
-            cand = cand[(self.super_keys[cand] & mask) == mask]
-            passed += cand.size
-            for c in ids[1:]:
-                plist = postings[offsets[c] : offsets[c + 1]]
-                pos = np.minimum(np.searchsorted(plist, cand), plist.size - 1)
-                cand = cand[plist[pos] == cand]
-            # A repeated index in a fancy-indexed ``+=`` is written once, so
-            # each table is credited once per key however many rows match.
-            matched[self.row_table[cand]] += 1
+        probe = _Probe(len(keys), matched, 0, 0)
+        ids = np.fromiter(
+            map(self.vocab.get, chain.from_iterable(keys), repeat(-1)),
+            dtype=np.int64,
+            count=len(keys) * len(key_columns),
+        ).reshape(len(keys), len(key_columns))
+        ids = ids[(ids >= 0).all(axis=1)]
+        if ids.size:
+            offsets, key = self.offsets, np.arange(len(ids))
+            lens = offsets[ids + 1] - offsets[ids]
+            # Rarest cell per key: fewest rows, then lowest id.
+            pick = np.argmin(lens * np.int64(len(self.vocab)) + ids, axis=1)
+            rarest, counts = ids[key, pick], lens[key, pick]
+            mask = np.bitwise_or.reduce(self.cell_masks[ids], axis=1)
+            # One gather of every rarest cell's postings; ``key_of`` maps a
+            # gathered row back to its key.
+            before = np.cumsum(counts) - counts
+            cand = self.postings[
+                np.arange(counts.sum()) + np.repeat(offsets[rarest] - before, counts)
+            ]
+            key_of = np.repeat(key, counts)
+            probe.rows_checked = cand.size
+            keep = (self.super_keys[cand] & mask[key_of]) == mask[key_of]
+            cand, key_of = cand[keep], key_of[keep]
+            probe.rows_passed_filter = cand.size
+            # Only the other cells of composite keys need a posting search.
+            for j in range(ids.shape[1]):
+                cell = ids[key_of, j]
+                check = cell != rarest[key_of]
+                if check.any():
+                    keep = ~check
+                    keep[check] = self._in_postings(cell[check], cand[check])
+                    cand, key_of = cand[keep], key_of[keep]
+            table = np.searchsorted(self.table_rows, cand, "right") - 1
+            # Rows are gathered key by key in ascending order, so (key,
+            # table) pairs are sorted: a neighbour compare deduplicates.
+            pair = key_of * len(self.tables) + table
+            first = np.ones(pair.size, dtype=bool)
+            first[1:] = pair[1:] != pair[:-1]
+            matched += np.bincount(table[first], minlength=len(self.tables))
         name = exclude or query.name
         if name in self.tables:
             matched[self.tables.index(name)] = 0
-        return _Probe(len(distinct), matched, checked, passed)
+        return probe
+
+    def _in_postings(self, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Whether ``rows[i]`` is in the postings of ``cells[i]``: a lower-bound
+        search inside each posting slice, all slices in lockstep."""
+        postings, last = self.postings, self.postings.size - 1
+        lo, end = self.offsets[cells], self.offsets[cells + 1]
+        n = end - lo
+        for _ in range(int(n.max()).bit_length()):
+            half = n >> 1
+            mid = lo + half
+            right = (n > 0) & (postings[np.minimum(mid, last)] < rows)
+            lo = np.where(right, mid + 1, lo)
+            n = np.where(right, n - half - 1, half)
+        return (lo < end) & (postings[np.minimum(lo, last)] == rows)
 
     def search(
         self,

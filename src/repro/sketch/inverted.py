@@ -4,7 +4,8 @@ The substrate for exact overlap search (JOSIE, §2.4), LSH Ensemble's exact
 containment verification and MATE's cell postings.  Built once from a list
 of token sets, whose positions are the key ids:
 
-* ``vocab`` maps a token to its id (ids in first-seen order);
+* ``vocab`` maps a token to its id (ids in first-seen order; a set's
+  order follows string hashing, a ``dict``'s keys keep theirs);
 * ``posting_ids[offsets[t]:offsets[t + 1]]`` lists, ascending, the key ids whose
   set holds token ``t`` (its length is the token's document frequency);
 * ``set_tokens[set_offsets[i]:set_offsets[i + 1]]`` is key ``i``'s set as
@@ -25,7 +26,8 @@ class InvertedIndex:
     """Maps tokens to the ids of the keys whose token set contains them."""
 
     def __init__(self, sets: Iterable[Iterable[str]] = ()):
-        sets = [frozenset(s) for s in sets]  # free for frozensets
+        # A dict's keys are unique and ordered, so they are kept as given.
+        sets = [s if isinstance(s, (frozenset, dict)) else frozenset(s) for s in sets]
         self.vocab = vocab = dict(zip(dict.fromkeys(chain.from_iterable(sets)), count()))
         sizes = list(map(len, sets))
         self.set_offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))

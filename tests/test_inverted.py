@@ -63,3 +63,9 @@ class TestInvertedIndex:
         assert len(idx) == 0 and idx.num_tokens == 0
         assert idx.overlaps(["a"]).tolist() == []
         assert idx.token_sets() == []
+
+    def test_dict_sets_give_first_seen_ids(self):
+        """Ids of tokens passed as dict keys follow their order, not hashing."""
+        idx = InvertedIndex([dict.fromkeys(["zeta", "alpha"]), dict.fromkeys(["mu", "alpha"])])
+        assert idx.vocab == {"zeta": 0, "alpha": 1, "mu": 2}
+        assert idx.postings("alpha").tolist() == [0, 1]

@@ -1,12 +1,21 @@
 """Tests for MATE multi-attribute join search."""
 
+import functools
+import json
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.config import DiscoveryConfig
+from repro.core.system import STAGES, DiscoverySystem
 from repro.datalake.generate import make_composite_key_corpus, make_join_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, Table
@@ -203,44 +212,51 @@ class RowSets:
     """MATE's probe recomputed from each row's cell set, as a reference.
 
     Per distinct key, the rows checked are those holding its rarest cell
-    (ties broken in ``set`` order, as the probe breaks them); of those, the
-    rows whose super key covers the key's pass the filter, and each table
-    with a row holding every cell of the key is credited once.
+    (fewest rows; ties go to the cell seen first in the lake, row by row
+    and column by column, as the probe breaks them); of those, the rows
+    whose super key covers the key pass the filter, and each table with a
+    row holding every cell of the key is credited once.
     """
 
     def __init__(self, lake):
-        self.names, self.rows = [], []
+        self.names, self.rows, self.first_seen = [], [], {}
         for t, table in enumerate(lake):
             self.names.append(table.name)
             cols = [c.values for _, c in table.text_columns()]
             for values in zip(*cols) if cols else [()] * table.num_rows:
-                self.rows.append((t, {v.strip().lower() for v in values} - {""}))
+                cells = [c for c in (v.strip().lower() for v in values) if c]
+                for cell in cells:
+                    self.first_seen.setdefault(cell, len(self.first_seen))
+                self.rows.append((t, set(cells)))
         self.super_keys = [row_super_key(cells) for _, cells in self.rows]
         self.rows_of = defaultdict(list)
         for r, (_, cells) in enumerate(self.rows):
             for cell in cells:
                 self.rows_of[cell].append(r)
 
-    def probe(self, query, key_columns, k):
-        """``[(table, matched, total)]`` best first, and the funnel counts."""
+    def probe(self, query, key_columns, k, exclude=None):
+        """``[(table, matched, total)]`` best first, and the funnel counts
+        (none when the query has no usable key, as EXPLAIN reports)."""
         rows, rows_of = self.rows, self.rows_of
         keys = set()
         for i in range(query.num_rows):
             key = tuple(query.columns[c].values[i].strip().lower() for c in key_columns)
             if all(key):
                 keys.add(key)
+        if not keys:
+            return [], {}
         matched, checked, passed = Counter(), 0, 0
         for key in keys:
             cells = set(key)
             if any(cell not in rows_of for cell in cells):
                 continue
-            rarest = rows_of[min(cells, key=lambda c: len(rows_of[c]))]
+            rarest = min(cells, key=lambda c: (len(rows_of[c]), self.first_seen[c]))
             mask = row_super_key(key)
-            checked += len(rarest)
-            passed += sum(self.super_keys[r] & mask == mask for r in rarest)
-            for t in {rows[r][0] for r in rarest if cells <= rows[r][1]}:
+            checked += len(rows_of[rarest])
+            passed += sum(self.super_keys[r] & mask == mask for r in rows_of[rarest])
+            for t in {rows[r][0] for r in rows_of[rarest] if cells <= rows[r][1]}:
                 matched[self.names[t]] += 1
-        matched.pop(query.name, None)
+        matched.pop(exclude or query.name, None)
         hits = sorted(matched.items(), key=lambda tm: (-tm[1], tm[0]))
         counts = {
             "rows_checked": checked,
@@ -276,3 +292,77 @@ class TestPostingSideOnly:
         query = mate_corpus.lake.table(mate_corpus.query_table)
         keys = list(mate_corpus.key_columns)
         assert loaded.search(query, keys) == mate.search(query, keys)
+
+
+class TestArrayProbe:
+    """The array-pass probe against the per-row reference, funnel included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_hand_built(), k=st.integers(1, 6))
+    def test_hits_and_counts_match_row_sets_on_hand_built_tables(self, case, k):
+        lake, query, keys, exclude = case
+        hits, report = _indexed(lake).search(query, keys, k, exclude, explain=True)
+        want_hits, want_counts = RowSets(lake).probe(query, keys, k, exclude)
+        assert [(h.table, h.matched, h.total) for h in hits] == want_hits
+        counts = report.counts()
+        assert {name: counts[name] for name in want_counts} == want_counts
+
+    def test_filter_counts_do_not_depend_on_string_hashing(self):
+        """Cell ids, and so the rarest-cell tie break, are first-seen order."""
+        script = (
+            "import json\n"
+            "from repro.datalake.generate import make_composite_key_corpus\n"
+            "from repro.search.mate import MateIndex\n"
+            "c = make_composite_key_corpus(n_candidates=24, n_rows=150, seed=42)\n"
+            "m = MateIndex()\n"
+            "m.index_lake(c.lake)\n"
+            "q = c.lake.table(c.query_table)\n"
+            "print(json.dumps(m.filter_stats(q, list(c.key_columns))))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        runs = []
+        for hash_seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            runs.append(json.loads(out.stdout))
+        assert runs[0] == runs[1]
+
+
+@functools.lru_cache(maxsize=4)
+def _mate_system(kind, seed):
+    """A small lake built with MATE's stage only."""
+    if kind == "join":
+        lake = make_join_corpus(n_tables=12, n_queries=2, base_size=40, seed=seed).lake
+    else:
+        lake = make_composite_key_corpus(n_candidates=6, n_rows=30, seed=seed).lake
+    return DiscoverySystem(lake, DiscoveryConfig(enable_embeddings=False)).build(
+        skip=set(STAGES) - {"mate_index"}
+    )
+
+
+class TestFacadeProperty:
+    """``DiscoverySystem.multi_attribute_search`` on small generated lakes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["join", "composite"]),
+        seed=st.sampled_from([3, 7]),
+        pick=st.integers(0, 10_000),
+        width=st.integers(1, 2),
+        k=st.integers(1, 8),
+    )
+    def test_hits_bounded_sorted_exclusive_and_exact(self, kind, seed, pick, width, k):
+        system = _mate_system(kind, seed)
+        tables = list(system.lake)
+        table = tables[pick % len(tables)]
+        keys = list(range(min(width, table.num_cols)))
+        hits = system.multi_attribute_search(table, keys, k=k)
+        assert len(hits) <= k
+        assert hits == sorted(hits)
+        assert all(h.table != table.name for h in hits)
+        assert [(h.table, round(h.score, 9)) for h in hits] == naive_key_join(
+            system.lake, table, keys, k
+        )

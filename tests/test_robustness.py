@@ -5,6 +5,7 @@ columns, and single-row fragments; none of that should crash the offline
 pipeline or the online APIs.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.config import DiscoveryConfig
@@ -180,6 +181,42 @@ class TestQueryValidation:
     def test_rejected(self, system, call, error):
         with pytest.raises(error):
             call(system)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.multi_attribute_search(s.lake.table("normal"), ["0"]),
+            lambda s: s.multi_attribute_search(s.lake.table("normal"), [True]),
+            lambda s: s.multi_attribute_search(s.lake.table("normal"), [0, 1.0]),
+            lambda s: s.multi_attribute_search(s.lake.table("normal"), [None]),
+            lambda s: s.correlated_search("normal", "0", 1),
+            lambda s: s.correlated_search("normal", False, 1),
+            lambda s: s.correlated_search("normal", 0, True),
+            lambda s: s.correlated_search("normal", 0, 1.0),
+        ],
+        ids=[
+            "mate-key-str",
+            "mate-key-bool",
+            "mate-key-float",
+            "mate-key-none",
+            "qcr-key-str",
+            "qcr-key-bool",
+            "qcr-value-bool",
+            "qcr-value-float",
+        ],
+    )
+    def test_column_index_not_an_int(self, system, call):
+        with pytest.raises(ConfigError, match="column index"):
+            call(system)
+
+    def test_numpy_column_indexes_accepted(self, system):
+        table = system.lake.table("normal")
+        assert system.multi_attribute_search(
+            table, [np.int64(0)]
+        ) == system.multi_attribute_search(table, [0])
+        assert system.correlated_search(
+            "normal", np.int32(0), np.int64(1)
+        ) == system.correlated_search("normal", 0, 1)
 
     @pytest.mark.parametrize(
         "threshold", [0.0, -1.0, 1.5, float("nan"), float("inf"), True, "0.5"]
