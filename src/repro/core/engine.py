@@ -39,7 +39,7 @@ from repro.core.errors import ConfigError, LakeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import DiscoverySystem
-    from repro.datalake.table import Column, Table
+    from repro.datalake.table import Column, ColumnRef, Table
     from repro.search.explain import ExplainReport
 
 #: Engine label used by the federated dispatcher in the query log / SLOs.
@@ -55,6 +55,13 @@ class QueryRequest:
 
     Engines read only the fields they understand; :meth:`Engine.accepts`
     says whether a given request carries enough for that engine to run.
+
+    ``address`` is set only by the facade, never by a constructor call: a
+    :class:`ColumnRef` when ``column`` is the lake's own column at that
+    address, the table name when ``table`` is the lake's own table (with
+    a ``ColumnRef``, ``table`` is that column's table).  An engine then
+    reads the rows it stored for that address at build time instead of
+    recomputing them from the cells.  ``None`` is a query by value.
     """
 
     k: int = 10
@@ -67,6 +74,21 @@ class QueryRequest:
     value_column: int | None = None
     threshold: float | None = None
     explain: bool = False
+    address: "ColumnRef | str | None" = field(default=None, init=False)
+
+    @property
+    def column_ref(self) -> "ColumnRef | None":
+        """The lake address of ``column`` (``None``: a query by value)."""
+        address = self.address
+        return None if isinstance(address, str) else address
+
+    @property
+    def table_ref(self) -> str | None:
+        """The lake name of ``table`` (``None``: a query by value)."""
+        address = self.address
+        if self.table is None or address is None:
+            return None
+        return address if isinstance(address, str) else address.table
 
     def __post_init__(self) -> None:
         k = self.k

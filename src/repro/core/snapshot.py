@@ -76,8 +76,13 @@ log = get_logger("core.snapshot")
 #: of the embedding space's vector matrix per indexed column instead of a
 #: private copy of the value vectors.  Version 13: MATE holds per-cell
 #: super-key masks and per-table row offsets instead of a per-row table
-#: array, and its cell ids follow first-seen lake order.
-FORMAT_VERSION = 13
+#: array, and its cell ids follow first-seen lake order.  Version 14:
+#: JOSIE's token ids follow sorted token order, LSH Ensemble and the
+#: Jaccard MinHash LSH map each key to its signature row, Starmie maps
+#: each table to its columns' matrix rows, and PEXESO holds one boolean
+#: CSR column-membership matrix (plus a ref -> row map) instead of an id
+#: array and segment starts.
+FORMAT_VERSION = 14
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
 from numbers import Integral
 
 import repro.engines  # noqa: F401  - populate the engine registry
@@ -104,6 +103,14 @@ class _QueryCapture:
             self.funnel = report.counts()
 
 
+def _column_index(i) -> int:
+    """A column index as a plain ``int``; a bool or a non-integer raises
+    :class:`ConfigError` (numpy integers pass)."""
+    if isinstance(i, bool) or not isinstance(i, Integral):
+        raise ConfigError(f"column index must be an int, got {i!r}")
+    return int(i)
+
+
 def _hit_table(hit) -> str:
     """Table-level identity of any engine's hit type (for federation)."""
     table = getattr(hit, "table", None)
@@ -148,6 +155,8 @@ class DiscoverySystem:
         self._ekg: EnterpriseKnowledgeGraph | None = None
         self._infogather = None  # built lazily by augment_entities
         self._built = False
+        #: (lake, {id(column): ref}) behind _column_address, built on use.
+        self._column_refs: tuple = (None, {})
         #: Stages explicitly skipped at build time (build(skip=...)).
         self.skipped_stages: set[str] = set()
         #: Where the built state came from: a live build or a snapshot.
@@ -509,25 +518,73 @@ class DiscoverySystem:
         # never are.
         scalars = (request.key_column, request.value_column)
         for i in (*(request.key_columns or ()), *(c for c in scalars if c is not None)):
-            if isinstance(i, bool) or not isinstance(i, Integral):
-                raise ConfigError(f"column index must be an int, got {i!r}")
-            if not 0 <= i < width:
+            if not 0 <= _column_index(i) < width:
                 raise LakeError(
                     f"column {i} outside table {request.table.name!r} "
                     f"({width} columns)"
                 )
 
-    def _column_query(self, column: Column | ColumnRef):
-        """``(column, exclude_table, query_repr)`` for a join-style query:
-        a :class:`ColumnRef` resolves against the lake and excludes its
-        own table."""
-        if isinstance(column, ColumnRef):
-            return self.lake.column(column), column.table, str(column)
-        return column, None, f"column<{getattr(column, 'name', '?')}>"
+    def _resolve(
+        self, query, label: str = "query"
+    ) -> tuple[Table | None, Column | None, object]:
+        """The one place a query object meets the lake: ``(table, column,
+        address)``, the address being what ``QueryRequest.address`` holds.
 
-    def _table(self, query: Table | str) -> Table:
-        """A table given by name or by value."""
-        return self.lake.table(query) if isinstance(query, str) else query
+        A :class:`ColumnRef` (its index checked like any column index)
+        resolves to its table and column, a table name to its table; both
+        are addresses.  A :class:`Table` or :class:`Column` object has an
+        address only when it *is* the lake's own object: a copy, however
+        equal, is served by value."""
+        lake = self.lake
+        if isinstance(query, ColumnRef):
+            if type(query.index) is not int:
+                query = ColumnRef(query.table, _column_index(query.index))
+            return lake.table(query.table), lake.column(query), query
+        if isinstance(query, str):
+            return lake.table(query), None, query
+        if isinstance(query, Table):
+            own = query.name in lake and lake.table(query.name) is query
+            return query, None, query.name if own else None
+        if isinstance(query, Column):
+            return None, query, self._column_address(query)
+        raise ValueError(
+            f"{label} must be a string, Table, Column, or ColumnRef, "
+            f"not {type(query).__name__}"
+        )
+
+    def _column_address(self, column: Column) -> ColumnRef | None:
+        """The address of a :class:`Column` object that is the lake's own
+        (the id map covers the lake's columns when it was first asked)."""
+        lake, refs = self._column_refs
+        if lake is not self.lake:
+            refs = {id(c): ref for ref, c in self.lake.iter_columns()}
+            self._column_refs = (self.lake, refs)
+        ref = refs.get(id(column))
+        if ref is None or ref.table not in self.lake:
+            return None
+        table = self.lake.table(ref.table)
+        own = ref.index < table.num_cols and table.columns[ref.index] is column
+        return ref if own else None
+
+    def _column_request(self, column: Column | ColumnRef, **fields):
+        """``(request, query_repr)`` for a join-style query: a
+        :class:`ColumnRef` also excludes its own table."""
+        _, col, address = self._resolve(column)
+        if isinstance(column, ColumnRef):
+            exclude, query_repr = address.table, str(address)
+        else:
+            exclude = None
+            query_repr = f"column<{getattr(column, 'name', '?')}>"
+        request = QueryRequest(column=col, exclude_table=exclude, **fields)
+        request.address = address
+        return request, query_repr
+
+    def _table_request(self, query: Table | str, **fields) -> QueryRequest:
+        """The request for a table given by name or by value."""
+        table, _, address = self._resolve(query)
+        request = QueryRequest(table=table, **fields)
+        request.address = address
+        return request
 
     # -- online: table search engine ---------------------------------------------------
 
@@ -557,16 +614,12 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        column, exclude, query_repr = self._column_query(column)
+        request, query_repr = self._column_request(
+            column, k=k, threshold=threshold, explain=explain
+        )
         return self._query(
             JOIN_METHODS.get(method),
-            QueryRequest(
-                column=column,
-                k=k,
-                exclude_table=exclude,
-                threshold=threshold,
-                explain=explain,
-            ),
+            request,
             "join",
             query_repr,
             method=method,
@@ -579,12 +632,12 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        column, exclude, query_repr = self._column_query(column)
+        request, query_repr = self._column_request(
+            column, k=k, explain=explain
+        )
         return self._query(
             "pexeso",
-            QueryRequest(
-                column=column, k=k, exclude_table=exclude, explain=explain
-            ),
+            request,
             "fuzzy_join",
             query_repr,
         )
@@ -601,13 +654,14 @@ class DiscoverySystem:
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
         key_columns = tuple(key_columns)
+        request = self._table_request(
+            query, key_columns=key_columns, k=k, explain=explain
+        )
         return self._query(
             "mate",
-            QueryRequest(
-                table=query, key_columns=key_columns, k=k, explain=explain
-            ),
+            request,
             "multi_attribute",
-            f"{query.name}{list(key_columns)}",
+            f"{request.table.name}{list(key_columns)}",
             key_columns=key_columns,
         )
 
@@ -622,14 +676,15 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        query = self._table(query)
+        request = self._table_request(query, k=k, explain=explain)
+        name = request.table.name
         return self._query(
             method if method in UNION_METHODS else None,
-            QueryRequest(table=query, k=k, explain=explain),
+            request,
             "union",
-            query.name,
+            name,
             method=method,
-            table=query.name,
+            table=name,
         )
 
     def correlated_search(
@@ -644,19 +699,20 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        query = self._table(query)
+        request = self._table_request(
+            query,
+            key_column=key_column,
+            value_column=value_column,
+            k=k,
+            explain=explain,
+        )
+        name = request.table.name
         return self._query(
             "qcr",
-            QueryRequest(
-                table=query,
-                key_column=key_column,
-                value_column=value_column,
-                k=k,
-                explain=explain,
-            ),
+            request,
             "correlated",
-            f"{query.name}[{key_column},{value_column}]",
-            table=query.name,
+            f"{name}[{key_column},{value_column}]",
+            table=name,
         )
 
     # -- online: federated dispatch ----------------------------------------------------
@@ -664,30 +720,20 @@ class DiscoverySystem:
     def _federated_request(self, query, k: int) -> QueryRequest:
         """Normalize a free-form query (keyword text, table name,
         :class:`Table`, :class:`Column`, or :class:`ColumnRef`) into one
-        :class:`QueryRequest` each engine can inspect."""
-        text = table = column = exclude = None
-        if isinstance(query, str):
-            text = query
-            if query in self.lake.table_names():
-                table = self.lake.table(query)
-                exclude = query
-        elif isinstance(query, Table):
-            table = query
-            exclude = query.name
-        elif isinstance(query, ColumnRef):
-            column = self.lake.column(query)
-            table = self.lake.table(query.table)
-            exclude = query.table
-        elif isinstance(query, Column):
-            column = query
-        else:
-            raise ValueError(
-                "federated query must be a string, Table, Column, or "
-                f"ColumnRef, not {type(query).__name__}"
-            )
-        return QueryRequest(
-            k=k, text=text, table=table, column=column, exclude_table=exclude
+        :class:`QueryRequest` each engine can inspect; a table query
+        excludes its own table."""
+        if isinstance(query, str) and query not in self.lake:
+            return QueryRequest(k=k, text=query)
+        table, column, address = self._resolve(query, "federated query")
+        request = QueryRequest(
+            k=k,
+            text=query if isinstance(query, str) else None,
+            table=table,
+            column=column,
+            exclude_table=None if table is None else table.name,
         )
+        request.address = address
+        return request
 
     def search(
         self,
@@ -734,7 +780,7 @@ class DiscoverySystem:
                 # hits are left out and the query is logged as partial.
                 with TRACER.span(f"federated.{engine.name}") as sp:
                     try:
-                        hits, _ = engine.query(replace(request, explain=False))
+                        hits, _ = engine.query(request)
                     except Exception as exc:
                         failure = type(exc).__name__
                         sp.set("error", failure)

@@ -28,7 +28,9 @@ class JaccardLshEngine(JoinIndexEngine):
     def query(self, request: QueryRequest):
         hits = sorted(
             self.raw.jaccard_baseline(
-                request.column, exclude_table=request.exclude_table
+                request.column,
+                exclude_table=request.exclude_table,
+                ref=request.column_ref,
             )
         )[: request.k]
         return hits, None

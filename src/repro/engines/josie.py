@@ -26,6 +26,7 @@ class JosieEngine(JoinIndexEngine):
                 request.k,
                 exclude_table=request.exclude_table,
                 explain=request.explain,
+                ref=request.column_ref,
             ),
             request.explain,
         )

@@ -31,6 +31,7 @@ class LshEnsembleEngine(JoinIndexEngine):
                 threshold,
                 exclude_table=request.exclude_table,
                 explain=request.explain,
+                ref=request.column_ref,
             ),
             request.explain,
         )

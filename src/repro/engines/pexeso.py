@@ -41,6 +41,7 @@ class PexesoEngine(Engine):
                 request.k,
                 exclude_table=request.exclude_table,
                 explain=request.explain,
+                ref=request.column_ref,
             ),
             request.explain,
         )

@@ -34,6 +34,11 @@ class StarmieEngine(Engine):
 
     def query(self, request: QueryRequest):
         return as_pair(
-            self.raw.search(request.table, request.k, explain=request.explain),
+            self.raw.search(
+                request.table,
+                request.k,
+                explain=request.explain,
+                by_ref=request.table_ref is not None,
+            ),
             request.explain,
         )

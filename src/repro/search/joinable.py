@@ -12,11 +12,19 @@ Also provides Das Sarma-style schema-complement scoring of the joined pair.
 
 The LSH Ensemble is keyed by JOSIE key id, so containment verification
 reads each candidate's set straight from JOSIE's token-set store.
+
+Every query method takes the query column by value and, optionally, its
+lake address ``ref``.  When ``ref`` is an indexed column the query reads
+what the build stored for it (JOSIE's forward token row, the stored
+MinHash rows) instead of re-reading and re-signing the cells; results are
+the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef
@@ -115,34 +123,64 @@ class JoinableSearch:
 
     # -- online -------------------------------------------------------------------
 
+    def _key(self, ref: ColumnRef | None) -> int | None:
+        """JOSIE key id of the query's address (``None``: by value, or a
+        column that is not indexed); marks the path on the current span."""
+        key = None if ref is None else self._josie.key_id(ref)
+        TRACER.current().set("by_ref", key is not None)
+        return key
+
+    def _signed(
+        self, column: Column, ref: ColumnRef | None
+    ) -> tuple[MinHash, int, np.ndarray, bool]:
+        """``(signature, set size, token ids, by_ref)`` of the query column:
+        the ensemble's stored row and JOSIE's forward row for an indexed
+        ``ref``, else signed and looked up from the cells."""
+        store = self._josie.inverted
+        key = self._key(ref)
+        if key is not None:
+            mh, size = self._ensemble.entry(key)
+            return mh, size, store.row(key), True
+        values = column.value_set()
+        mh = MinHash.from_values(values, num_perm=self.config.num_perm)
+        return mh, len(values), store.token_ids(values), False
+
     def exact_topk(
         self,
         column: Column,
         k: int = 10,
         exclude_table: str | None = None,
         explain: bool = False,
+        ref: ColumnRef | None = None,
     ):
         """JOSIE exact top-k joinable columns by overlap with the query.
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
         self._require_built()
-        values = column.value_set()
         exclude = None if exclude_table is None else (
-            lambda ref: ref.table == exclude_table
+            lambda cand: cand.table == exclude_table
         )
-        raw, stats = self._josie.topk_with_stats(values, k, exclude)
+        key = self._key(ref)
+        if key is None:
+            values = column.value_set()
+            size = len(values)
+            raw, stats = self._josie.topk_with_stats(values, k, exclude)
+        else:
+            size = self._josie.inverted.size_of(key)
+            raw, stats = self._josie.topk_of_key(key, k, exclude)
         # JOSIE ranks by (overlap desc, str(key)): already ColumnResult order.
-        out = [ColumnResult(ref, overlap / max(len(values), 1)) for ref, overlap in raw]
+        out = [ColumnResult(cand, overlap / max(size, 1)) for cand, overlap in raw]
         if explain:
             report = ExplainReport(
                 "josie",
-                query=f"column<{len(values)} values>",
+                query=f"column<{size} values>",
                 k=k,
                 params={
                     "query_tokens": stats["query_tokens"],
                     "posting_lists_read": stats["posting_lists_read"],
                     "posting_entries_read": stats["posting_entries_read"],
+                    "by_ref": key is not None,
                 },
             )
             report.stage("indexed_sets", len(self._josie))
@@ -160,6 +198,7 @@ class JoinableSearch:
         threshold: float = 0.5,
         exclude_table: str | None = None,
         explain: bool = False,
+        ref: ColumnRef | None = None,
     ):
         """LSH Ensemble candidates verified to containment >= threshold.
 
@@ -169,21 +208,20 @@ class JoinableSearch:
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
         self._require_built()
-        values = column.value_set()
-        mh = MinHash.from_values(values, num_perm=self.config.num_perm)
-        candidates = self._ensemble.query(mh, len(values), threshold)
+        mh, size, tids, by_ref = self._signed(column, ref)
+        candidates = self._ensemble.query(mh, size, threshold)
         store, keys = self._josie.inverted, self._josie.keys
-        mask = store.token_mask(store.token_ids(values))
+        mask = store.token_mask(tids)
         out = []
         checked = 0
         for i in candidates:
-            ref = keys[i]
-            if exclude_table is not None and ref.table == exclude_table:
+            cand = keys[i]
+            if exclude_table is not None and cand.table == exclude_table:
                 continue
             checked += 1
-            containment = store.overlap(i, mask) / max(len(values), 1)
+            containment = store.overlap(i, mask) / max(size, 1)
             if containment >= threshold:
-                out.append(ColumnResult(ref, containment))
+                out.append(ColumnResult(cand, containment))
         METRICS.inc("search.containment.candidates_checked", checked)
         METRICS.inc("search.containment.candidates_pruned", checked - len(out))
         sp = TRACER.current()
@@ -193,12 +231,13 @@ class JoinableSearch:
         if explain:
             report = ExplainReport(
                 "lshensemble",
-                query=f"column<{len(values)} values>",
+                query=f"column<{size} values>",
                 k=0,
                 params={
                     "threshold": threshold,
                     "num_perm": self.config.num_perm,
                     "num_partitions": self.config.num_partitions,
+                    "by_ref": by_ref,
                 },
             )
             report.stage("indexed_columns", len(self._josie))
@@ -214,23 +253,27 @@ class JoinableSearch:
     ) -> list[ColumnRef]:
         """Unverified LSH Ensemble candidate set (recall measurement)."""
         self._require_built()
-        values = column.value_set()
-        mh = MinHash.from_values(values, num_perm=self.config.num_perm)
+        mh, size, _, _ = self._signed(column, None)
         keys = self._josie.keys
-        return [keys[i] for i in self._ensemble.query(mh, len(values), threshold)]
+        return [keys[i] for i in self._ensemble.query(mh, size, threshold)]
 
     def jaccard_baseline(
-        self, column: Column, exclude_table: str | None = None
+        self,
+        column: Column,
+        exclude_table: str | None = None,
+        ref: ColumnRef | None = None,
     ) -> list[ColumnResult]:
         """Plain Jaccard-threshold LSH (the biased baseline of E2)."""
         self._require_built()
-        values = column.value_set()
-        mh = MinHash.from_values(values, num_perm=self.config.num_perm)
+        mh = None if ref is None else self._jaccard_lsh.signature(ref)
+        TRACER.current().set("by_ref", mh is not None)
+        if mh is None:
+            mh = MinHash.from_values(column.value_set(), num_perm=self.config.num_perm)
         hits = self._jaccard_lsh.query_verified(mh)
         return [
-            ColumnResult(ref, score)
-            for ref, score in hits
-            if exclude_table is None or ref.table != exclude_table
+            ColumnResult(cand, score)
+            for cand, score in hits
+            if exclude_table is None or cand.table != exclude_table
         ]
 
     # -- schema complement ------------------------------------------------------------

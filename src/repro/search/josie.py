@@ -9,10 +9,12 @@ bound — current partial count plus remaining unprocessed tokens — can beat
 the k-th best verified overlap.  Results are exact; early termination only
 skips work that provably cannot change the answer.
 
-Sets live in one CSR token-set store (:class:`InvertedIndex`).  The query's
-posting lists are gathered in one numpy pass; the probe's stop point is a
-binary search over prefix counts of that gather, and the work counters
-report the lists and sets the algorithm needed, not the gather's copy.
+Sets live in one CSR token-set store (:class:`InvertedIndex`) whose token
+ids follow sorted token order, so an indexed set's forward row is already
+a query in tie-break order.  The query's posting lists are gathered in one
+numpy pass; the probe's stop point is a binary search over prefix counts
+of that gather, and the work counters report the lists and sets the
+algorithm needed, not the gather's copy.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class JosieIndex:
 
     ``insert`` buffers; the first read freezes the buffer into an
     :class:`InvertedIndex` whose key ids follow ``str(key)`` order, so
-    ranking ties break by key on plain ids.  Ids become keys only in
-    results.
+    ranking ties break by key on plain ids, and whose token ids follow
+    token order.  Ids become keys only in results.
     """
 
     def __init__(self):
@@ -61,7 +63,9 @@ class JosieIndex:
         """The frozen store; key id ``i`` is ``keys[i]``."""
         if self._pending:
             self._keys = sorted(self._pending, key=str)
-            self._inv = InvertedIndex(self._pending[key] for key in self._keys)
+            self._inv = InvertedIndex(
+                (self._pending[key] for key in self._keys), sort_tokens=True
+            )
             self._pending = {}
         return self._inv
 
@@ -70,6 +74,13 @@ class JosieIndex:
         """Indexed keys by key id (``str(key)`` order)."""
         self.inverted  # freezes pending inserts
         return self._keys
+
+    def key_id(self, key: Hashable) -> int | None:
+        """Key id of an indexed key (``None`` if it is not indexed): a
+        binary search over the ``str(key)`` order."""
+        keys = self.keys
+        i = bisect_left(keys, str(key), key=str)
+        return i if i < len(keys) and keys[i] == key else None
 
     def set_of(self, key: Hashable) -> frozenset[str]:
         """The key's value set (decodes the store; for introspection)."""
@@ -115,10 +126,30 @@ class JosieIndex:
         bounds are exact over the remaining keys.
         """
         inv = self.inverted
+        # Token ids ascend in token order.
+        return self._topk(np.sort(inv.token_ids({str(v) for v in query})), k, exclude)
+
+    def topk_of_key(
+        self,
+        key_id: int,
+        k: int = 10,
+        exclude: Callable[[Hashable], bool] | None = None,
+    ) -> tuple[list[tuple[Hashable, int]], dict]:
+        """``topk_with_stats`` with indexed key ``key_id``'s own set as the
+        query, read from its forward row."""
+        return self._topk(self.inverted.row(key_id), k, exclude)
+
+    def _topk(
+        self,
+        tids: np.ndarray,
+        k: int,
+        exclude: Callable[[Hashable], bool] | None,
+    ) -> tuple[list[tuple[Hashable, int]], dict]:
+        """JOSIE over the query's known token ids, given ascending."""
+        inv = self.inverted
         n = len(inv)
         # Rare tokens first: smallest posting lists shrink candidates fastest
         # (ties by token).
-        tids = inv.token_ids(sorted({str(v) for v in query}))
         tids = tids[np.argsort(np.diff(inv.offsets)[tids], kind="stable")]
         total = tids.size
         flat, bounds = inv.gather(tids)

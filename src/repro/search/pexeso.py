@@ -7,9 +7,10 @@ within a cosine threshold; a column is joinable if enough query values
 match.  Like the original, the search is exact.  Where the paper blocks with
 pivot-based metric filtering, this reproduction blocks and verifies in one
 numpy pass: every indexed value is a row id of the embedding space's one
-vector matrix, a single product scores the query values against it, and a
-segmented OR reduces the hits at the indexed ids to each column's exact
-match fraction.
+vector matrix, a single product scores the query values against it, and
+one boolean sparse product with the (column x vocabulary) membership
+matrix ORs each column's hits into its exact match fraction.  An indexed
+column queried by reference reads its own id segment as the query.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef
@@ -39,11 +41,12 @@ class PexesoIndex:
     def __init__(self, space: EmbeddingSpace, config: PexesoConfig | None = None):
         self.space = space
         self.config = config or PexesoConfig()
-        #: every indexed value's row of ``space.vectors``, grouped by column
-        self._ids: np.ndarray | None = None
-        #: the indexed columns in id order, and each one's first id
+        #: (indexed column x vocabulary) boolean membership: row j's indices
+        #: are column j's rows of ``space.vectors`` (its id segment)
+        self._columns: csr_matrix | None = None
+        #: the indexed columns in row order, and each one's row
         self._refs: list[ColumnRef] = []
-        self._starts = np.zeros(0, dtype=np.intp)
+        self._rows: dict[ColumnRef, int] = {}
 
     def _value_ids(self, column: Column) -> np.ndarray:
         """Vocabulary rows of the column's first ``max_values_per_column``
@@ -59,12 +62,15 @@ class PexesoIndex:
             if len(ids := self._value_ids(col))
         ]
         self._refs = [ref for ref, _ in indexed]
-        lengths = np.array([len(ids) for _, ids in indexed], dtype=np.intp)
-        self._starts = np.cumsum(lengths) - lengths
-        self._ids = np.concatenate(
-            [np.zeros(0, dtype=np.int32)] + [ids for _, ids in indexed]
+        self._rows = {ref: j for j, ref in enumerate(self._refs)}
+        ids = np.concatenate([np.zeros(0, dtype=np.int32)] + [ids for _, ids in indexed])
+        indptr = np.zeros(len(indexed) + 1, dtype=np.int32)
+        np.cumsum([len(ids) for _, ids in indexed], out=indptr[1:])
+        self._columns = csr_matrix(
+            (np.ones(len(ids), dtype=bool), ids, indptr),
+            shape=(len(indexed), len(self.space.vocab)),
         )
-        METRICS.inc("index.pexeso.ids_indexed", len(self._ids))
+        METRICS.inc("index.pexeso.ids_indexed", len(ids))
         METRICS.inc("index.pexeso.columns_indexed", len(self._refs))
         return self
 
@@ -72,16 +78,15 @@ class PexesoIndex:
         """Introspection: indexed columns and the size of the id array."""
         from repro.obs.introspect import summarize_distribution
 
-        ids = self._ids
-        n_ids = 0 if ids is None else len(ids)
+        cols = self._columns
         return {
             "columns": len(self._refs),
-            "ids": n_ids,
+            "ids": 0 if cols is None else cols.nnz,
             "dim": self.space.dim,
             "ids_per_column": summarize_distribution(
-                np.diff(self._starts, append=n_ids).tolist()
+                [] if cols is None else np.diff(cols.indptr).tolist()
             ),
-            "id_bytes": 0 if ids is None else ids.nbytes,
+            "id_bytes": 0 if cols is None else cols.indices.nbytes,
         }
 
     def search(
@@ -90,30 +95,37 @@ class PexesoIndex:
         k: int = 10,
         exclude_table: str | None = None,
         explain: bool = False,
+        ref: ColumnRef | None = None,
     ):
         """Top-k fuzzy-joinable columns by exact match fraction.
 
-        Block and verify are one step: ``(Q @ V.T >= tau)[:, ids]`` marks
-        every (query value, indexed value) match, ``logical_or.reduceat``
-        over the column segments turns it into (query value, column)
-        matches, and a column's score is the share of query values it
-        matches.  Columns with at least one match are the blocked
-        candidates; those scoring >= sigma are results.  With
-        ``explain=True`` returns ``(hits, ExplainReport)``.
+        Block and verify are one step: ``Q @ V.T >= tau`` marks every
+        (query value, vocabulary value) match, the boolean product of the
+        column membership matrix with it ORs those into (column, query
+        value) matches, and a column's score is the share of query values
+        it matches.  Columns with at least one match are the blocked
+        candidates; those scoring >= sigma are results.  ``ref``, when it
+        is an indexed column, is the query's lake address: its stored id
+        segment is the query.  With ``explain=True`` returns
+        ``(hits, ExplainReport)``.
         """
-        if self._ids is None:
+        if self._columns is None:
             raise RuntimeError("call build() before searching")
         cfg = self.config
+        cols = self._columns
+        row = None if ref is None else self._rows.get(ref)
+        TRACER.current().set("by_ref", row is not None)
+        if row is None:
+            qids = self._value_ids(column)
+        else:
+            qids = cols.indices[cols.indptr[row] : cols.indptr[row + 1]]
         vectors = self.space.vectors  # unit rows: dot = cosine
-        qids = self._value_ids(column)
-        hit = (vectors[qids] @ vectors.T >= cfg.tau)[:, self._ids]
-        if self._refs:  # with no columns indexed, hit is already (|Q|, 0)
-            hit = np.logical_or.reduceat(hit, self._starts, axis=1)
-        matched = hit.sum(axis=0)
+        hit = vectors[qids] @ vectors.T >= cfg.tau
+        matched = (cols @ hit.T).sum(axis=1)
         blocked = [
             j
-            for j, ref in enumerate(self._refs)
-            if matched[j] and ref.table != exclude_table
+            for j, cand in enumerate(self._refs)
+            if matched[j] and cand.table != exclude_table
         ]
         results = []
         for j in blocked:
@@ -133,7 +145,7 @@ class PexesoIndex:
                 "pexeso",
                 query=f"column<{len(qids)} vectors>",
                 k=k,
-                params={"tau": cfg.tau, "sigma": cfg.sigma},
+                params={"tau": cfg.tau, "sigma": cfg.sigma, "by_ref": row is not None},
             )
             report.stage("columns_indexed", len(self._refs))
             report.stage("columns_blocked", len(blocked))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import Table
+from repro.obs import TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
 from repro.understanding.annotate import synthesize_kb
@@ -140,15 +141,24 @@ class SantosUnionSearch:
             )
         return w * rel_score + (1 - w) * cls_score
 
-    def search(self, query: Table, k: int = 10, explain: bool = False):
+    def search(
+        self, query: Table, k: int = 10, explain: bool = False, by_ref: bool = False
+    ):
         """Top-k tables by relationship-intent match.
 
-        With ``explain=True`` returns ``(hits, ExplainReport)``; SANTOS has
-        no internal funnel, so the report holds the returned count only.
+        ``by_ref`` says ``query`` is the indexed lake table of that name,
+        whose semantics the build already computed; any other table is
+        annotated from its cells, whatever its name.  With
+        ``explain=True`` returns ``(hits, ExplainReport)``; SANTOS has no
+        internal funnel, so the report holds the returned count only.
         """
         if not self._built:
             raise RuntimeError("call build() before searching")
-        query_sem = self._semantics.get(query.name) or self._table_semantics(query)
+        query_sem = self._semantics.get(query.name) if by_ref else None
+        by_ref = query_sem is not None
+        TRACER.current().set("by_ref", by_ref)
+        if query_sem is None:
+            query_sem = self._table_semantics(query)
         results = []
         for name, cand_sem in self._semantics.items():
             if name == query.name:
@@ -158,7 +168,7 @@ class SantosUnionSearch:
                 results.append(TableResult(name, s))
         hits = sorted(results)[:k]
         if explain:
-            report = ExplainReport("santos", query=query.name, k=k)
+            report = ExplainReport("santos", query=query.name, k=k, params={"by_ref": by_ref})
             report.stage("returned", len(hits))
             report.results = summarize_results(hits)
             return hits, report

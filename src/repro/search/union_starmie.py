@@ -5,7 +5,8 @@ Columns are encoded with table-context-aware representations
 column vector is a row of one matrix, a single product scores all query
 columns against all of them, each query column keeps its top candidates,
 and the same scores are aggregated into table scores with the greedy
-matcher.
+matcher.  An indexed lake table queried by reference reads its columns'
+rows of that matrix instead of being encoded again.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class StarmieUnionSearch:
         #: every indexed column vector, one row each, in ``str(ref)`` order
         self._matrix: np.ndarray | None = None
         self._refs: list[ColumnRef] = []
+        #: table name -> its indexed columns' matrix rows, by column index
+        self._table_rows: dict[str, list[int]] = {}
 
     # -- offline -----------------------------------------------------------------
 
@@ -59,6 +62,10 @@ class StarmieUnionSearch:
         self._matrix = np.array([vectors[ref] for ref in self._refs]).reshape(
             len(self._refs), self.encoder.space.dim
         )
+        row_of = {ref: row for row, ref in enumerate(self._refs)}
+        # `vectors` is in lake order: each table's columns by index.
+        for ref in vectors:
+            self._table_rows.setdefault(ref.table, []).append(row_of[ref])
         METRICS.inc("index.starmie.columns_indexed", len(self._refs))
         return self
 
@@ -72,30 +79,43 @@ class StarmieUnionSearch:
 
     # -- retrieval -------------------------------------------------------------------
 
-    def search(self, query: Table, k: int = 10, explain: bool = False):
+    def search(
+        self, query: Table, k: int = 10, explain: bool = False, by_ref: bool = False
+    ):
         """Top-k unionable tables by aggregated contextual-cosine alignment.
 
         ``Q @ M.T`` scores every query column against every indexed column
         once.  Each query column keeps its ``candidates_per_column`` best
         columns (a stable sort, so ties break by ``str(ref)``), and each
         candidate table's alignment matrix is read from the same scores.
-        With ``explain=True`` returns ``(hits, ExplainReport)``.
+        ``by_ref`` says ``query`` is the indexed lake table of that name:
+        its query columns are then its indexed columns and ``Q`` their
+        rows of ``M``, with nothing encoded.  With ``explain=True`` returns
+        ``(hits, ExplainReport)``.
         """
         if self._matrix is None:
             raise RuntimeError("call build() before searching")
-        qvecs = self.encoder.encode_table(query)
-        qcols = [
-            i
-            for i, col in enumerate(query.columns)
-            if not col.is_numeric and np.linalg.norm(qvecs[i]) > 0
-        ]
-        if not qcols:
+        rows = self._table_rows.get(query.name) if by_ref else None
+        by_ref = rows is not None
+        TRACER.current().set("by_ref", by_ref)
+        if by_ref:
+            qmatrix = self._matrix[rows]
+        else:
+            qvecs = self.encoder.encode_table(query)
+            qmatrix = np.array(
+                [
+                    qvecs[i]
+                    for i, col in enumerate(query.columns)
+                    if not col.is_numeric and np.linalg.norm(qvecs[i]) > 0
+                ]
+            )
+        if not len(qmatrix):
             if explain:
                 return [], ExplainReport(
-                    "starmie", query=query.name, k=k
+                    "starmie", query=query.name, k=k, params={"by_ref": by_ref}
                 )
             return []
-        scores = np.array([qvecs[i] for i in qcols]) @ self._matrix.T
+        scores = qmatrix @ self._matrix.T
         # Gather per-table candidate columns (column index -> matrix row).
         table_cols: dict[str, dict[int, int]] = {}
         candidates_examined = 0
@@ -130,7 +150,8 @@ class StarmieUnionSearch:
                 k=k,
                 params={
                     "candidates_per_column": self.config.candidates_per_column,
-                    "query_columns": len(qcols),
+                    "query_columns": len(qmatrix),
+                    "by_ref": by_ref,
                 },
             )
             report.stage("candidate_probes", candidates_examined)

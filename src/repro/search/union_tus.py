@@ -11,7 +11,8 @@ scores with bipartite matching:
   measure with the highest goodness per attribute pair).
 
 Search is one exact pass over per-column matrices built offline (MinHash
-signatures, embeddings, class vectors).  Candidate tables share at least
+signatures, embeddings, class vectors); an indexed lake table queried by
+reference reads its own rows of them instead of sketching its cells.  Candidate tables share at least
 one MinHash slot with a query column: what a banded LSH at threshold 0.05
 returns, since its optimal banding is one slot per band for 8–205
 permutations.
@@ -27,6 +28,7 @@ import numpy as np
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import Column, ColumnRef, Table
+from repro.obs import TRACER
 from repro.search.aggregate import table_unionability
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
@@ -136,9 +138,16 @@ class TableUnionSearch:
     # -- online ---------------------------------------------------------------------
 
     def column_scores(
-        self, columns: list[Column], measure: str | None = None
+        self,
+        columns: list[Column],
+        measure: str | None = None,
+        rows: list[int | None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Attribute unionability of each column with every indexed column.
+
+        ``rows[i]``, when given and not ``None``, is the indexed row that
+        already holds ``columns[i]``'s signature, class and embedding rows;
+        the other columns are sketched from their cells.
 
         Returns ``(scores, shares_slot)``: the ``(len(columns), len(refs))``
         score matrix, whose column j scores ``refs[j]``, and whether each
@@ -149,16 +158,34 @@ class TableUnionSearch:
         measure = measure or self.config.measure
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
-        value_sets = [c.value_set() for c in columns]
-        equal = self._sign(value_sets)[:, None, :] == self._signatures[None, :, :]
+        rows = rows or [None] * len(columns)
+        fresh = [i for i, r in enumerate(rows) if r is None]
+        value_sets = [columns[i].value_set() for i in fresh]
+
+        kept = [i for i, r in enumerate(rows) if r is not None]
+
+        def query(stored: np.ndarray, compute) -> np.ndarray:
+            """The query columns' rows: stored ones gathered, the rest
+            computed from ``value_sets``."""
+            out = np.empty((len(rows), stored.shape[1]), dtype=stored.dtype)
+            out[kept] = stored[[rows[i] for i in kept]]
+            if fresh:
+                out[fresh] = compute(value_sets)
+            return out
+
+        equal = query(self._signatures, self._sign)[:, None, :] == self._signatures[None, :, :]
         parts = []
         if measure in ("set", "ensemble"):
             parts.append(equal.mean(axis=2))
         if measure in ("sem", "ensemble"):
-            query = self._class_rows([self._class_counts(v) for v in value_sets])
-            parts.append(query @ self._class_vectors.T)
+            classes = query(
+                self._class_vectors,
+                lambda sets: self._class_rows([self._class_counts(v) for v in sets]),
+            )
+            parts.append(classes @ self._class_vectors.T)
         if measure in ("nl", "ensemble"):
-            parts.append(np.maximum(self._embed(value_sets) @ self._embeddings.T, 0.0))
+            embedded = query(self._embeddings, self._embed)
+            parts.append(np.maximum(embedded @ self._embeddings.T, 0.0))
         return np.maximum.reduce(parts), equal.any(axis=2).any(axis=0)
 
     def search(
@@ -167,16 +194,25 @@ class TableUnionSearch:
         k: int = 10,
         measure: str | None = None,
         explain: bool = False,
+        by_ref: bool = False,
     ):
         """Top-k unionable tables under the chosen measure, each candidate
         table's slice of the score matrix aligned by the Hungarian matcher.
 
-        With ``explain=True`` returns ``(hits, ExplainReport)``.
+        ``by_ref`` says ``query`` is the indexed lake table of that name:
+        its indexed columns then read their stored rows.  With
+        ``explain=True`` returns ``(hits, ExplainReport)``.
         """
         measure = measure or self.config.measure
-        scores, shares_slot = self.column_scores(
-            [c for c in query.columns if not c.is_numeric], measure
-        )
+        text = query.text_columns()
+        span = self._slices.get(query.name) if by_ref else None
+        by_ref = span is not None
+        rows = None
+        if by_ref:
+            stored = {ref.index: r for r, ref in enumerate(self.refs[slice(*span)], span[0])}
+            rows = [stored.get(i) for i, _ in text]
+        TRACER.current().set("by_ref", by_ref)
+        scores, shares_slot = self.column_scores([c for _, c in text], measure, rows)
         names = sorted(
             {self.refs[j].table for j in np.flatnonzero(shares_slot)} - {query.name}
         )
@@ -189,7 +225,9 @@ class TableUnionSearch:
                 results.append(TableResult(name, total, alignment))
         out = sorted(results)[:k]
         if explain:
-            report = ExplainReport("tus", query=query.name, k=k, params={"measure": measure})
+            report = ExplainReport(
+                "tus", query=query.name, k=k, params={"measure": measure, "by_ref": by_ref}
+            )
             report.stage("tables_in_lake", len(self.lake.table_names()))
             report.stage("candidates", len(names))
             report.stage("positive", len(results))

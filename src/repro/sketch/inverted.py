@@ -4,8 +4,9 @@ The substrate for exact overlap search (JOSIE, §2.4), LSH Ensemble's exact
 containment verification and MATE's cell postings.  Built once from a list
 of token sets, whose positions are the key ids:
 
-* ``vocab`` maps a token to its id (ids in first-seen order; a set's
-  order follows string hashing, a ``dict``'s keys keep theirs);
+* ``vocab`` maps a token to its id (ids in first-seen order, or in sorted
+  token order with ``sort_tokens``; a set's order follows string
+  hashing, a ``dict``'s keys keep theirs);
 * ``posting_ids[offsets[t]:offsets[t + 1]]`` lists, ascending, the key ids whose
   set holds token ``t`` (its length is the token's document frequency);
 * ``set_tokens[set_offsets[i]:set_offsets[i + 1]]`` is key ``i``'s set as
@@ -25,10 +26,13 @@ from repro.obs import METRICS
 class InvertedIndex:
     """Maps tokens to the ids of the keys whose token set contains them."""
 
-    def __init__(self, sets: Iterable[Iterable[str]] = ()):
+    def __init__(self, sets: Iterable[Iterable[str]] = (), sort_tokens: bool = False):
         # A dict's keys are unique and ordered, so they are kept as given.
         sets = [s if isinstance(s, (frozenset, dict)) else frozenset(s) for s in sets]
-        self.vocab = vocab = dict(zip(dict.fromkeys(chain.from_iterable(sets)), count()))
+        tokens = dict.fromkeys(chain.from_iterable(sets))
+        if sort_tokens:
+            tokens = sorted(tokens)
+        self.vocab = vocab = dict(zip(tokens, count()))
         sizes = list(map(len, sets))
         self.set_offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         keys = np.repeat(np.arange(len(sets), dtype=np.int32), sizes)
@@ -77,6 +81,10 @@ class InvertedIndex:
         """Distinct-token count of an indexed key."""
         return int(self.set_offsets[key_id + 1] - self.set_offsets[key_id])
 
+    def row(self, key_id: int) -> np.ndarray:
+        """Key ``key_id``'s set as its sorted token ids (its forward row)."""
+        return self.set_tokens[self.set_offsets[key_id] : self.set_offsets[key_id + 1]]
+
     def token_sets(self) -> list[frozenset[str]]:
         """Every key's token set, by key id (one pass over the vocabulary)."""
         tokens = list(self.vocab)  # vocab ids are insertion positions
@@ -91,8 +99,7 @@ class InvertedIndex:
 
     def overlap(self, key_id: int, mask: np.ndarray) -> int:
         """Exact |Q ∩ X| of key ``key_id`` and the query whose mask is given."""
-        row = self.set_tokens[self.set_offsets[key_id] : self.set_offsets[key_id + 1]]
-        return int(np.count_nonzero(mask[row]))
+        return int(np.count_nonzero(mask[self.row(key_id)]))
 
     def overlaps(self, tokens: Iterable[str]) -> np.ndarray:
         """Exact overlap |Q ∩ X| of every key, by key id (full merge)."""

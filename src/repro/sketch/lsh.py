@@ -103,7 +103,8 @@ class MinHashLSH:
                 f"b*r = {self.b * self.r} exceeds num_perm = {num_perm}"
             )
         self._keys: list[Hashable] = []
-        self._key_set: set[Hashable] = set()
+        #: key -> its row of the signature matrix
+        self._rows: dict[Hashable, int] = {}
         self._sigs = np.empty((0, num_perm), dtype=np.uint64)
         self._pending: list[np.ndarray] = []  # stacked onto _sigs on query
 
@@ -111,7 +112,7 @@ class MinHashLSH:
         return len(self._keys)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._key_set
+        return key in self._rows
 
     def _matrix(self) -> np.ndarray:
         if self._pending:
@@ -122,11 +123,16 @@ class MinHashLSH:
     def insert(self, key: Hashable, mh: MinHash) -> None:
         """Add a keyed signature to the index."""
         check_num_perm(mh, self.num_perm)
-        if key in self._key_set:
+        if key in self._rows:
             raise IndexError_(f"duplicate key {key!r}")
+        self._rows[key] = len(self._keys)
         self._keys.append(key)
-        self._key_set.add(key)
         self._pending.append(mh.hashvalues.copy())
+
+    def signature(self, key: Hashable) -> MinHash | None:
+        """A copy of the stored signature of ``key`` (``None`` if absent)."""
+        row = self._rows.get(key)
+        return None if row is None else MinHash.from_hashvalues(self._matrix()[row])
 
     def _candidate_rows(self, mh: MinHash) -> tuple[np.ndarray, np.ndarray]:
         """Colliding rows and the match matrix they were banded on."""

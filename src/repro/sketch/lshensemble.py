@@ -69,6 +69,8 @@ class LSHEnsemble:
         # covers rows start:end and has upper cardinality bound `upper`
         # (no partitions until index()).
         self._keys: list[Hashable] = []
+        #: key -> its row of ``_sigs`` / ``_sizes``
+        self._rows: dict[Hashable, int] = {}
         self._sigs = np.empty((0, num_perm), dtype=np.uint64)
         self._sizes = np.empty(0, dtype=np.int64)
         self._partitions: list[tuple[int, int, int]] = []  # (start, end, upper)
@@ -83,11 +85,12 @@ class LSHEnsemble:
         entries = sorted(entries, key=lambda e: e[2])
         n = len(entries)
         keys = [key for key, _, _ in entries]
-        if len(set(keys)) != n:
+        rows = dict(zip(keys, range(n)))
+        if len(rows) != n:
             raise IndexError_("duplicate key in LSHEnsemble entries")
         for _, mh, _ in entries:
             check_num_perm(mh, self.num_perm)
-        self._keys = keys
+        self._keys, self._rows = keys, rows
         self._sigs = np.stack([mh.hashvalues for _, mh, _ in entries])
         self._sizes = np.array([size for _, _, size in entries], dtype=np.int64)
         parts = min(self.num_partitions, n)
@@ -98,6 +101,14 @@ class LSHEnsemble:
         ]
         METRICS.inc("index.lshensemble.keys_indexed", n)
         METRICS.set_gauge("index.lshensemble.partitions", len(self._partitions))
+
+    def entry(self, key: Hashable) -> tuple[MinHash, int] | None:
+        """The indexed ``(signature, set size)`` of ``key`` (a copy of its
+        stored row), or ``None`` if the key is not indexed."""
+        row = self._rows.get(key)
+        if row is None:
+            return None
+        return MinHash.from_hashvalues(self._sigs[row]), int(self._sizes[row])
 
     def choose_rows(self, j: float) -> int:
         """Pick r (b = num_perm//r) near threshold j (``_banding`` on one j)."""

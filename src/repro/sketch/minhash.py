@@ -42,6 +42,17 @@ class MinHash:
         mh.update_batch(values)
         return mh
 
+    @classmethod
+    def from_hashvalues(
+        cls, hashvalues: np.ndarray, seed: int = 1
+    ) -> "MinHash":
+        """A signature holding a copy of ``hashvalues`` (a stored row)."""
+        mh = cls.__new__(cls)
+        mh.num_perm, mh.seed = len(hashvalues), seed
+        mh.hashvalues = np.array(hashvalues, dtype=np.uint64)
+        mh._size = 0
+        return mh
+
     def update(self, token: str) -> None:
         self.update_batch([token])
 
