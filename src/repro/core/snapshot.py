@@ -81,8 +81,10 @@ log = get_logger("core.snapshot")
 #: Jaccard MinHash LSH map each key to its signature row, Starmie maps
 #: each table to its columns' matrix rows, and PEXESO holds one boolean
 #: CSR column-membership matrix (plus a ref -> row map) instead of an id
-#: array and segment starts.
-FORMAT_VERSION = 14
+#: array and segment starts.  Version 15: QCR maps each sketch to an
+#: int32 table id, and SANTOS holds a table x class membership matrix and
+#: a table x relationship-pair support matrix besides its semantics.
+FORMAT_VERSION = 15
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

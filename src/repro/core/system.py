@@ -502,7 +502,6 @@ class DiscoverySystem:
                     f"engine {name!r} cannot serve this request: "
                     "missing query input"
                 )
-            self._check_columns(request)
             hits, report = engine.query(request)
             q.finish(hits, report)
         return (hits, report) if request.explain else hits
@@ -510,19 +509,26 @@ class DiscoverySystem:
     @staticmethod
     def _check_columns(request: QueryRequest) -> None:
         """Column indexes in ``request`` must be integers (not bools) that
-        address ``request.table``."""
-        if request.table is None:
-            return
+        address ``request.table``; they are stored back as plain ints, so
+        a numpy integer never reaches an engine, a report or the log."""
         width = request.table.num_cols
-        # key_column/value_column are None when unused; key_columns items
-        # never are.
-        scalars = (request.key_column, request.value_column)
-        for i in (*(request.key_columns or ()), *(c for c in scalars if c is not None)):
-            if not 0 <= _column_index(i) < width:
+
+        def check(i) -> int:
+            index = _column_index(i)
+            if not 0 <= index < width:
                 raise LakeError(
                     f"column {i} outside table {request.table.name!r} "
                     f"({width} columns)"
                 )
+            return index
+
+        if request.key_columns is not None:
+            request.key_columns = tuple(map(check, request.key_columns))
+        # key_column/value_column are None when unused.
+        if request.key_column is not None:
+            request.key_column = check(request.key_column)
+        if request.value_column is not None:
+            request.value_column = check(request.value_column)
 
     def _resolve(
         self, query, label: str = "query"
@@ -580,10 +586,12 @@ class DiscoverySystem:
         return request, query_repr
 
     def _table_request(self, query: Table | str, **fields) -> QueryRequest:
-        """The request for a table given by name or by value."""
+        """The request for a table given by name or by value, its column
+        indexes checked."""
         table, _, address = self._resolve(query)
         request = QueryRequest(table=table, **fields)
         request.address = address
+        self._check_columns(request)
         return request
 
     # -- online: table search engine ---------------------------------------------------
@@ -653,16 +661,15 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        key_columns = tuple(key_columns)
         request = self._table_request(
-            query, key_columns=key_columns, k=k, explain=explain
+            query, key_columns=tuple(key_columns), k=k, explain=explain
         )
         return self._query(
             "mate",
             request,
             "multi_attribute",
-            f"{request.table.name}{list(key_columns)}",
-            key_columns=key_columns,
+            f"{request.table.name}{list(request.key_columns)}",
+            key_columns=request.key_columns,
         )
 
     def unionable_search(
@@ -711,7 +718,7 @@ class DiscoverySystem:
             "qcr",
             request,
             "correlated",
-            f"{name}[{key_column},{value_column}]",
+            f"{name}[{request.key_column},{request.value_column}]",
             table=name,
         )
 

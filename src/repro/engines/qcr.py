@@ -44,6 +44,7 @@ class QcrEngine(Engine):
                 request.value_column,
                 request.k,
                 explain=request.explain,
+                by_ref=request.table_ref is not None,
             ),
             request.explain,
         )

@@ -49,11 +49,13 @@ class CorrelatedSearch:
     """Columnar sketch index for joinable-and-correlated column search.
 
     Sketch ``s`` covers the (table, key column, value column) pair
-    ``keys[s]``.  Each row of the store is one sample: key hash
-    ``hashes[i]``, value ``values[i]``, owned by sketch ``sketch_of[i]``.
-    Rows are sorted by hash (ties by sketch), so every sketch's samples are
-    in ascending hash order and one binary search per query hash finds the
-    matching samples of all sketches at once.
+    ``keys[s]`` of table ``table_of[s]``, an id in ``table_ids``; a
+    table's sketches are contiguous in ``keys``.  Each row of the store is
+    one sample: key hash ``hashes[i]``, value ``values[i]``, owned by
+    sketch ``sketch_of[i]``.  Rows are sorted by hash (ties by sketch), so
+    every sketch's samples are in ascending hash order and one binary
+    search per query hash finds the matching samples of all sketches at
+    once.
     """
 
     def __init__(self, sketch_size: int = 256):
@@ -61,6 +63,8 @@ class CorrelatedSearch:
             raise ValueError("sketch size must be >= 4")
         self.sketch_size = sketch_size
         self.keys: list[tuple[str, int, int]] = []
+        self.table_ids: dict[str, int] = {}
+        self.table_of = np.zeros(0, dtype=np.int32)
         self.hashes = np.zeros(0, dtype=np.uint64)
         self.values = np.zeros(0, dtype=np.float64)
         self.sketch_of = np.zeros(0, dtype=np.int32)
@@ -86,6 +90,13 @@ class CorrelatedSearch:
                         hashes.append(h)
                         values.append(v)
         self.keys = keys
+        names = dict.fromkeys(name for name, _, _ in keys)
+        self.table_ids = {name: i for i, name in enumerate(names)}
+        self.table_of = np.fromiter(
+            (self.table_ids[name] for name, _, _ in keys),
+            dtype=np.int32,
+            count=len(keys),
+        )
         if keys:
             sketch_of = np.repeat(
                 np.arange(len(keys), dtype=np.int32), [h.size for h in hashes]
@@ -120,14 +131,32 @@ class CorrelatedSearch:
         k: int = 10,
         min_containment: float = 0.3,
         explain: bool = False,
+        by_ref: bool = False,
     ):
         """Top-k candidate columns by estimated post-join |correlation|.
 
+        ``by_ref`` says ``query`` is the indexed lake table of that name:
+        the sketch stored for ``(query.name, key_column, value_column)``
+        is then the query's sample, and nothing is hashed.  Without such
+        a sketch (or ``by_ref``) the query is sketched from its cells.
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        key_hash, present = _key_column(query.columns[key_column].values)
-        nums = query.columns[value_column].numeric_values()
-        qh, qv = bottom_n(key_hash[present], nums[present], self.sketch_size)
+        table_id = self.table_ids.get(query.name, -1)
+        stored = (
+            self._stored_sketch(table_id, key_column, value_column)
+            if by_ref
+            else None
+        )
+        by_ref = stored is not None
+        if by_ref:
+            # bottom_n's hashes are distinct and ascending, and the store
+            # keeps each sketch's rows in hash order: they are its sample.
+            own = np.flatnonzero(self.sketch_of == stored)
+            qh, qv = self.hashes[own], self.values[own]
+        else:
+            key_hash, present = _key_column(query.columns[key_column].values)
+            nums = query.columns[value_column].numeric_values()
+            qh, qv = bottom_n(key_hash[present], nums[present], self.sketch_size)
         size = len(self.keys)
         # The rows holding query hash j are lo[j]:lo[j] + counts[j]; listing
         # them for j ascending keeps each sketch's matches in hash order,
@@ -141,11 +170,7 @@ class CorrelatedSearch:
         sketch = self.sketch_of[rows]
         shared = np.bincount(sketch, minlength=size)
         containment = shared / qh.size if qh.size else np.zeros(size)
-        other = np.fromiter(
-            (name != query.name for name, _, _ in self.keys),
-            dtype=bool,
-            count=size,
-        )
+        other = self.table_of != table_id
         passed = other & (containment >= min_containment)
         keep = passed[sketch]
         r = _grouped_pearson(
@@ -162,6 +187,7 @@ class CorrelatedSearch:
         METRICS.inc("search.qcr.sketches_compared", compared)
         METRICS.inc("search.qcr.pruned_by_containment", pruned)
         sp = TRACER.current()
+        sp.set("by_ref", by_ref)
         sp.set("qcr.sketches_compared", compared)
         sp.set("qcr.pruned_by_containment", pruned)
         out = sorted(hits)[:k]
@@ -173,6 +199,7 @@ class CorrelatedSearch:
                 params={
                     "min_containment": min_containment,
                     "sketch_size": self.sketch_size,
+                    "by_ref": by_ref,
                 },
             )
             report.stage("sketches_indexed", size)
@@ -182,6 +209,18 @@ class CorrelatedSearch:
             report.results = summarize_results(out)
             return out, report
         return out
+
+    def _stored_sketch(
+        self, table_id: int, key_column: int, value_column: int
+    ) -> int | None:
+        """The sketch id of ``(table, key_column, value_column)``, if built."""
+        if table_id < 0:
+            return None
+        lo, hi = np.searchsorted(self.table_of, [table_id, table_id + 1]).tolist()
+        for s in range(lo, hi):
+            if self.keys[s][1:] == (key_column, value_column):
+                return s
+        return None
 
 
 def _key_column(

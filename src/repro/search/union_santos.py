@@ -13,7 +13,10 @@ the fact pairing score low even when their class pairing matches.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
@@ -43,7 +46,15 @@ class _TableSemantics:
 
 
 class SantosUnionSearch:
-    """Relationship-aware unionable table search."""
+    """Relationship-aware unionable table search.
+
+    Besides each table's semantics (``_semantics``), the build stores them
+    as arrays with one row per table, tables in name order (``_names``):
+    ``_class_matrix`` (bool, tables x ``_classes``) says which classes a
+    table's columns carry, and ``_support_matrix`` (float64, tables x
+    ``_pairs``) holds its relationship support, 0.0 where it has none.
+    Both vocabularies are sorted, the order of ``relationship_support``.
+    """
 
     def __init__(
         self,
@@ -58,6 +69,11 @@ class SantosUnionSearch:
         self.use_synthesized_kb = use_synthesized_kb
         self._synth: Ontology | None = None
         self._semantics: dict[str, _TableSemantics] = {}
+        self._names: list[str] = []
+        self._classes: dict[str, int] = {}
+        self._pairs: dict[tuple[str, str], int] = {}
+        self._class_matrix = np.zeros((0, 0), dtype=bool)
+        self._support_matrix = np.zeros((0, 0))
         self._built = False
 
     # -- offline -------------------------------------------------------------------
@@ -69,6 +85,18 @@ class SantosUnionSearch:
             )
         for table in self.lake:
             self._semantics[table.name] = self._table_semantics(table)
+        self._names = sorted(self._semantics)
+        sems = [self._semantics[name] for name in self._names]
+        classes = sorted({c for sem in sems for c in sem.classes})
+        pairs = sorted({p for sem in sems for p, _ in sem.relationship_support})
+        self._classes = {c: i for i, c in enumerate(classes)}
+        self._pairs = {p: i for i, p in enumerate(pairs)}
+        self._class_matrix = np.zeros((len(sems), len(classes)), dtype=bool)
+        self._support_matrix = np.zeros((len(sems), len(pairs)))
+        for row, sem in enumerate(sems):
+            self._class_matrix[row, [self._classes[c] for c in sem.classes]] = True
+            for pair, support in sem.relationship_support:
+                self._support_matrix[row, self._pairs[pair]] = support
         self._built = True
         return self
 
@@ -121,7 +149,10 @@ class SantosUnionSearch:
     # -- online ----------------------------------------------------------------------
 
     def score(self, query_sem: _TableSemantics, cand_sem: _TableSemantics) -> float:
-        """Intent-match score: relationship support overlap + class overlap."""
+        """Intent-match score: relationship support overlap + class overlap.
+
+        The reference for :meth:`_scores`, which computes it for every
+        indexed table at once."""
         w = self.config.relationship_weight
         q_rel = dict(query_sem.relationship_support)
         c_rel = dict(cand_sem.relationship_support)
@@ -139,6 +170,32 @@ class SantosUnionSearch:
             cls_score = len(query_sem.classes & cand_sem.classes) / len(
                 query_sem.classes
             )
+        return w * rel_score + (1 - w) * cls_score
+
+    def _scores(self, query_sem: _TableSemantics) -> np.ndarray:
+        """:meth:`score` of ``query_sem`` against every indexed table, row
+        for row of ``_names``, with the same float operations in the same
+        order (a pair or class the lake lacks adds nothing)."""
+        w = self.config.relationship_weight
+        n = len(self._names)
+        rel_score = np.zeros(n)
+        if query_sem.relationship_support:
+            matched = np.zeros(n)
+            strong = [
+                (pair, q_sup)
+                for pair, q_sup in query_sem.relationship_support
+                if q_sup >= 0.3  # weak intent edges don't define the query
+            ]
+            for pair, q_sup in strong:
+                col = self._pairs.get(pair)
+                if col is not None:
+                    matched += np.minimum(q_sup, self._support_matrix[:, col])
+            rel_score = matched / (sum(s for _, s in strong) or 1.0)
+        cls_score = np.zeros(n)
+        if query_sem.classes:
+            cols = [self._classes[c] for c in query_sem.classes if c in self._classes]
+            shared = self._class_matrix[:, cols].sum(axis=1)
+            cls_score = shared / len(query_sem.classes)
         return w * rel_score + (1 - w) * cls_score
 
     def search(
@@ -159,14 +216,18 @@ class SantosUnionSearch:
         TRACER.current().set("by_ref", by_ref)
         if query_sem is None:
             query_sem = self._table_semantics(query)
-        results = []
-        for name, cand_sem in self._semantics.items():
-            if name == query.name:
-                continue
-            s = self.score(query_sem, cand_sem)
-            if s > 0:
-                results.append(TableResult(name, s))
-        hits = sorted(results)[:k]
+        scores = self._scores(query_sem)
+        own = bisect.bisect_left(self._names, query.name)
+        if own < len(self._names) and self._names[own] == query.name:
+            scores[own] = 0.0
+        # Rows are in name order, so a stable sort on -score ranks ties by
+        # name, as TableResult does.
+        cand = np.flatnonzero(scores > 0)
+        top = cand[np.argsort(-scores[cand], kind="stable")[:k]].tolist()
+        hits = [
+            TableResult(self._names[i], s)
+            for i, s in zip(top, scores[top].tolist())
+        ]
         if explain:
             report = ExplainReport("santos", query=query.name, k=k, params={"by_ref": by_ref})
             report.stage("returned", len(hits))

@@ -18,9 +18,10 @@ from repro.core.config import DiscoveryConfig
 from repro.core.engine import QueryRequest
 from repro.core.errors import ConfigError, LakeError
 from repro.core.system import STAGES, UNION_METHODS, DiscoverySystem
-from repro.datalake.generate import make_union_corpus
+from repro.datalake.generate import make_join_corpus, make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef, Table
+from repro.search.joinable import JoinableSearch, JoinSearchConfig
 
 COLUMN_ENGINES = ("josie", "lshensemble", "jaccard_lsh", "pexeso")
 TABLE_ENGINES = ("tus", "starmie", "santos")
@@ -40,22 +41,43 @@ def _corpus(seed: int):
     return make_union_corpus(n_groups=2, tables_per_group=3, rows_per_table=20, seed=seed)
 
 
-@functools.lru_cache(maxsize=12)
-def _system(seed: int, mode: str) -> DiscoverySystem:
-    """Every engine built over a small union lake: live, or reloaded from a
-    snapshot with the caller's lake (``reload_lake``) or its own."""
-    corpus = _corpus(seed)
-    config = DiscoveryConfig(enable_embeddings=True, embedding_min_count=1)
-    system = DiscoverySystem(corpus.lake, config, ontology=corpus.ontology).build()
+@functools.lru_cache(maxsize=4)
+def _join_corpus(seed: int):
+    return make_join_corpus(n_tables=24, n_queries=2, base_size=300, seed=seed)
+
+
+def _reloaded(system: DiscoverySystem, mode: str, ontology=None) -> DiscoverySystem:
+    """``system`` itself (``live``), or reloaded from a snapshot with the
+    caller's lake (``reload_lake``) or its own."""
     if mode == "live":
         return system
     with tempfile.TemporaryDirectory() as snap:
         system.save(snap)
         if mode == "reload_lake":
             return DiscoverySystem.load(
-                snap, lake=corpus.lake, config=config, ontology=corpus.ontology
+                snap, lake=system.lake, config=system.config, ontology=ontology
             )
         return DiscoverySystem.load(snap)
+
+
+@functools.lru_cache(maxsize=12)
+def _system(seed: int, mode: str) -> DiscoverySystem:
+    """Every engine built over a small union lake, live or reloaded."""
+    if mode != "live":
+        return _reloaded(_system(seed, "live"), mode, _corpus(seed).ontology)
+    corpus = _corpus(seed)
+    config = DiscoveryConfig(enable_embeddings=True, embedding_min_count=1)
+    return DiscoverySystem(corpus.lake, config, ontology=corpus.ontology).build()
+
+
+@functools.lru_cache(maxsize=12)
+def _join_system(seed: int, mode: str) -> DiscoverySystem:
+    """Every engine that builds without embeddings or an ontology, over a
+    small join lake (text keys and a numeric column), live or reloaded."""
+    if mode != "live":
+        return _reloaded(_join_system(seed, "live"), mode)
+    config = DiscoveryConfig(enable_embeddings=False)
+    return DiscoverySystem(_join_corpus(seed).lake, config).build()
 
 
 def _engine_query(system, engine: str, **fields):
@@ -151,6 +173,30 @@ class TestByReferenceEqualsByCopy:
             assert [h.sources for h in hits] == [h.sources for h in copy_hits]
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.sampled_from([1, 4]),
+        mode=st.sampled_from(MODES),
+        pick=st.integers(0, 10_000),
+        key=st.integers(0, 2),
+        value=st.integers(0, 2),
+        k=st.integers(1, 8),
+    )
+    def test_correlated(self, seed, mode, pick, key, value, k):
+        """Pairs with a stored sketch (text key, numeric value) and pairs
+        without one, which every side serves by value."""
+        system = _join_system(seed, mode)
+        names = system.lake.table_names()
+        name = names[pick % len(names)]
+        table = system.lake.table(name)
+        copy_side = system.correlated_search(_copy_table(table), key, value, k=k, explain=True)
+        for query in (name, table):
+            _same(
+                system.correlated_search(query, key, value, k=k, explain=True),
+                copy_side,
+            )
+
+
 class TestByReferencePath:
     """Addresses reach the stored rows; copies never do."""
 
@@ -204,6 +250,48 @@ class TestByReferencePath:
         assert calls == []
         system.unionable_search(_copy_table(system.lake.table(name)), method="tus")
         assert calls
+
+    def test_qcr_hashes_nothing_for_an_indexed_table(self, monkeypatch):
+        import repro.sketch.qcr as qcr
+
+        system = _join_system(1, "live")
+        name = system.lake.table_names()[0]
+        calls = []
+        original = qcr.stable_hash64
+        monkeypatch.setattr(
+            qcr, "stable_hash64", lambda *a: calls.append(1) or original(*a)
+        )
+        for query in (name, system.lake.table(name)):
+            _, report = system.correlated_search(query, 0, 2, explain=True)
+            assert report.params["by_ref"] is True
+        assert calls == []
+        _, report = system.correlated_search(
+            _copy_table(system.lake.table(name)), 0, 2, explain=True
+        )
+        assert report.params["by_ref"] is False
+        assert calls
+
+    def test_qcr_pair_without_a_sketch_takes_the_value_path(self):
+        """Column 2 is numeric: no sketch is keyed on it."""
+        system = _join_system(1, "live")
+        name = system.lake.table_names()[0]
+        _, report = system.correlated_search(name, 2, 0, explain=True)
+        assert report.params["by_ref"] is False
+
+    def test_qcr_innermost_span_says_by_ref(self):
+        system = _join_system(1, "live")
+        name = system.lake.table_names()[0]
+        was_enabled = obs.TRACER.enabled
+        obs.TRACER.enable()
+        obs.TRACER.reset()
+        try:
+            system.correlated_search(name, 0, 2)
+            system.correlated_search(_copy_table(system.lake.table(name)), 0, 2)
+            spans = [s for s in obs.TRACER.spans() if s.name == "query.correlated"]
+        finally:
+            if not was_enabled:
+                obs.TRACER.disable()
+        assert [s.attrs["by_ref"] for s in spans[-2:]] == [True, False]
 
     def test_unindexed_column_takes_the_value_path(self):
         """A numeric column and a one-value column are addresses that no
@@ -283,3 +371,126 @@ class TestUnionFacadeProperty:
         assert len(hits) <= k
         assert hits == sorted(hits)
         assert all(h.table != name for h in hits)
+
+
+class TestCorrelatedFacadeProperty:
+    """``correlated_search`` on small generated join lakes, live and
+    reloaded."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.sampled_from([1, 4]),
+        mode=st.sampled_from(MODES),
+        pick=st.integers(0, 10_000),
+        key=st.integers(0, 2),
+        value=st.integers(0, 2),
+        k=st.integers(1, 8),
+    )
+    def test_hits_bounded_sorted_and_never_the_query(self, seed, mode, pick, key, value, k):
+        system = _join_system(seed, mode)
+        names = system.lake.table_names()
+        name = names[pick % len(names)]
+        hits = system.correlated_search(name, key, value, k=k)
+        assert len(hits) <= k
+        assert hits == sorted(hits)
+        assert [(-abs(h.correlation), h.table) for h in hits] == sorted(
+            (-abs(h.correlation), h.table) for h in hits
+        )
+        assert all(h.table != name for h in hits)
+
+
+def _every_engine(system: DiscoverySystem, name: str, pick: int) -> dict:
+    """One facade answer per built search engine for table ``name``, plus
+    federated ``search()`` by table and by column."""
+    table = system.lake.table(name)
+    width = table.num_cols
+    ref = ColumnRef(name, pick % width)
+
+    def jaccard_lsh():
+        request = QueryRequest(column=system.lake.column(ref), exclude_table=name)
+        request.address = ref
+        return system.engines["jaccard_lsh"].query(request)
+
+    calls = {
+        "keyword": lambda: system.keyword_search(table.columns[0].name),
+        "josie": lambda: system.joinable_search(ref, method="exact"),
+        "lshensemble": lambda: system.joinable_search(ref, method="containment"),
+        "jaccard_lsh": jaccard_lsh,
+        "pexeso": lambda: system.fuzzy_joinable_search(ref),
+        "mate": lambda: system.multi_attribute_search(name, sorted({0, pick % width})),
+        "qcr": lambda: system.correlated_search(name, ref.index, (ref.index + 2) % width),
+        "tus": lambda: system.unionable_search(name, method="tus"),
+        "starmie": lambda: system.unionable_search(name, method="starmie"),
+        "santos": lambda: system.unionable_search(name, method="santos"),
+    }
+    answers = {
+        engine.name: calls[engine.name]()
+        for engine in system.engines.values()
+        if engine.category == "search" and engine.is_built()
+    }
+    answers["search"] = system.search(name)
+    answers["search_column"] = system.search(ref)
+    return answers
+
+
+class TestSnapshotRoundTripProperty:
+    """A reloaded system answers every built engine and ``search()``
+    exactly as the live one, on union and join lakes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lake=st.sampled_from(["union", "join"]),
+        seed=st.sampled_from([1, 4]),
+        mode=st.sampled_from(["reload_lake", "reload_own"]),
+        pick=st.integers(0, 10_000),
+    )
+    def test_identical_results(self, lake, seed, mode, pick):
+        system = _system if lake == "union" else _join_system
+        live, loaded = system(seed, "live"), system(seed, mode)
+        names = live.lake.table_names()
+        name = names[pick % len(names)]
+        want, got = _every_engine(live, name, pick), _every_engine(loaded, name, pick)
+        assert got == want
+        for federated in ("search", "search_column"):
+            assert [h.sources for h in got[federated]] == [h.sources for h in want[federated]]
+        if lake == "union":
+            assert {"santos", "tus", "starmie", "pexeso"} <= set(want)
+        else:
+            assert "qcr" in want
+
+
+class TestJosieFacadeEqualsExactTopk:
+    """``joinable_search(method="exact")`` equals a standalone
+    ``JoinableSearch.exact_topk`` over the same lake, for a ColumnRef
+    (its table excluded), the lake's own Column and a copy."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lake=st.sampled_from(["union", "join"]),
+        seed=st.sampled_from([1, 4]),
+        mode=st.sampled_from(MODES),
+        pick=st.integers(0, 10_000),
+        k=st.integers(1, 8),
+    )
+    def test_equal(self, lake, seed, mode, pick, k):
+        system = (_system if lake == "union" else _join_system)(seed, mode)
+        reference = _reference_join_search(lake, seed)
+        refs = [ref for ref, _ in system.lake.iter_columns()]
+        ref = refs[pick % len(refs)]
+        column = system.lake.column(ref)
+        copy = _copy_column(column)
+        assert system.joinable_search(ref, k=k) == reference.exact_topk(
+            copy, k, exclude_table=ref.table
+        )
+        want = reference.exact_topk(copy, k)
+        assert system.joinable_search(column, k=k) == want
+        assert system.joinable_search(copy, k=k) == want
+
+
+@functools.lru_cache(maxsize=4)
+def _reference_join_search(lake: str, seed: int) -> JoinableSearch:
+    system = (_system if lake == "union" else _join_system)(seed, "live")
+    config = JoinSearchConfig(
+        num_perm=system.config.num_perm, num_partitions=system.config.num_partitions
+    )
+    return JoinableSearch(system.lake, config).build()

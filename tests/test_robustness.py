@@ -218,6 +218,23 @@ class TestQueryValidation:
             "normal", np.int32(0), np.int64(1)
         ) == system.correlated_search("normal", 0, 1)
 
+    def test_numpy_column_indexes_reported_as_ints(self, system):
+        """EXPLAIN params and the query log show plain ints, not
+        ``np.int64(0)``."""
+        from repro import obs
+
+        table = system.lake.table("normal")
+        _, report = system.multi_attribute_search(
+            table, [np.int64(0)], explain=True
+        )
+        assert report.params["key_columns"] == "[0]"
+        assert obs.QUERY_LOG.records()[-1].query == "normal[0]"
+        _, report = system.correlated_search(
+            "normal", np.int32(0), np.int64(1), explain=True
+        )
+        assert report.query == "normal[0,1]"
+        assert obs.QUERY_LOG.records()[-1].query == "normal[0,1]"
+
     @pytest.mark.parametrize(
         "threshold", [0.0, -1.0, 1.5, float("nan"), float("inf"), True, "0.5"]
     )

@@ -1,10 +1,17 @@
 """Tests for SANTOS relationship-aware union search."""
 
+import functools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.metrics import precision_at_k
 from repro.datalake.generate import make_relationship_corpus, make_union_corpus
+from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
+from repro.datalake.table import Column, Table
+from repro.search.results import TableResult
 from repro.search.union_santos import (
     ColumnOnlySantosBaseline,
     SantosUnionSearch,
@@ -223,3 +230,121 @@ class TestOldLookupPathEquivalence:
         assert any(v > 0 for v in support) == (corpus.ontology.num_facts() > 0)
         for table in corpus.lake:
             assert new.search(table, k=10) == old.search(table, k=10)
+
+
+def _reference_search(santos, query, k, by_ref):
+    """The per-candidate loop over ``score()`` that ``search()`` replaces."""
+    query_sem = santos._semantics.get(query.name) if by_ref else None
+    if query_sem is None:
+        query_sem = santos._table_semantics(query)
+    results = []
+    for name, cand_sem in santos._semantics.items():
+        if name == query.name:
+            continue
+        s = santos.score(query_sem, cand_sem)
+        if s > 0:
+            results.append(TableResult(name, s))
+    return sorted(results)[:k]
+
+
+GENERATED = {
+    "union": lambda seed: make_union_corpus(
+        n_groups=3, tables_per_group=3, rows_per_table=20, seed=seed
+    ),
+    "relationship": lambda seed: make_relationship_corpus(
+        n_queries=2, positives_per_query=3, confounders_per_query=3, seed=seed
+    ),
+}
+
+
+@functools.lru_cache(maxsize=8)
+def _generated(kind, seed):
+    return GENERATED[kind](seed)
+
+
+def _group(name):
+    """A generated table's group: ``g00`` of ``union_g00_t01``, ``00`` of
+    ``relpos_00_01``."""
+    return name.split("_")[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _generated_index(kind, seed, hold_out, baseline):
+    """SANTOS over a generated lake; ``hold_out`` leaves the first group's
+    tables out of the index, so their classes and pairs may be unknown."""
+    corpus = _generated(kind, seed)
+    first = _group(corpus.lake.table_names()[0])
+    lake = DataLake(
+        [t for t in corpus.lake if not (hold_out and _group(t.name) == first)]
+    )
+    cls = ColumnOnlySantosBaseline if baseline else SantosUnionSearch
+    return cls(lake, corpus.ontology).build()
+
+
+def _mixed_query(first, second, rotate):
+    """The columns of ``first`` then those of ``second``, cut to the
+    shorter table's rows, with the first ``rotate`` cells of column 1
+    rotated by one row: classes come from two tables, and broken fact
+    pairs put relationship support strictly between 0 and 1."""
+    n = min(first.num_rows, second.num_rows)
+    columns = [
+        Column(c.name, list(c.values[:n])) for c in (*first.columns, *second.columns)
+    ]
+    values = columns[1].values
+    if rotate:
+        values[:rotate] = values[1:rotate] + values[:1]
+    return Table("mixed_query", columns)
+
+
+class TestArrayPassEqualsScoreLoop:
+    """``search()`` scores every candidate in one array pass; its hits and
+    scores equal the per-candidate ``score()`` ranking bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(GENERATED)),
+        seed=st.sampled_from([3, 7]),
+        hold_out=st.booleans(),
+        baseline=st.booleans(),
+        form=st.sampled_from(["lake", "copy", "renamed", "mixed"]),
+        pick=st.integers(0, 10_000),
+        other=st.integers(0, 10_000),
+        rotate=st.integers(0, 50),
+        k=st.sampled_from([1, 3, 10, 1000]),
+    )
+    # relq_00's columns, then relq_01's: its one fact pair keeps a support
+    # of 40/50 (weaker than its candidates') and 15/50, exactly the strong
+    # edge threshold.
+    @example("relationship", 3, False, False, "mixed", 0, 7, 10, 10)
+    @example("relationship", 3, False, False, "mixed", 0, 7, 35, 10)
+    def test_equal(self, kind, seed, hold_out, baseline, form, pick, other, rotate, k):
+        santos = _generated_index(kind, seed, hold_out, baseline)
+        lake = _generated(kind, seed).lake
+        names = lake.table_names()
+        table = lake.table(names[pick % len(names)])
+        query = table
+        if form == "mixed":
+            query = _mixed_query(table, lake.table(names[other % len(names)]), rotate)
+        elif form != "lake":
+            name = table.name if form == "copy" else "fresh_query"
+            query = Table(name, [Column(c.name, list(c.values)) for c in table.columns])
+        by_ref = form == "lake"
+        hits, report = santos.search(query, k=k, explain=True, by_ref=by_ref)
+        assert hits == _reference_search(santos, query, k, by_ref)
+        assert report.params["by_ref"] is (by_ref and table.name in santos._semantics)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATED))
+    def test_held_out_groups_bring_unknown_classes_and_pairs(self, kind):
+        """What the property above draws covers the array pass's skips: a
+        held-out table with a class and a strong pair the index lacks."""
+        santos = _generated_index(kind, 3, True, False)
+        lake = _generated(kind, 3).lake
+        held_out = [t for t in lake if t.name not in santos._semantics]
+        sems = [santos._table_semantics(t) for t in held_out]
+        assert any(c not in santos._classes for sem in sems for c in sem.classes)
+        if kind == "relationship":
+            assert any(
+                pair not in santos._pairs and support >= 0.3
+                for sem in sems
+                for pair, support in sem.relationship_support
+            )
