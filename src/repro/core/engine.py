@@ -33,7 +33,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator
 
 from repro.core.errors import ConfigError, LakeError
 
@@ -117,13 +117,10 @@ class FederatedHit:
 
 class EngineContext:
     """What an engine sees at build / restore time: the owning system's
-    lake, config, ontology, and understanding outputs, plus a memo for
-    structures co-owned by several engines (the three join engines share
-    one :class:`~repro.search.joinable.JoinableSearch`)."""
+    lake, config, ontology, and the foundation stages' outputs."""
 
     def __init__(self, system: "DiscoverySystem"):
         self.system = system
-        self._shared: dict[str, Any] = {}
 
     # Convenience views over the owning system -------------------------------
     @property
@@ -150,19 +147,11 @@ class EngineContext:
     def annotations(self):
         return self.system.annotations
 
-    def shared(self, key: str, factory: Callable[[], Any]) -> Any:
-        """Build-or-get a structure shared by several engines of one stage.
-
-        The first engine of the stage to ask pays for the build; the rest
-        reuse it.  Stages run single-threaded, so no locking is needed
-        beyond the per-stage serialization the DAG already provides.
-        """
-        if key not in self._shared:
-            self._shared[key] = factory()
-        return self._shared[key]
-
-    def reset_shared(self) -> None:
-        self._shared.clear()
+    @property
+    def column_sets(self):
+        """The join columns' token sets and signatures (the
+        ``column_sets`` foundation's :class:`~repro.search.joinable.ColumnSets`)."""
+        return self.system.foundations["column_sets"].raw
 
 
 class Engine(ABC):

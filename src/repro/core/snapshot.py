@@ -15,9 +15,9 @@ snapshot is a directory with two files:
     per-engine payload for every registered engine (plus the foundation
     stages' shared outputs), each produced by that engine's
     ``to_payload()``.  Everything is dumped together so shared objects
-    (the embedding space referenced by several indexes, the single
-    ``JoinableSearch`` behind the three join engines) stay shared on
-    reload via pickle's memo.
+    (the embedding space referenced by several indexes, the
+    ``column_sets`` store and signature rows the three join engines read)
+    stay shared on reload via pickle's memo.
 
 ``load()`` refuses to serve anything it cannot prove matches: a format
 version this code does not read, a payload whose checksum disagrees with
@@ -84,7 +84,11 @@ log = get_logger("core.snapshot")
 #: array and segment starts.  Version 15: QCR maps each sketch to an
 #: int32 table id, and SANTOS holds a table x class membership matrix and
 #: a table x relationship-pair support matrix besides its semantics.
-FORMAT_VERSION = 15
+#: Version 16: the ``column_sets`` foundation holds JOSIE's store and the
+#: lake-order signature rows; JOSIE's payload is that object, and LSH
+#: Ensemble and the Jaccard LSH each hold only their own index (the
+#: Jaccard LSH's matrix is the foundation's rows, not a copy).
+FORMAT_VERSION = 16
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

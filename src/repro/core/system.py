@@ -261,7 +261,6 @@ class DiscoverySystem:
         METRICS.set_gauge("lake.tables", self.stats.tables)
         METRICS.set_gauge("lake.columns", self.stats.columns)
 
-        self.engine_context.reset_shared()
         build_ms: dict[str, float] = {}
         graph = self._stage_graph(skip, build_ms)
         with TRACER.span(

@@ -8,10 +8,12 @@ federated dispatcher and introspectable like every other engine.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.core.engine import QueryRequest, register_engine
+from repro.core.engine import EngineContext, QueryRequest, register_engine
 from repro.engines.join_base import JoinIndexEngine
+from repro.obs import TRACER
+from repro.search.results import ColumnResult
+from repro.sketch.lsh import MinHashLSH
+from repro.sketch.minhash import MinHash
 
 
 @register_engine
@@ -20,17 +22,29 @@ class JaccardLshEngine(JoinIndexEngine):
 
     name = "jaccard_lsh"
     kind = "banded-lsh"
-    items_key = "keys"
 
-    def memory_object(self) -> Any:
-        return self.raw.jaccard_lsh
+    def build(self, ctx: EngineContext) -> None:
+        """Band the foundation's signature rows as they are (no copy)."""
+        self.ctx = ctx
+        sets = ctx.column_sets
+        self.raw = MinHashLSH(num_perm=sets.config.num_perm)
+        self.raw.insert_rows(sets.refs, sets.sigs)
 
     def query(self, request: QueryRequest):
-        hits = sorted(
-            self.raw.jaccard_baseline(
-                request.column,
-                exclude_table=request.exclude_table,
-                ref=request.column_ref,
+        """Columns whose estimated Jaccard with the query reaches the
+        index threshold, best first, the top k kept."""
+        ref = request.column_ref
+        mh = None if ref is None else self.raw.signature(ref)
+        TRACER.current().set("by_ref", mh is not None)
+        if mh is None:
+            mh = MinHash.from_values(
+                request.column.value_set(), num_perm=self.raw.num_perm
             )
-        )[: request.k]
-        return hits, None
+        exclude_table = request.exclude_table
+        # query_verified ranks by (-score, str(key)): ColumnResult order.
+        hits = [
+            ColumnResult(cand, score)
+            for cand, score in self.raw.query_verified(mh)
+            if exclude_table is None or cand.table != exclude_table
+        ]
+        return hits[: request.k], None

@@ -1,45 +1,44 @@
-"""Shared base for the three join engines (JOSIE, LSH Ensemble, and the
-Jaccard-LSH baseline).
+"""The join side's foundation and the base of its three engines (§2.4).
 
-All three are views over one :class:`~repro.search.joinable.JoinableSearch`
-— a single pass over the lake's text columns builds the JOSIE sets, the
-MinHash signatures, and both LSH structures together.  The shared instance
-lives in the :class:`EngineContext`'s shared-structure memo during the
-build, and pickles once in snapshots (pickle's memo keeps the three
-engines pointing at the same object across a save/load round-trip).
+The ``column_sets`` foundation indexes the lake's join columns once per
+build (:class:`~repro.search.joinable.ColumnSets`: JOSIE's token-set store
+plus one MinHash row per column).  It is registered just before the join
+engines and shares their ``join_index`` stage, so it builds first and
+``build(skip={"join_index"})`` skips the whole join side.  JOSIE answers
+from the store; LSH Ensemble and the Jaccard LSH each build their own
+filter over the rows in their own ``build``, so each engine's build time
+is its own.  A snapshot pickles the foundation and the engines in one
+dump, so pickle's memo keeps them on one store after a reload.
 """
 
 from __future__ import annotations
 
-from repro.core.engine import Engine, EngineContext, QueryRequest
-from repro.search.joinable import JoinableSearch, JoinSearchConfig
+from repro.core.engine import Engine, EngineContext, QueryRequest, register_engine
+from repro.search.joinable import ColumnSets, JoinSearchConfig
 
 
-def shared_joinable(ctx: EngineContext) -> JoinableSearch:
-    """Build-or-get the stage-shared :class:`JoinableSearch`."""
+@register_engine
+class ColumnSetsFoundation(Engine):
+    """Token sets and MinHash rows of every indexed text column."""
 
-    def factory() -> JoinableSearch:
-        cfg = ctx.config
-        return JoinableSearch(
-            ctx.lake,
-            JoinSearchConfig(
-                num_perm=cfg.num_perm, num_partitions=cfg.num_partitions
-            ),
-        ).build()
-
-    return ctx.shared("join_index", factory)
-
-
-class JoinIndexEngine(Engine):
-    """Base adapter for engines backed by the shared JoinableSearch; each
-    subclass reports (``stats``/``memory_object``) its own structure."""
-
+    name = "column_sets"
     stage = "join_index"
-    query_label = "join"
+    category = "foundation"
+    kind = "column-sets"
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self.raw = shared_joinable(ctx)
+        self.raw = ColumnSets(ctx.lake, JoinSearchConfig(num_perm=ctx.config.num_perm))
+
+
+class JoinIndexEngine(Engine):
+    """Base adapter for the engines over :class:`ColumnSets` (read through
+    ``ctx.column_sets``); each subclass reports (``stats``/
+    ``memory_object``) its own structure."""
+
+    stage = "join_index"
+    query_label = "join"
+    items_key = "keys"
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.column is not None

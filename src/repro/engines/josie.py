@@ -4,17 +4,21 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.engine import QueryRequest, as_pair, register_engine
+from repro.core.engine import EngineContext, QueryRequest, as_pair, register_engine
 from repro.engines.join_base import JoinIndexEngine
 
 
 @register_engine
 class JosieEngine(JoinIndexEngine):
-    """Exact top-k joinable columns by set overlap (JOSIE)."""
+    """Exact top-k joinable columns by set overlap (JOSIE), answered from
+    the ``column_sets`` store."""
 
     name = "josie"
     kind = "csr-token-sets"
-    items_key = "keys"
+
+    def build(self, ctx: EngineContext) -> None:
+        self.ctx = ctx
+        self.raw = ctx.column_sets
 
     def memory_object(self) -> Any:
         return self.raw.josie

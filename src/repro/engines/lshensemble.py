@@ -2,43 +2,103 @@
 
 from __future__ import annotations
 
-from typing import Any
+import numpy as np
 
-from repro.core.engine import QueryRequest, as_pair, register_engine
+from repro.core.engine import EngineContext, QueryRequest, register_engine
+from repro.datalake.table import Column, ColumnRef
 from repro.engines.join_base import JoinIndexEngine
-from repro.search.explain import summarize_results
+from repro.obs import METRICS, TRACER
+from repro.search.explain import ExplainReport, summarize_results
+from repro.search.joinable import ColumnSets
+from repro.search.results import ColumnResult
+from repro.sketch.lshensemble import LSHEnsemble
+from repro.sketch.minhash import MinHash
 
 
 @register_engine
 class LshEnsembleEngine(JoinIndexEngine):
     """Approximate containment-threshold join search (LSH Ensemble),
-    verified exactly against the stored sets (filter-verify)."""
+    verified exactly against the ``column_sets`` store (filter-verify)."""
 
     name = "lshensemble"
     kind = "partitioned-lsh"
-    items_key = "keys"
 
-    def memory_object(self) -> Any:
-        return self.raw.ensemble
+    def build(self, ctx: EngineContext) -> None:
+        """Partition the foundation's signature rows, keyed by JOSIE key id
+        (so verification reads each candidate's set from the store)."""
+        self.ctx = ctx
+        sets = ctx.column_sets
+        self.raw = LSHEnsemble(
+            num_partitions=ctx.config.num_partitions, num_perm=sets.config.num_perm
+        )
+        self.raw.index_rows(sets.ids.tolist(), sets.sigs, sets.sizes)
+
+    def _signed(
+        self, sets: ColumnSets, column: Column, ref: ColumnRef | None
+    ) -> tuple[MinHash, int, np.ndarray, bool]:
+        """``(signature, set size, token ids, by_ref)`` of the query column:
+        the ensemble's stored row and the store's forward row for an
+        indexed ``ref``, else signed and looked up from the cells."""
+        store = sets.josie.inverted
+        key = sets.key_of(ref)
+        if key is not None:
+            mh, size = self.raw.entry(key)
+            return mh, size, store.row(key), True
+        values = column.value_set()
+        mh = MinHash.from_values(values, num_perm=self.raw.num_perm)
+        return mh, len(values), store.token_ids(values), False
 
     def query(self, request: QueryRequest):
+        """LSH Ensemble candidates verified to containment >= threshold,
+        best first, the top k kept.
+
+        Verification is *exact* against the stored value sets (the standard
+        filter-verify architecture), so precision is 1.0 and recall is
+        bounded only by the filter."""
         threshold = request.threshold
         if threshold is None:
             threshold = self.ctx.config.containment_threshold
-        hits, report = as_pair(
-            self.raw.containment(
-                request.column,
-                threshold,
-                exclude_table=request.exclude_table,
-                explain=request.explain,
-                ref=request.column_ref,
-            ),
-            request.explain,
-        )
+        exclude_table = request.exclude_table
+        sets = self.ctx.column_sets
+        mh, size, tids, by_ref = self._signed(sets, request.column, request.column_ref)
+        candidates = self.raw.query(mh, size, threshold)
+        store, keys = sets.josie.inverted, sets.josie.keys
+        mask = store.token_mask(tids)
+        out = []
+        checked = 0
+        for i in candidates:
+            cand = keys[i]
+            if exclude_table is not None and cand.table == exclude_table:
+                continue
+            checked += 1
+            containment = store.overlap(i, mask) / max(size, 1)
+            if containment >= threshold:
+                out.append(ColumnResult(cand, containment))
+        METRICS.inc("search.containment.candidates_checked", checked)
+        METRICS.inc("search.containment.candidates_pruned", checked - len(out))
+        sp = TRACER.current()
+        sp.set("containment.candidates_checked", checked)
+        sp.set("containment.results", len(out))
+        passed = len(out)
         # Containment has no k: trim here and close the funnel with it.
-        hits = hits[: request.k]
-        if report is not None:
-            report.k = request.k
-            report.stage("returned", len(hits))
-            report.results = summarize_results(hits)
-        return hits, report
+        out = sorted(out)[: request.k]
+        if not request.explain:
+            return out, None
+        report = ExplainReport(
+            "lshensemble",
+            query=f"column<{size} values>",
+            k=request.k,
+            params={
+                "threshold": threshold,
+                "num_perm": self.raw.num_perm,
+                "num_partitions": self.raw.num_partitions,
+                "by_ref": by_ref,
+            },
+        )
+        report.stage("indexed_columns", len(keys))
+        report.stage("candidates", len(candidates))
+        report.stage("checked", checked)
+        report.stage("passed_threshold", passed)
+        report.stage("returned", len(out))
+        report.results = summarize_results(out)
+        return out, report

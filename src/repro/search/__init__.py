@@ -29,7 +29,7 @@ from repro.search.correlated import (
     CorrelatedSearch,
     exact_join_correlation,
 )
-from repro.search.joinable import JoinableSearch, JoinSearchConfig
+from repro.search.joinable import ColumnSets, JoinSearchConfig
 from repro.search.josie import JosieIndex
 from repro.search.keyword import KeywordHit, KeywordSearchEngine
 from repro.search.mate import MateHit, MateIndex, row_super_key
@@ -68,10 +68,10 @@ __all__ = [
     "recall_at_ground_truth",
     "ColumnOnlySantosBaseline",
     "ColumnResult",
+    "ColumnSets",
     "CorrelatedHit",
     "CorrelatedSearch",
     "JoinSearchConfig",
-    "JoinableSearch",
     "JosieIndex",
     "KeywordHit",
     "KeywordSearchEngine",

@@ -176,13 +176,17 @@ class CorrelatedSearch:
         r = _grouped_pearson(
             sketch[keep], qv[sample[keep]], self.values[rows[keep]], size
         )
-        r_list, c_list = r.tolist(), containment.tolist()
-        hits = [
-            CorrelatedHit(*self.keys[s], r_list[s], c_list[s])
-            for s in np.flatnonzero(passed).tolist()
+        ids = np.flatnonzero(passed)
+        # CorrelatedHit order, (-|r|, table); lexsort is stable, so ties
+        # keep sketch order as sorted() over the hits in sketch order did.
+        names = [self.keys[s][0] for s in ids.tolist()]
+        top = ids[np.lexsort((names, -np.abs(r[ids])))[:k]].tolist()
+        out = [
+            CorrelatedHit(*self.keys[s], float(r[s]), float(containment[s]))
+            for s in top
         ]
         compared = int(other.sum())
-        pruned = compared - len(hits)
+        pruned = compared - ids.size
         METRICS.inc("search.qcr.queries")
         METRICS.inc("search.qcr.sketches_compared", compared)
         METRICS.inc("search.qcr.pruned_by_containment", pruned)
@@ -190,7 +194,6 @@ class CorrelatedSearch:
         sp.set("by_ref", by_ref)
         sp.set("qcr.sketches_compared", compared)
         sp.set("qcr.pruned_by_containment", pruned)
-        out = sorted(hits)[:k]
         if explain:
             report = ExplainReport(
                 "qcr",

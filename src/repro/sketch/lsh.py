@@ -129,6 +129,25 @@ class MinHashLSH:
         self._keys.append(key)
         self._pending.append(mh.hashvalues.copy())
 
+    def insert_rows(self, keys: list[Hashable], sigs: np.ndarray) -> None:
+        """Add keyed signatures at once: row i of the uint64
+        ``(n, num_perm)`` matrix ``sigs`` is ``keys[i]``'s.  An empty index
+        keeps ``sigs`` itself, not a copy (the index never writes to it)."""
+        if sigs.shape != (len(keys), self.num_perm):
+            raise IndexError_(
+                f"expected {len(keys)} signatures of {self.num_perm} perms, "
+                f"got shape {sigs.shape}"
+            )
+        rows = dict(zip(keys, range(len(self._keys), len(self._keys) + len(keys))))
+        if len(rows) != len(keys) or not rows.keys().isdisjoint(self._rows):
+            raise IndexError_("duplicate key in MinHashLSH rows")
+        if self._keys:
+            self._pending.append(sigs)
+        else:
+            self._sigs = sigs
+        self._rows.update(rows)
+        self._keys.extend(keys)
+
     def signature(self, key: Hashable) -> MinHash | None:
         """A copy of the stored signature of ``key`` (``None`` if absent)."""
         row = self._rows.get(key)

@@ -76,27 +76,40 @@ class LSHEnsemble:
         self._partitions: list[tuple[int, int, int]] = []  # (start, end, upper)
 
     def index(self, entries: list[tuple[Hashable, MinHash, int]]) -> None:
-        """Bulk-build: sort by set size and cut min(num_partitions, n)
-        equi-depth partitions whose occupancies differ by at most one."""
+        """Bulk-build from ``(key, signature, set size)`` triples
+        (:meth:`index_rows` on their stacked signatures)."""
+        for _, mh, _ in entries:
+            check_num_perm(mh, self.num_perm)
+        self.index_rows(
+            [key for key, _, _ in entries],
+            np.array([mh.hashvalues for _, mh, _ in entries], dtype=np.uint64),
+            np.array([size for _, _, size in entries], dtype=np.int64),
+        )
+
+    def index_rows(
+        self, keys: list[Hashable], sigs: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        """Bulk-build from keys, their uint64 ``(n, num_perm)`` signature
+        rows and their set sizes: sort by size (ties keep input order) and
+        cut min(num_partitions, n) equi-depth partitions whose occupancies
+        differ by at most one."""
         if self._partitions:
             raise IndexError_("LSHEnsemble.index may only be called once")
-        if not entries:
+        if not keys:
             raise IndexError_("cannot index an empty entry list")
-        entries = sorted(entries, key=lambda e: e[2])
-        n = len(entries)
-        keys = [key for key, _, _ in entries]
+        order = np.argsort(sizes, kind="stable")
+        keys = [keys[i] for i in order.tolist()]
+        n = len(keys)
         rows = dict(zip(keys, range(n)))
         if len(rows) != n:
             raise IndexError_("duplicate key in LSHEnsemble entries")
-        for _, mh, _ in entries:
-            check_num_perm(mh, self.num_perm)
         self._keys, self._rows = keys, rows
-        self._sigs = np.stack([mh.hashvalues for _, mh, _ in entries])
-        self._sizes = np.array([size for _, _, size in entries], dtype=np.int64)
+        self._sigs = sigs[order]
+        self._sizes = np.asarray(sizes, dtype=np.int64)[order]
         parts = min(self.num_partitions, n)
         cuts = [n * i // parts for i in range(parts + 1)]
         self._partitions = [
-            (start, end, entries[end - 1][2])
+            (start, end, int(self._sizes[end - 1]))
             for start, end in zip(cuts, cuts[1:])
         ]
         METRICS.inc("index.lshensemble.keys_indexed", n)

@@ -232,3 +232,63 @@ class TestExactness:
         assert len(got) == len(corpus.lake)
         assert all(h.correlation == 0.0 for h in got)
         assert all(h.containment == 0.0 for h in got)
+
+
+# Tables of a text key column and two numeric columns, the second equal to
+# the first or its negation, so a table's two sketches tie on |r|; a table
+# may repeat under a name that sorts before it, so tables tie too and name
+# order differs from lake order.
+_tie_tables = st.lists(
+    st.tuples(
+        st.lists(st.integers(-50, 50), min_size=8, max_size=8),
+        st.sets(st.integers(0, 15), min_size=8, max_size=8),
+        st.sampled_from([1, -1]),
+        st.integers(1, 2),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestTopK:
+    """Only the top k hits are built; they are ``sorted(all hits)[:k]``,
+    the hits listed in sketch order first."""
+
+    @given(
+        _tie_tables,
+        st.lists(st.integers(-50, 50), min_size=8, max_size=8),
+        st.integers(1, 12),
+        _min_containments,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_top_k_is_sorted_prefix_of_every_hit(self, tables, qvals, k, min_c):
+        from repro.datalake.lake import DataLake
+        from repro.datalake.table import Table
+
+        lake = DataLake()
+        for t, (vals, keys, sign, copies) in enumerate(tables):
+            for c in range(copies):
+                lake.add(
+                    Table.from_dict(
+                        f"t{t}_{copies - 1 - c}",
+                        {
+                            "k": [f"key{x}" for x in sorted(keys)],
+                            "v": vals,
+                            "w": [sign * v for v in vals],
+                        },
+                    )
+                )
+        query = Table.from_dict(
+            "q", {"k": [f"key{x}" for x in range(8)], "v": qvals}
+        )
+        index = CorrelatedSearch(sketch_size=8).build(lake)
+        every = index.search(query, 0, 1, k=10**6, min_containment=min_c)
+        sketch = {key: s for s, key in enumerate(index.keys)}
+        in_sketch_order = sorted(
+            every, key=lambda h: sketch[(h.table, h.key_column, h.value_column)]
+        )
+        got, report = index.search(
+            query, 0, 1, k=k, min_containment=min_c, explain=True
+        )
+        assert got == sorted(in_sketch_order)[:k]
+        assert report.counts()["passed_containment"] == len(every)

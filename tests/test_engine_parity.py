@@ -35,6 +35,20 @@ def assert_same_report(a, b):
     assert a.engine == b.engine
 
 
+def assert_join_engines_share_one_store(system):
+    """JOSIE, LSH Ensemble and the Jaccard LSH read the foundation's one
+    store, and the Jaccard LSH bands the foundation's signature rows."""
+    sets = system.foundations["column_sets"].raw
+    josie, ensemble, jaccard = (
+        system.engines[name] for name in ("josie", "lshensemble", "jaccard_lsh")
+    )
+    assert josie.raw is sets
+    assert ensemble.ctx.column_sets is sets
+    assert jaccard.ctx.column_sets is sets
+    assert jaccard.raw._sigs is sets.sigs
+    assert josie.memory_object() is sets.josie
+
+
 class TestFacadeParity:
     """Each facade shim vs a direct Engine.query with the same request."""
 
@@ -87,18 +101,23 @@ class TestFacadeParity:
         assert_same_report(facade_report, direct_report)
 
     def test_jaccard_lsh_new_path(self, system, union_corpus):
-        """The jaccard baseline is newly addressable through the registry;
-        its results must match the underlying JoinableSearch call."""
+        """The jaccard baseline is addressable through the registry; its
+        results must match its own MinHashLSH's verified candidates."""
+        from repro.search.results import ColumnResult
+        from repro.sketch.minhash import MinHash
+
         qname = union_corpus.groups[0][0]
         column = system.lake.column(ColumnRef(qname, 0))
         direct, report = system.engines["jaccard_lsh"].query(
             QueryRequest(column=column, k=5, exclude_table=qname)
         )
         assert report is None
+        index = system.engines["jaccard_lsh"].raw
+        mh = MinHash.from_values(column.value_set(), num_perm=index.num_perm)
         expected = sorted(
-            system.engines["jaccard_lsh"].raw.jaccard_baseline(
-                column, exclude_table=qname
-            )
+            ColumnResult(ref, score)
+            for ref, score in index.query_verified(mh)
+            if ref.table != qname
         )[:5]
         assert direct == expected
 
@@ -174,12 +193,12 @@ class TestFacadeParity:
         )[:5]
 
     def test_join_engines_share_one_index(self, system):
-        """The three join engines share one JoinableSearch instance."""
-        assert (
-            system.engines["josie"].raw
-            is system.engines["lshensemble"].raw
-            is system.engines["jaccard_lsh"].raw
-        )
+        """The three join engines read the one ``column_sets`` store, and
+        each one's build time is its own."""
+        assert_join_engines_share_one_store(system)
+        build_ms = system.provenance["build_ms"]
+        for name in ("column_sets", "lshensemble", "jaccard_lsh"):
+            assert build_ms[name] > 0, name
 
 
 class TestSnapshotRoundTrip:
@@ -217,12 +236,7 @@ class TestSnapshotRoundTrip:
     def test_join_engines_share_payload_after_reload(
         self, system, tmp_path
     ):
-        """Pickle's memo must keep the three join views on one object."""
+        """Pickle's memo must keep the three join engines on one store."""
         snapdir = tmp_path / "snap_shared"
         system.save(snapdir)
-        loaded = DiscoverySystem.load(snapdir)
-        assert (
-            loaded.engines["josie"].raw
-            is loaded.engines["lshensemble"].raw
-            is loaded.engines["jaccard_lsh"].raw
-        )
+        assert_join_engines_share_one_store(DiscoverySystem.load(snapdir))

@@ -79,6 +79,7 @@ class TestDerivedDag:
             "embeddings",
             "domains",
             "annotation",
+            "column_sets",
         ]
 
 

@@ -1,5 +1,5 @@
-"""JOSIE exclusion and containment verification over the shared token-set
-store, checked against brute force."""
+"""JOSIE exclusion and containment verification over the ``column_sets``
+token-set store, checked against brute force."""
 
 from itertools import cycle, islice
 
@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DiscoveryConfig
-from repro.core.system import DiscoverySystem
+from repro.core.engine import QueryRequest
+from repro.core.system import STAGES, DiscoverySystem
 from repro.datalake.lake import DataLake
 from repro.datalake.table import ColumnRef, Table
-from repro.search.joinable import JoinableSearch
+from repro.search.joinable import ColumnSets
 from repro.search.results import ColumnResult
+from repro.sketch.minhash import MinHash
 
 ROWS = 6
 
@@ -43,12 +45,19 @@ def _lake(tables) -> DataLake:
     )
 
 
-def _indexed(search: JoinableSearch):
-    """(ref, value set) of every column the search indexes."""
+def _join_system(lake: DataLake) -> DiscoverySystem:
+    """Only the join side (the ``column_sets`` foundation and its engines)."""
+    return DiscoverySystem(lake, DiscoveryConfig(enable_embeddings=False)).build(
+        skip=set(STAGES) - {"join_index"}
+    )
+
+
+def _indexed(lake: DataLake, sets: ColumnSets):
+    """(ref, value set) of every column the store indexes."""
     return [
         (ref, col.value_set())
-        for ref, col in search.lake.iter_text_columns()
-        if len(col.value_set()) >= search.config.min_column_size
+        for ref, col in lake.iter_text_columns()
+        if len(col.value_set()) >= sets.config.min_column_size
     ]
 
 
@@ -74,13 +83,17 @@ def test_exclusion_keeps_hits_behind_own_table():
 def test_containment_hits_are_exact(tables, data, threshold):
     """Property: every containment hit scores brute-force |Q ∩ X| / |Q|, at
     least the threshold, and is one of the ensemble's candidates."""
-    search = JoinableSearch(_lake(tables)).build()
-    columns = _indexed(search)
+    system = _join_system(_lake(tables))
+    columns = _indexed(system.lake, system.engines["josie"].raw)
     ref, q = columns[data.draw(st.integers(0, len(columns) - 1))]
-    column = search.lake.column(ref)
+    column = system.lake.column(ref)
     sets = dict(columns)
-    candidates = set(search.containment_candidates(column, threshold))
-    for hit in search.containment(column, threshold):
+    engine = system.engines["lshensemble"]
+    mh = MinHash.from_values(q, num_perm=engine.raw.num_perm)
+    keys = engine.ctx.column_sets.josie.keys
+    candidates = {keys[i] for i in engine.raw.query(mh, len(q), threshold)}
+    hits, _ = engine.query(QueryRequest(column=column, k=10**6, threshold=threshold))
+    for hit in hits:
         assert hit.score == len(q & sets[hit.ref]) / len(q)
         assert hit.score >= threshold
         assert hit.ref in candidates
@@ -91,13 +104,14 @@ def test_containment_hits_are_exact(tables, data, threshold):
 def test_exact_topk_excluding_table_is_brute_force(tables, data, k):
     """Property: JOSIE's top-k with the query's table excluded equals a
     brute-force top-k over the other tables' columns, ties included."""
-    search = JoinableSearch(_lake(tables)).build()
-    columns = _indexed(search)
+    lake = _lake(tables)
+    search = ColumnSets(lake)
+    columns = _indexed(lake, search)
     ref, q = columns[data.draw(st.integers(0, len(columns) - 1))]
     brute = sorted(
         ColumnResult(other, len(q & values) / len(q))
         for other, values in columns
         if other.table != ref.table and q & values
     )[:k]
-    got = search.exact_topk(search.lake.column(ref), k, exclude_table=ref.table)
+    got = search.exact_topk(lake.column(ref), k, exclude_table=ref.table)
     assert _ranking(got) == _ranking(brute)

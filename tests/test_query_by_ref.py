@@ -21,7 +21,7 @@ from repro.core.system import STAGES, UNION_METHODS, DiscoverySystem
 from repro.datalake.generate import make_join_corpus, make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef, Table
-from repro.search.joinable import JoinableSearch, JoinSearchConfig
+from repro.search.joinable import ColumnSets, JoinSearchConfig
 
 COLUMN_ENGINES = ("josie", "lshensemble", "jaccard_lsh", "pexeso")
 TABLE_ENGINES = ("tus", "starmie", "santos")
@@ -373,6 +373,32 @@ class TestUnionFacadeProperty:
         assert all(h.table != name for h in hits)
 
 
+class TestJoinFacadeProperty:
+    """``joinable_search`` (both methods) and ``search()`` over the Jaccard
+    LSH on small generated join lakes, live and reloaded."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.sampled_from([1, 4]),
+        mode=st.sampled_from(MODES),
+        pick=st.integers(0, 10_000),
+        k=st.integers(1, 8),
+    )
+    def test_hits_bounded_sorted_and_never_the_query(self, seed, mode, pick, k):
+        system = _join_system(seed, mode)
+        refs = [ref for ref, _ in system.lake.iter_columns()]
+        ref = refs[pick % len(refs)]
+        for method in ("exact", "containment"):
+            hits = system.joinable_search(ref, k=k, method=method)
+            assert len(hits) <= k
+            assert hits == sorted(hits)
+            assert all(h.ref.table != ref.table for h in hits)
+        hits = system.search(ref, engines=["jaccard_lsh"], k=k)
+        assert len(hits) <= k
+        assert hits == sorted(hits)
+        assert all(h.table != ref.table for h in hits)
+
+
 class TestCorrelatedFacadeProperty:
     """``correlated_search`` on small generated join lakes, live and
     reloaded."""
@@ -461,7 +487,7 @@ class TestSnapshotRoundTripProperty:
 
 class TestJosieFacadeEqualsExactTopk:
     """``joinable_search(method="exact")`` equals a standalone
-    ``JoinableSearch.exact_topk`` over the same lake, for a ColumnRef
+    ``ColumnSets.exact_topk`` over the same lake, for a ColumnRef
     (its table excluded), the lake's own Column and a copy."""
 
     @settings(max_examples=30, deadline=None)
@@ -488,9 +514,7 @@ class TestJosieFacadeEqualsExactTopk:
 
 
 @functools.lru_cache(maxsize=4)
-def _reference_join_search(lake: str, seed: int) -> JoinableSearch:
+def _reference_join_search(lake: str, seed: int) -> ColumnSets:
+    """A standalone store over the same lake, built without the facade."""
     system = (_system if lake == "union" else _join_system)(seed, "live")
-    config = JoinSearchConfig(
-        num_perm=system.config.num_perm, num_partitions=system.config.num_partitions
-    )
-    return JoinableSearch(system.lake, config).build()
+    return ColumnSets(system.lake, JoinSearchConfig(num_perm=system.config.num_perm))
