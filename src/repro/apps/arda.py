@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.apps.ml import RidgeRegression, train_test_split
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table
+from repro.datalake.table import Table, cell_key
 from repro.search.josie import JosieIndex
 
 
@@ -92,8 +92,7 @@ class ArdaAugmenter:
         cand_vals = cand.columns[num_col].numeric_values()
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}
-        for key, v in zip(cand_keys, cand_vals):
-            key = key.strip().lower()
+        for key, v in zip(map(cell_key, cand_keys), cand_vals):
             if key and np.isfinite(v):
                 sums[key] = sums.get(key, 0.0) + float(v)
                 counts[key] = counts.get(key, 0) + 1
@@ -101,7 +100,7 @@ class ArdaAugmenter:
         overall = float(np.mean(list(means.values()))) if means else 0.0
         out = np.empty(base.num_rows)
         for i, key in enumerate(base.columns[key_column].values):
-            out[i] = means.get(key.strip().lower(), overall)
+            out[i] = means.get(cell_key(key), overall)
         return out
 
     def augment(

@@ -20,6 +20,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import svds
 
 from repro.datalake.lake import DataLake
+from repro.datalake.table import cell_key
 
 
 class LakeGraphEmbedding:
@@ -54,7 +55,7 @@ class LakeGraphEmbedding:
             for ri in range(table.num_rows):
                 row_node = f"row:{table.name}:{ri}"
                 for ci, col in table.text_columns():
-                    value = col.values[ri].strip().lower()
+                    value = cell_key(col.values[ri])
                     if not value:
                         continue
                     col_node = f"col:{table.name}:{ci}"
@@ -121,7 +122,7 @@ class LakeGraphEmbedding:
     def entity_vector(self, value: str) -> np.ndarray:
         """Embedding of an entity value (zeros when unseen)."""
         return self._vectors.get(
-            f"val:{str(value).strip().lower()}", np.zeros(self.dim)
+            f"val:{cell_key(value)}", np.zeros(self.dim)
         )
 
     def column_vector(self, table: str, column: int) -> np.ndarray:

@@ -87,8 +87,10 @@ log = get_logger("core.snapshot")
 #: Version 16: the ``column_sets`` foundation holds JOSIE's store and the
 #: lake-order signature rows; JOSIE's payload is that object, and LSH
 #: Ensemble and the Jaccard LSH each hold only their own index (the
-#: Jaccard LSH's matrix is the foundation's rows, not a copy).
-FORMAT_VERSION = 16
+#: Jaccard LSH's matrix is the foundation's rows, not a copy).  Version
+#: 17: MATE's cells, QCR's key hashes and the ontology are keyed by
+#: ``cell_key`` (nulls dropped), and ontology classes hold no value copies.
+FORMAT_VERSION = 17
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

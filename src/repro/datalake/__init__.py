@@ -8,6 +8,7 @@ from repro.datalake.table import (
     ColumnRef,
     Table,
     TableMetadata,
+    cell_key,
     is_null,
     normalize_cell,
     tokenize,
@@ -22,6 +23,7 @@ __all__ = [
     "Ontology",
     "Table",
     "TableMetadata",
+    "cell_key",
     "infer_type",
     "is_null",
     "normalize_cell",

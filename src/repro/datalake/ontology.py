@@ -13,7 +13,9 @@ LM-recall trade-off that §3 of the tutorial highlights.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.datalake.table import cell_key
 
 
 @dataclass
@@ -22,11 +24,10 @@ class OntologyClass:
 
     name: str
     parent: str | None = None
-    values: set[str] = field(default_factory=set)
 
 
 class Ontology:
-    """Class hierarchy + value->class map + typed binary relations."""
+    """Class hierarchy + value->class map + typed binary relations, keyed by ``cell_key``."""
 
     def __init__(self):
         self._classes: dict[str, OntologyClass] = {}
@@ -49,9 +50,8 @@ class Ontology:
     def add_value(self, value: str, cls: str) -> None:
         if cls not in self._classes:
             raise KeyError(f"unknown class {cls!r}")
-        value = str(value).lower()
-        self._value_to_class[value] = cls
-        self._classes[cls].values.add(value)
+        if value := cell_key(value):
+            self._value_to_class[value] = cls
 
     def add_relation(self, name: str, subject_cls: str, object_cls: str) -> None:
         rank = self._relation_rank.setdefault(name, len(self._relation_rank))
@@ -61,7 +61,9 @@ class Ontology:
                 self._relations[pair] = name
 
     def add_fact(self, subject: str, obj: str, relation: str) -> None:
-        self._facts[(str(subject).lower(), str(obj).lower())] = relation
+        subject, obj = cell_key(subject), cell_key(obj)
+        if subject and obj:
+            self._facts[(subject, obj)] = relation
 
     # -- lookups -----------------------------------------------------------------
 
@@ -70,7 +72,8 @@ class Ontology:
 
     def class_of(self, value: str) -> str | None:
         """The (leaf) class a value belongs to, or None if uncovered."""
-        return self._value_to_class.get(str(value).lower())
+        # Stored values are keys: a value_set member needs no keying.
+        return self._value_to_class.get(value) or self._value_to_class.get(cell_key(value))
 
     def ancestors(self, cls: str) -> list[str]:
         """The class and all its ancestors, leaf first."""
@@ -93,17 +96,20 @@ class Ontology:
         direction)."""
         return self._relations.get((a, b))
 
+    def fact(self, a: str, b: str) -> str | None:
+        """The instance-level fact's relation between two cell keys (used as
+        given), in either direction."""
+        fact = self._facts.get((a, b))
+        return fact if fact is not None else self._facts.get((b, a))
+
     def has_fact(self, a: str, b: str) -> bool:
         """Is (a, b) an instance-level fact, in either direction?"""
-        a, b = str(a).lower(), str(b).lower()
-        return (a, b) in self._facts or (b, a) in self._facts
+        return self.fact(cell_key(a), cell_key(b)) is not None
 
     def relation_between_values(self, a: str, b: str) -> str | None:
         """Instance-level fact lookup, falling back to class-level relations."""
-        a, b = str(a).lower(), str(b).lower()
-        fact = self._facts.get((a, b))
-        if fact is None:
-            fact = self._facts.get((b, a))
+        a, b = cell_key(a), cell_key(b)
+        fact = self.fact(a, b)
         if fact is not None:
             return fact
         ca, cb = self._value_to_class.get(a), self._value_to_class.get(b)

@@ -4,7 +4,8 @@ Tables in data lakes are typically shared in primitive formats such as CSV
 with unreliable or missing metadata (survey §2.1).  We therefore model a
 table as a named, column-oriented collection of string cells plus an
 optional, possibly-empty metadata record.  Typed views (numeric arrays) are
-derived lazily from the raw strings.
+derived lazily from the raw strings.  :func:`cell_key` is the one cell
+rule: every engine that compares cell values keys a raw cell through it.
 """
 
 from __future__ import annotations
@@ -15,24 +16,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.errors import SchemaError
-from repro.datalake.types import DataType, infer_type, parse_float
+from repro.datalake.types import NULL_TOKENS, DataType, infer_type, parse_float
 
 # Underscores are separators: headers like "customer_id" must match the
 # query term "customer" (standard IR tokenization for schema text).
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
-# Values treated as missing when normalizing cells.
-NULL_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "-", "?"})
-
 
 def normalize_cell(value: str) -> str:
     """Normalize a raw cell: strip, lowercase, collapse inner whitespace."""
-    return " ".join(str(value).strip().lower().split())
+    return " ".join(str(value).lower().split())
+
+
+def cell_key(value) -> str:
+    """The key a raw cell matches on: its :func:`normalize_cell` form, or
+    ``""`` (matching nothing) for a null token.  A key keys to itself."""
+    key = normalize_cell(value)
+    return "" if key in NULL_TOKENS else key
 
 
 def is_null(value: str) -> bool:
-    """Return True if a normalized cell should be treated as missing."""
-    return normalize_cell(value) in NULL_TOKENS
+    """Return True if a raw cell should be treated as missing."""
+    return not cell_key(value)
 
 
 def tokenize(text: str) -> list[str]:
@@ -78,16 +83,11 @@ class Column:
         return self.dtype in (DataType.INTEGER, DataType.FLOAT)
 
     def non_null_values(self) -> list[str]:
-        """Normalized cells with nulls removed (order preserved)."""
-        out = []
-        for v in self.values:
-            nv = normalize_cell(v)
-            if nv not in NULL_TOKENS:
-                out.append(nv)
-        return out
+        """Cell keys with nulls removed (order preserved)."""
+        return [key for key in map(cell_key, self.values) if key]
 
     def value_set(self) -> frozenset[str]:
-        """The distinct set of normalized non-null cells (cached)."""
+        """The distinct set of non-null cell keys (cached)."""
         if self._value_set is None:
             self._value_set = frozenset(self.non_null_values())
         return self._value_set

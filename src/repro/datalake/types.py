@@ -18,7 +18,8 @@ _DATE_RES = (
     re.compile(r"^\d{1,2}/\d{1,2}/\d{2,4}$"),
     re.compile(r"^\d{4}/\d{1,2}/\d{1,2}$"),
 )
-_NULLISH = frozenset({"", "na", "n/a", "nan", "null", "none", "-", "?"})
+#: Values treated as missing, here and by :func:`repro.datalake.table.cell_key`.
+NULL_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "-", "?"})
 
 
 class DataType(Enum):
@@ -34,7 +35,7 @@ class DataType(Enum):
 def parse_float(value: str) -> float:
     """Parse a cell as float; return NaN for nulls and unparseable text."""
     s = str(value).strip().replace(",", "")
-    if s.lower() in _NULLISH:
+    if s.lower() in NULL_TOKENS:
         return math.nan
     try:
         return float(s)
@@ -45,7 +46,7 @@ def parse_float(value: str) -> float:
 def classify_value(value: str) -> DataType:
     """Classify a single non-null cell."""
     s = str(value).strip()
-    if s.lower() in _NULLISH:
+    if s.lower() in NULL_TOKENS:
         return DataType.EMPTY
     if _INT_RE.match(s):
         return DataType.INTEGER

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table
+from repro.datalake.table import Table, cell_key
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.sketch.qcr import bottom_n, key_hashes, pearson
@@ -38,10 +38,10 @@ class CorrelatedHit:
 
 
 def _key_value_pairs(table: Table, key_col: int, num_col: int):
-    keys = table.columns[key_col].values
+    keys = map(cell_key, table.columns[key_col].values)
     nums = table.columns[num_col].numeric_values()
     for k, v in zip(keys, nums):
-        if k.strip() and math.isfinite(v):
+        if k and math.isfinite(v):
             yield k, float(v)
 
 
@@ -74,13 +74,13 @@ class CorrelatedSearch:
         keys: list[tuple[str, int, int]] = []
         hashes: list[np.ndarray] = []
         values: list[np.ndarray] = []
-        memo: dict[str, int] = {}  # key hashes, shared by the lake's columns
+        memo: dict[str, int | None] = {}  # shared by the lake's columns
         for table in lake:
             nums = [(i, c.numeric_values()) for i, c in table.numeric_columns()]
             if not nums:
                 continue
             for ki, column in table.text_columns():
-                key_hash, present = _key_column(column.values, memo)
+                key_hash, present = key_hashes(column.values, memo=memo)
                 for ni, num in nums:
                     h, v = bottom_n(
                         key_hash[present], num[present], self.sketch_size
@@ -154,7 +154,7 @@ class CorrelatedSearch:
             own = np.flatnonzero(self.sketch_of == stored)
             qh, qv = self.hashes[own], self.values[own]
         else:
-            key_hash, present = _key_column(query.columns[key_column].values)
+            key_hash, present = key_hashes(query.columns[key_column].values)
             nums = query.columns[value_column].numeric_values()
             qh, qv = bottom_n(key_hash[present], nums[present], self.sketch_size)
         size = len(self.keys)
@@ -226,16 +226,6 @@ class CorrelatedSearch:
         return None
 
 
-def _key_column(
-    keys: list[str], memo: dict[str, int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Join-key hashes of a column, and which of its cells are non-blank."""
-    present = np.fromiter(
-        (bool(k.strip()) for k in keys), dtype=bool, count=len(keys)
-    )
-    return key_hashes(keys, memo=memo), present
-
-
 def _grouped_pearson(
     group: np.ndarray, xs: np.ndarray, ys: np.ndarray, size: int
 ) -> np.ndarray:
@@ -265,10 +255,10 @@ def exact_join_correlation(
     """Reference: execute the equi-join and compute the exact Pearson r."""
     cand_map: dict[str, float] = {}
     for key, v in _key_value_pairs(candidate, cand_key, cand_value):
-        cand_map.setdefault(key.strip().lower(), v)
+        cand_map.setdefault(key, v)
     xs, ys = [], []
     for key, v in _key_value_pairs(query, query_key, query_value):
-        other = cand_map.get(key.strip().lower())
+        other = cand_map.get(key)
         if other is not None:
             xs.append(v)
             ys.append(other)

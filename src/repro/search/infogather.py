@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.datalake.lake import DataLake
-from repro.datalake.table import tokenize
+from repro.datalake.table import cell_key, tokenize
 
 
 def _header_similarity(a: str, b: str) -> float:
@@ -42,7 +42,7 @@ class Augmentation:
     def coverage(self, entities: list[str]) -> float:
         if not entities:
             return 0.0
-        hit = sum(1 for e in entities if e.strip().lower() in self.values)
+        hit = sum(1 for e in entities if cell_key(e) in self.values)
         return hit / len(entities)
 
 
@@ -61,7 +61,7 @@ class InfoGather:
         for table in self.lake:
             for ci, col in table.text_columns():
                 for ri, raw in enumerate(col.values):
-                    v = raw.strip().lower()
+                    v = cell_key(raw)
                     if v:
                         self._entity_index[v].append((table.name, ci, ri))
         self._built = True
@@ -82,7 +82,7 @@ class InfoGather:
         votes: dict[str, Counter[str]] = defaultdict(Counter)
         sources: set[str] = set()
         for raw_entity in entities:
-            entity = raw_entity.strip().lower()
+            entity = cell_key(raw_entity)
             for tname, ci, ri in self._entity_index.get(entity, ()):
                 table = self.lake.table(tname)
                 for cj, col in enumerate(table.columns):
@@ -93,9 +93,9 @@ class InfoGather:
                         < self.min_header_similarity
                     ):
                         continue
-                    value = col.values[ri].strip()
+                    value = cell_key(col.values[ri])
                     if value:
-                        votes[entity][value.lower()] += 1
+                        votes[entity][value] += 1
                         sources.add(tname)
         out = Augmentation(sources=sorted(sources))
         for entity, counter in votes.items():
@@ -119,9 +119,7 @@ class InfoGather:
         remaining entities with majority voting.
         """
         self._require_built()
-        examples = {
-            k.strip().lower(): v.strip().lower() for k, v in examples.items()
-        }
+        examples = {cell_key(k): cell_key(v) for k, v in examples.items()}
         # Score candidate column pairs by example agreement.
         pair_hits: Counter[tuple[str, int, int]] = Counter()
         for entity, expected in examples.items():
@@ -130,7 +128,7 @@ class InfoGather:
                 for cj, col in enumerate(table.columns):
                     if cj == ci:
                         continue
-                    if col.values[ri].strip().lower() == expected:
+                    if expected and cell_key(col.values[ri]) == expected:
                         pair_hits[(tname, ci, cj)] += 1
         good_pairs = [
             pair for pair, hits in pair_hits.items() if hits >= min_example_hits
@@ -142,13 +140,13 @@ class InfoGather:
             ecol = table.columns[ci]
             vcol = table.columns[cj]
             for ri in range(table.num_rows):
-                entity = ecol.values[ri].strip().lower()
-                value = vcol.values[ri].strip().lower()
+                entity = cell_key(ecol.values[ri])
+                value = cell_key(vcol.values[ri])
                 if entity and value:
                     # Weight by how many examples this pair explained.
                     votes[entity][value] += pair_hits[(tname, ci, cj)]
                     sources.add(tname)
-        wanted = {e.strip().lower() for e in entities}
+        wanted = {cell_key(e) for e in entities}
         out = Augmentation(sources=sorted(sources))
         for entity, counter in votes.items():
             if entity in wanted and entity not in examples:

@@ -17,27 +17,26 @@ from itertools import chain, repeat
 import numpy as np
 
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table
+from repro.datalake.table import Table, cell_key
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.sketch.hashing import stable_hash64
 from repro.sketch.inverted import InvertedIndex
 
 
-def _cell_mask(value: str, bits: int) -> int:
-    """Bitmap with ``k`` bits set derived from the cell's hash (k = 2)."""
-    h = stable_hash64(str(value).strip().lower(), seed=29)
+def _cell_mask(key: str, bits: int) -> int:
+    """Bitmap with ``k`` bits set derived from a cell key's hash (k = 2)."""
+    h = stable_hash64(key, seed=29)
     b1 = h % bits
     b2 = (h >> 32) % bits
     return (1 << b1) | (1 << b2)
 
 
 def row_super_key(cells: list[str], bits: int = 64) -> int:
-    """OR-aggregate the cell masks of a row into its super key."""
+    """OR-aggregate the cell masks of a row's non-null cell keys."""
     key = 0
-    for cell in cells:
-        if str(cell).strip():
-            key |= _cell_mask(cell, bits)
+    for cell in filter(None, map(cell_key, cells)):
+        key |= _cell_mask(cell, bits)
     return key
 
 
@@ -66,12 +65,13 @@ class _Probe:
 
 
 class MateIndex:
-    """Inverted index from normalized text cells to the rows holding them,
-    plus one super key per row.
+    """Inverted index from text cells to the rows holding them, plus one
+    super key per row.
 
-    A cell is a stripped, lower-cased, non-empty text-column value.  Rows
-    are numbered across the lake in table order, and cell ids in the order
-    cells are first seen there (row by row, column by column).  The build
+    A cell is a text-column value's non-null ``cell_key`` (the one cell
+    rule of :mod:`repro.datalake.table`).  Rows are numbered across the
+    lake in table order, and cell ids in the order cells are first seen
+    there (row by row, column by column).  The build
     puts each row's cells in an :class:`InvertedIndex` and keeps only its
     posting side: ``vocab`` (cell → id) and
     ``postings[offsets[c]:offsets[c + 1]]``, the ascending rows holding cell
@@ -96,15 +96,16 @@ class MateIndex:
         tables: list[str] = []
         table_rows = [0]
         row_cells: list[dict[str, None]] = []
+        keyed: dict[str, str] = {}  # raw cell -> key, each keyed once
         for table in lake:
             tables.append(table.name)
             cols = [c.values for _, c in table.text_columns()]
+            for raw in set().union(*cols).difference(keyed):
+                keyed[raw] = cell_key(raw)
             for values in zip(*cols) if cols else repeat((), table.num_rows):
                 # A dict keeps the cells in column order, so cell ids do not
                 # depend on string hashing.
-                row_cells.append(
-                    dict.fromkeys(c for c in (v.strip().lower() for v in values) if c)
-                )
+                row_cells.append(dict.fromkeys(filter(None, map(keyed.__getitem__, values))))
             table_rows.append(len(row_cells))
         cells = InvertedIndex(row_cells)
         masks = np.fromiter(
@@ -149,9 +150,7 @@ class MateIndex:
         postings, and credit each of their tables once.  A key with a cell
         that no row holds matches nothing.
         """
-        cols = [
-            [v.strip().lower() for v in query.columns[c].values] for c in key_columns
-        ]
+        cols = [map(cell_key, query.columns[c].values) for c in key_columns]
         keys = list(dict.fromkeys(filter(all, zip(*cols))))
         matched = np.zeros(len(self.tables), dtype=np.int64)
         probe = _Probe(len(keys), matched, 0, 0)

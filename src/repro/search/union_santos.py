@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
-from repro.datalake.table import Table
+from repro.datalake.table import Table, cell_key
 from repro.obs import TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
@@ -106,13 +106,14 @@ class SantosUnionSearch:
         )
 
     def _fact_supported(self, a: str, b: str) -> bool:
-        """Is (a, b) an instance-level fact in the KB or synthesized KB?
+        """Is the cell-key pair (a, b) an instance-level fact in the KB or
+        synthesized KB?
 
         Relationship support needs an actual fact, not a class-level
         relation between the values' classes."""
-        if self.ontology.has_fact(a, b):
+        if self.ontology.fact(a, b) is not None:
             return True
-        return self._synth is not None and self._synth.has_fact(a, b)
+        return self._synth is not None and self._synth.fact(a, b) is not None
 
     def _table_semantics(self, table: Table) -> _TableSemantics:
         cfg = self.config
@@ -125,14 +126,12 @@ class SantosUnionSearch:
         support: dict[tuple[str, str], float] = {}
         n_rows = min(table.num_rows, cfg.max_rows)
         ids = list(classes)
+        keys = {i: list(map(cell_key, table.columns[i].values[:n_rows])) for i in ids}
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
                 i, j = ids[x], ids[y]
-                ci = table.columns[i].values
-                cj = table.columns[j].values
                 hits = checked = 0
-                for r in range(n_rows):
-                    a, b = ci[r].strip().lower(), cj[r].strip().lower()
+                for a, b in zip(keys[i], keys[j]):
                     if not a or not b:
                         continue
                     checked += 1

@@ -14,6 +14,7 @@ per-band bucket dict would hash.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Hashable
 
 import numpy as np
@@ -28,6 +29,7 @@ def collision_probability(j: float | np.ndarray, b, r) -> float | np.ndarray:
     return 1.0 - (1.0 - j**r) ** b
 
 
+@lru_cache
 def optimal_bands(
     num_perm: int,
     threshold: float,
@@ -35,7 +37,8 @@ def optimal_bands(
 ) -> tuple[int, int]:
     """Choose (b, r) with b*r <= num_perm minimizing the weighted integral of
     false-positive area below the threshold and false-negative area above
-    (all r scored in one array pass; ties go to the smallest r)."""
+    (all r scored in one array pass; ties go to the smallest r).  Cached:
+    every index construction with the same arguments reuses the choice."""
     r = np.arange(1, num_perm + 1)[:, None]
     b = num_perm // r
     below = np.linspace(0.0, threshold, 100)

@@ -22,26 +22,28 @@ import math
 
 import numpy as np
 
+from repro.datalake.table import cell_key
 from repro.sketch.hashing import stable_hash64
 
 DEFAULT_SEED = 13
 
 
 def key_hashes(
-    keys, seed: int = DEFAULT_SEED, memo: dict[str, int] | None = None
-) -> np.ndarray:
-    """uint64 hashes of join keys, normalized by ``strip().lower()``.
+    cells: list[str], seed: int = DEFAULT_SEED, memo: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 hashes of raw join-key cells, each hashed as its ``cell_key``,
+    and which cells are keys: a null cell is not (its hash reads 0).
 
-    ``memo`` maps normalized keys to their hashes; pass the same dict to
-    several calls so a key repeated across columns is hashed once.
+    ``memo`` maps raw cells to hashes (None for a null); pass one dict to
+    several calls to key and hash a cell repeated across columns once.
     """
-    if memo is None:
-        memo = {}
-    norm = [k.strip().lower() for k in keys]
-    for key in norm:
-        if key not in memo:
-            memo[key] = stable_hash64(key, seed)
-    return np.fromiter((memo[k] for k in norm), dtype=np.uint64, count=len(norm))
+    memo = {} if memo is None else memo
+    for raw in set(cells).difference(memo):
+        key = cell_key(raw)
+        memo[raw] = stable_hash64(key, seed) if key else None
+    hashes = list(map(memo.__getitem__, cells))
+    present = np.array([h is not None for h in hashes], dtype=bool)
+    return np.array([h or 0 for h in hashes], dtype=np.uint64), present
 
 
 def bottom_n(
@@ -75,16 +77,13 @@ class CorrelationSketch:
     def from_pairs(
         cls, pairs, n: int = 256, seed: int = DEFAULT_SEED
     ) -> "CorrelationSketch":
-        """Build from an iterable of (key, value); non-finite values skipped."""
+        """Build from an iterable of (key, value); null keys and non-finite
+        values are skipped."""
         sk = cls(n, seed)
-        keys: list[str] = []
-        values: list[float] = []
-        for key, value in pairs:
-            keys.append(str(key))
-            values.append(float(value))
-        hashes, kept = bottom_n(
-            key_hashes(keys, seed), np.asarray(values, dtype=np.float64), n
-        )
+        pairs = list(pairs)
+        hashes, present = key_hashes([str(key) for key, _ in pairs], seed)
+        values = np.array([float(value) for _, value in pairs], dtype=np.float64)
+        hashes, kept = bottom_n(hashes[present], values[present], n)
         hs = hashes.tolist()
         sk._samples = dict(zip(hs, kept.tolist()))
         sk._heap = [-h for h in hs]
@@ -92,9 +91,10 @@ class CorrelationSketch:
         return sk
 
     def update(self, key: str, value: float) -> None:
-        if not math.isfinite(value):
+        hashes, present = key_hashes([str(key)], self.seed)
+        if not (present[0] and math.isfinite(value)):
             return
-        h = int(key_hashes([key], self.seed)[0])
+        h = int(hashes[0])
         if h in self._samples:
             return
         if len(self._samples) >= self.n:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.datalake.ontology import Ontology
-from repro.datalake.table import Table
+from repro.datalake.table import Table, cell_key
 
 
 @dataclass
@@ -60,15 +60,14 @@ class OntologyAnnotator:
 
         # Pairwise relationships from row-wise value pairs (sampled rows).
         n_rows = min(table.num_rows, self.max_pair_rows)
+        keys = [list(map(cell_key, c.values[:n_rows])) for _, c in text_cols]
         for ai in range(len(text_cols)):
             for bi in range(ai + 1, len(text_cols)):
-                i, ci = text_cols[ai]
-                j, cj = text_cols[bi]
+                i, j = text_cols[ai][0], text_cols[bi][0]
                 votes: Counter[str] = Counter()
                 checked = 0
-                for r in range(n_rows):
-                    a, b = ci.values[r], cj.values[r]
-                    if not a.strip() or not b.strip():
+                for a, b in zip(keys[ai], keys[bi]):
+                    if not a or not b:
                         continue
                     checked += 1
                     rel = self.ontology.relation_between_values(a, b)
@@ -91,13 +90,10 @@ def synthesize_kb(lake_tables: list[Table], min_pair_count: int = 3) -> Ontology
     """
     pair_tables: dict[tuple[str, str], set[str]] = {}
     for t in lake_tables:
-        text_cols = t.text_columns()
-        for ai in range(len(text_cols)):
-            for bi in range(ai + 1, len(text_cols)):
-                _, ci = text_cols[ai]
-                _, cj = text_cols[bi]
-                for a, b in zip(ci.values, cj.values):
-                    a, b = a.strip().lower(), b.strip().lower()
+        keys = [list(map(cell_key, c.values)) for _, c in t.text_columns()]
+        for ai in range(len(keys)):
+            for bi in range(ai + 1, len(keys)):
+                for a, b in zip(keys[ai], keys[bi]):
                     if a and b:
                         pair_tables.setdefault((a, b), set()).add(t.name)
     onto = Ontology()

@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import svds
 
 from repro.datalake.lake import DataLake
-from repro.datalake.table import normalize_cell
+from repro.datalake.table import cell_key
 
 
 class EmbeddingSpace:
@@ -40,7 +40,9 @@ class EmbeddingSpace:
         return self.vectors.shape[1]
 
     def _row(self, value) -> int | None:
-        return self._index.get(str(value).lower())
+        # The vocabulary holds cell keys: a value_set member needs no keying.
+        row = self._index.get(value)
+        return row if row is not None else self._index.get(cell_key(value))
 
     def __contains__(self, value: str) -> bool:
         return self._row(value) is not None
@@ -139,7 +141,7 @@ def ppmi_matrix(
         if row_context and len(text_cols) >= 2:
             cells = [
                 np.array(
-                    [index.get(normalize_cell(v), -1) for v in c.values],
+                    [index.get(cell_key(v), -1) for v in c.values],
                     dtype=np.int64,
                 )
                 for c in text_cols

@@ -81,6 +81,15 @@ class TestOptimalBands:
         # Penalizing false positives favors longer rows (stricter bands).
         assert r_fp >= r_fn
 
+    def test_second_construction_is_a_cache_hit(self):
+        optimal_bands.cache_clear()
+        first = MinHashLSH(threshold=0.37, num_perm=96, fp_weight=0.4)
+        hits = optimal_bands.cache_info().hits
+        second = MinHashLSH(threshold=0.37, num_perm=96, fp_weight=0.4)
+        assert optimal_bands.cache_info().hits == hits + 1
+        assert (second.b, second.r) == (first.b, first.r)
+        assert (first.b, first.r) == _optimal_bands_loop(96, 0.37, 0.4)
+
 
 class TestIndex:
     def test_insert_query_roundtrip(self):

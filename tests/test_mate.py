@@ -18,7 +18,7 @@ from repro.core.config import DiscoveryConfig
 from repro.core.system import STAGES, DiscoverySystem
 from repro.datalake.generate import make_composite_key_corpus, make_join_corpus
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Column, Table
+from repro.datalake.table import Column, Table, cell_key
 from repro.search.mate import MateIndex, row_super_key
 from repro.sketch.inverted import InvertedIndex
 
@@ -109,10 +109,11 @@ class TestHitOrdering:
 def naive_key_join(lake, table, key_columns, k, exclude=None):
     """Brute-force composite-key join: per candidate table, the fraction of
     distinct query keys whose cells all occur in one of its rows (text
-    cells, stripped and lower-cased), as ``(table, score)`` best first."""
+    cells keyed by ``cell_key``, nulls dropped), as ``(table, score)`` best
+    first."""
     keys = set()
     for i in range(table.num_rows):
-        cells = tuple(table.columns[c].values[i].strip().lower() for c in key_columns)
+        cells = tuple(cell_key(table.columns[c].values[i]) for c in key_columns)
         if all(cells):
             keys.add(cells)
     if not keys:
@@ -124,7 +125,7 @@ def naive_key_join(lake, table, key_columns, k, exclude=None):
         rows_of: dict[str, set[int]] = {}
         for _, col in cand.text_columns():
             for row, value in enumerate(col.values):
-                cell = value.strip().lower()
+                cell = cell_key(value)
                 if cell:
                     rows_of.setdefault(cell, set()).add(row)
         matched = 0
@@ -224,7 +225,7 @@ class RowSets:
             self.names.append(table.name)
             cols = [c.values for _, c in table.text_columns()]
             for values in zip(*cols) if cols else [()] * table.num_rows:
-                cells = [c for c in (v.strip().lower() for v in values) if c]
+                cells = [c for c in map(cell_key, values) if c]
                 for cell in cells:
                     self.first_seen.setdefault(cell, len(self.first_seen))
                 self.rows.append((t, set(cells)))
@@ -240,7 +241,7 @@ class RowSets:
         rows, rows_of = self.rows, self.rows_of
         keys = set()
         for i in range(query.num_rows):
-            key = tuple(query.columns[c].values[i].strip().lower() for c in key_columns)
+            key = tuple(cell_key(query.columns[c].values[i]) for c in key_columns)
             if all(key):
                 keys.add(key)
         if not keys:
