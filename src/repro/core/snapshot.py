@@ -90,7 +90,9 @@ log = get_logger("core.snapshot")
 #: Jaccard LSH's matrix is the foundation's rows, not a copy).  Version
 #: 17: MATE's cells, QCR's key hashes and the ontology are keyed by
 #: ``cell_key`` (nulls dropped), and ontology classes hold no value copies.
-FORMAT_VERSION = 17
+#: Version 18: PEXESO also holds its build-time boolean CSC column x
+#: vocabulary reach matrix (its ``tau`` is fixed at build).
+FORMAT_VERSION = 18
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

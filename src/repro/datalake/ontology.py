@@ -108,7 +108,10 @@ class Ontology:
 
     def relation_between_values(self, a: str, b: str) -> str | None:
         """Instance-level fact lookup, falling back to class-level relations."""
-        a, b = cell_key(a), cell_key(b)
+        return self.relation_between_keys(cell_key(a), cell_key(b))
+
+    def relation_between_keys(self, a: str, b: str) -> str | None:
+        """:meth:`relation_between_values` for two cell keys (used as given)."""
         fact = self.fact(a, b)
         if fact is not None:
             return fact

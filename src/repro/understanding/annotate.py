@@ -70,7 +70,7 @@ class OntologyAnnotator:
                     if not a or not b:
                         continue
                     checked += 1
-                    rel = self.ontology.relation_between_values(a, b)
+                    rel = self.ontology.relation_between_keys(a, b)
                     if rel is not None:
                         votes[rel] += 1
                 if not votes or checked == 0:

@@ -1,9 +1,11 @@
 """Tests for PEXESO fuzzy joinable search."""
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +13,13 @@ from repro.core.config import DiscoveryConfig
 from repro.core.system import DiscoverySystem
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table
+from repro.datalake.table import Column, Table
 from repro.search.pexeso import (
+    SCREEN_MARGIN,
     PexesoConfig,
     PexesoIndex,
     exact_fuzzy_join_fraction,
+    reach_matrix,
 )
 from repro.search.results import ColumnResult
 from repro.understanding.embedding import train_embeddings
@@ -31,8 +35,6 @@ def pexeso(union_corpus, union_space):
 class TestSearch:
     def test_search_before_build_rejected(self, union_space):
         idx = PexesoIndex(union_space)
-        from repro.datalake.table import Column
-
         with pytest.raises(RuntimeError):
             idx.search(Column("q", ["a"]))
 
@@ -57,8 +59,6 @@ class TestSearch:
             assert r.score >= pexeso.config.sigma
 
     def test_oov_query_returns_empty(self, union_corpus, pexeso):
-        from repro.datalake.table import Column
-
         query = Column("q", ["never-seen-1", "never-seen-2"])
         assert pexeso.search(query) == []
         hits, report = pexeso.search(query, explain=True)
@@ -74,6 +74,19 @@ class TestSearch:
             isinstance(v, np.ndarray) and v.dtype.kind == "f"
             for v in vars(pexeso).values()
         )
+
+    def test_stats_report_the_reach_matrix(self, pexeso):
+        stats = pexeso.stats()
+        reach = pexeso._reach
+        assert stats["reach_nnz"] == reach.nnz > 0
+        assert stats["reach_bytes"] == (
+            reach.data.nbytes + reach.indices.nbytes + reach.indptr.nbytes
+        )
+
+    def test_config_is_frozen(self, pexeso):
+        """``tau`` is baked into the reach matrix, so it cannot change."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pexeso.config.tau = 0.5
 
     def test_block_agrees_with_exact_verification(
         self, union_corpus, union_space, pexeso
@@ -130,9 +143,14 @@ def _brute_force_topk(lake, space, config, query_ref, k):
     """Exact top-k from ``exact_fuzzy_join_fraction`` over every other
     table's text columns, with PEXESO's sigma filter and result order."""
     query = lake.column(query_ref).value_set()
+    return _brute_force_values(lake, space, config, query, k, query_ref.table)
+
+
+def _brute_force_values(lake, space, config, query, k, exclude_table=None):
+    """:func:`_brute_force_topk` for a set of query values."""
     out = []
     for ref, col in lake.iter_text_columns():
-        if ref.table == query_ref.table:
+        if ref.table == exclude_table:
             continue
         frac = exact_fuzzy_join_fraction(
             space,
@@ -171,6 +189,78 @@ class TestExactProperty:
         ref = refs[pick % len(refs)]
         got = index.search(lake.column(ref), k=k, exclude_table=ref.table)
         assert got == _brute_force_topk(lake, space, config, ref, k)
+
+
+class TestReachMatrix:
+    """The build-time reach matrix answers what the query-time product of
+    the query's vectors with the whole vocabulary answered."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.sampled_from([2, 5, 8]),
+        tau=st.sampled_from([0.6, 0.7, 0.8, 0.9]),
+    )
+    def test_slice_counts_equal_the_vocabulary_product(self, seed, tau):
+        lake, space = _small_lake(seed)
+        index = PexesoIndex(space, PexesoConfig(tau=tau)).build(lake)
+        cols, vectors = index._columns, space.vectors
+        assert cols.shape[0] > 0
+        for row in range(cols.shape[0]):
+            q = cols.indices[cols.indptr[row] : cols.indptr[row + 1]]
+            product = (cols @ (vectors[q] @ vectors.T >= tau).T).sum(axis=1)
+            counts = index._reach[:, q].getnnz(axis=1)
+            assert counts.tolist() == np.asarray(product).ravel().tolist()
+
+    def test_pairs_at_the_threshold_are_decided_in_float64(self):
+        """Dots within the float32 screen's margin of ``tau``, on either
+        side of it, are decided as the float64 product decides them."""
+        tau = 0.8
+        offsets = [-SCREEN_MARGIN / 2, -1e-9, 0.0, 1e-9, SCREEN_MARGIN / 2]
+        cosines = [tau + d for d in offsets]
+        vectors = np.array(
+            [[1.0, 0.0]] + [[c, np.sqrt(1 - c * c)] for c in cosines]
+        )
+        n = len(vectors)
+        columns = csr_matrix(np.eye(n, dtype=bool))
+        want = columns @ csr_matrix(vectors @ vectors.T >= tau)
+        got = reach_matrix(columns, vectors, tau)
+        assert (got != want).nnz == 0
+        # The screen leaves every pair with vector 0 to float64, and those
+        # pairs fall on both sides of tau.
+        screen = vectors.astype(np.float32) @ vectors[0].astype(np.float32)
+        assert (abs(screen[1:] - tau) < SCREEN_MARGIN).all()
+        matched = want.toarray()[0, 1:]
+        assert matched.any() and not matched.all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.sampled_from([2, 5, 8]),
+        picks=st.lists(st.integers(min_value=0, max_value=10_000), max_size=20),
+        renders=st.lists(
+            st.sampled_from(
+                [str.upper, str.title, lambda v: f"  {v} ", lambda v: v.replace(" ", "  ")]
+            ),
+            max_size=6,
+        ),
+        n_oov=st.integers(min_value=0, max_value=5),
+        tau=st.sampled_from([0.6, 0.7, 0.8, 0.9]),
+        sigma=st.sampled_from([0.2, 0.4, 0.6]),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    def test_query_outside_the_lake_equals_brute_force(
+        self, seed, picks, renders, n_oov, tau, sigma, k
+    ):
+        """A by-value query mixing vocabulary values, renderings of them
+        that key alike, out-of-vocabulary values and nulls."""
+        lake, space = _small_lake(seed)
+        config = PexesoConfig(tau=tau, sigma=sigma)
+        index = PexesoIndex(space, config).build(lake)
+        known = [space.vocab[p % len(space.vocab)] for p in picks]
+        cells = known + [f(v) for f, v in zip(renders, known)]
+        cells += [f"never-seen-{i}" for i in range(n_oov)] + ["NULL", "n/a"]
+        query = Column("q", cells)
+        want = _brute_force_values(lake, space, config, query.value_set(), k)
+        assert index.search(query, k=k) == want
 
 
 @functools.lru_cache(maxsize=3)

@@ -146,6 +146,9 @@ class ScanOntology:
             return None
         return self.relation_between_classes(ca, cb)
 
+    # The annotator looks relations up by key; keys take the same scan.
+    relation_between_keys = relation_between_values
+
 
 class OldPathSantos(SantosUnionSearch):
     """SANTOS with the fact check as it read before ``Ontology.has_fact``:
