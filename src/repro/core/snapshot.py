@@ -91,8 +91,9 @@ log = get_logger("core.snapshot")
 #: 17: MATE's cells, QCR's key hashes and the ontology are keyed by
 #: ``cell_key`` (nulls dropped), and ontology classes hold no value copies.
 #: Version 18: PEXESO also holds its build-time boolean CSC column x
-#: vocabulary reach matrix (its ``tau`` is fixed at build).
-FORMAT_VERSION = 18
+#: vocabulary reach matrix (its ``tau`` is fixed at build).  Version 19:
+#: TUS also holds its column x column slot-agreement count matrix.
+FORMAT_VERSION = 19
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

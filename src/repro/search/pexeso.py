@@ -91,6 +91,17 @@ def reach_matrix(columns: csr_matrix, vectors: np.ndarray, tau: float) -> csc_ma
     return (columns @ (upper + upper.T)).tocsc()
 
 
+def reach_counts(reach: csc_matrix, qids: np.ndarray) -> np.ndarray:
+    """Stored entries per row of ``reach[:, qids]`` (a repeated id counts
+    each time), read from the CSC index arrays without slicing."""
+    starts = reach.indptr[qids]
+    sizes = reach.indptr[qids + 1] - starts
+    # Position k of the gathered run of query id i is starts[i] + k.
+    offsets = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    picked = reach.indices[offsets + np.arange(len(offsets))]
+    return np.bincount(picked, minlength=reach.shape[0])
+
+
 class PexesoIndex:
     """Exact fuzzy-join index over a lake's text columns."""
 
@@ -182,7 +193,7 @@ class PexesoIndex:
             qids = self._value_ids(column)
         else:
             qids = cols.indices[cols.indptr[row] : cols.indptr[row + 1]]
-        matched = self._reach[:, qids].getnnz(axis=1)
+        matched = reach_counts(self._reach, qids)
         blocked = [
             j
             for j in np.flatnonzero(matched).tolist()

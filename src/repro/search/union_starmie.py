@@ -64,6 +64,7 @@ class StarmieUnionSearch:
         )
         row_of = {ref: row for row, ref in enumerate(self._refs)}
         # `vectors` is in lake order: each table's columns by index.
+        self._table_rows = {}
         for ref in vectors:
             self._table_rows.setdefault(ref.table, []).append(row_of[ref])
         METRICS.inc("index.starmie.columns_indexed", len(self._refs))
@@ -118,14 +119,12 @@ class StarmieUnionSearch:
         scores = qmatrix @ self._matrix.T
         # Gather per-table candidate columns (column index -> matrix row).
         table_cols: dict[str, dict[int, int]] = {}
-        candidates_examined = 0
-        for row_scores in scores:
-            top = np.argsort(-row_scores, kind="stable")
-            for row in top[: self.config.candidates_per_column]:
-                candidates_examined += 1
-                ref = self._refs[row]
-                if ref.table != query.name:
-                    table_cols.setdefault(ref.table, {})[ref.index] = row
+        top = np.argsort(-scores, axis=1, kind="stable")[:, : self.config.candidates_per_column]
+        candidates_examined = top.size
+        for row in top.ravel().tolist():
+            ref = self._refs[row]
+            if ref.table != query.name:
+                table_cols.setdefault(ref.table, {})[ref.index] = row
         results = []
         for name, rows_by_col in table_cols.items():
             cols = sorted(rows_by_col)

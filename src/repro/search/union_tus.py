@@ -10,12 +10,18 @@ scores with bipartite matching:
 * ensemble          — the max of the available signals (the paper picks the
   measure with the highest goodness per attribute pair).
 
-Search is one exact pass over per-column matrices built offline (MinHash
-signatures, embeddings, class vectors); an indexed lake table queried by
-reference reads its own rows of them instead of sketching its cells.  Candidate tables share at least
-one MinHash slot with a query column: what a banded LSH at threshold 0.05
-returns, since its optimal banding is one slot per band for 8–205
-permutations.
+Search is one exact pass over per-column matrices built offline: MinHash
+signatures, embeddings, class vectors and the *slot-agreement* matrix,
+whose entry ``(i, j)`` counts the MinHash slots on which indexed columns
+``i`` and ``j`` agree.  An indexed lake table queried by reference reads
+its own rows of them, so its set scores are stored counts divided by
+``num_perm`` and nothing is sketched or compared; only a column outside
+the index is signed and compared slot by slot with every indexed row.
+Candidate tables share at least one MinHash slot with a query column:
+what a banded LSH at threshold 0.05 returns, since its optimal banding is
+one slot per band for 8–205 permutations.  The agreement matrix is square
+in the number of indexed columns (37 KB at 192 columns), as PEXESO's reach
+matrix grows with the vocabulary.
 """
 
 from __future__ import annotations
@@ -36,6 +42,35 @@ from repro.sketch.minhash import MinHash
 from repro.understanding.embedding import EmbeddingSpace
 
 MEASURES = ("set", "sem", "nl", "ensemble")
+
+#: Signature rows per block of the agreement build.  A block compares
+#: ``AGREE_BLOCK x columns x num_perm`` slots at once (786 KB of booleans
+#: at 192 columns); wider blocks compare more of the lower triangle.
+AGREE_BLOCK = 32
+
+
+def slot_agreement(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """``(len(a), len(b))`` counts of the slots on which rows of ``a`` and
+    ``b`` agree, as ``dtype``."""
+    return (a[:, None, :] == b[None, :, :]).sum(axis=2, dtype=dtype)
+
+
+def agreement_matrix(signatures: np.ndarray) -> np.ndarray:
+    """Symmetric slot-agreement counts of every pair of signature rows, in
+    the narrowest unsigned dtype that holds ``num_perm``.
+
+    Block ``a:b`` compares rows ``a:b`` with rows ``a:`` only and is
+    mirrored into columns ``a:b``, so the lower triangle is never compared.
+    MinHash values are below ``2**31``, so comparing them as uint32 is exact.
+    """
+    n, num_perm = signatures.shape
+    sigs = signatures.astype(np.uint32)
+    agree = np.empty((n, n), dtype=np.min_scalar_type(num_perm))
+    for a in range(0, n, AGREE_BLOCK):
+        b = min(a + AGREE_BLOCK, n)
+        agree[a:b, a:] = slot_agreement(sigs[a:b], sigs[a:], agree.dtype)
+        agree[a:, a:b] = agree[a:b, a:].T
+    return agree
 
 
 @dataclass
@@ -64,6 +99,8 @@ class TableUnionSearch:
         #: indexed text columns in lake order; row i of each matrix is refs[i]
         self.refs: list[ColumnRef] = []
         self._signatures: np.ndarray | None = None
+        #: (columns x columns) slot-agreement counts of the signature rows
+        self._agree = np.zeros((0, 0), dtype=np.uint8)
         self._embeddings = np.zeros((0, 0))
         #: sorted ontology classes seen in the lake, the class-vector columns
         self._classes: list[str] = []
@@ -85,6 +122,7 @@ class TableUnionSearch:
             value_sets.append(col.value_set())
         self.refs, self._slices = refs, slices
         self._signatures = self._sign(value_sets)
+        self._agree = agreement_matrix(self._signatures)
         self._embeddings = self._embed(value_sets)
         counts = [self._class_counts(values) for values in value_sets]
         self._classes = sorted(set().union(*counts))
@@ -96,6 +134,7 @@ class TableUnionSearch:
         return {
             "columns": len(self.refs),
             "signatures": [len(self.refs), self.config.num_perm],
+            "agreement_bytes": self._agree.nbytes,
             "classes": len(self._classes),
             "embedding_dim": self._embeddings.shape[1],
             "measure": self.config.measure,
@@ -146,8 +185,9 @@ class TableUnionSearch:
         """Attribute unionability of each column with every indexed column.
 
         ``rows[i]``, when given and not ``None``, is the indexed row that
-        already holds ``columns[i]``'s signature, class and embedding rows;
-        the other columns are sketched from their cells.
+        already holds ``columns[i]``'s agreement, class and embedding rows;
+        the other columns are sketched from their cells, and only their
+        signatures are compared with the indexed ones.
 
         Returns ``(scores, shares_slot)``: the ``(len(columns), len(refs))``
         score matrix, whose column j scores ``refs[j]``, and whether each
@@ -173,10 +213,13 @@ class TableUnionSearch:
                 out[fresh] = compute(value_sets)
             return out
 
-        equal = query(self._signatures, self._sign)[:, None, :] == self._signatures[None, :, :]
+        agree = query(
+            self._agree,
+            lambda sets: slot_agreement(self._sign(sets), self._signatures, self._agree.dtype),
+        )
         parts = []
         if measure in ("set", "ensemble"):
-            parts.append(equal.mean(axis=2))
+            parts.append(agree / self.config.num_perm)
         if measure in ("sem", "ensemble"):
             classes = query(
                 self._class_vectors,
@@ -186,7 +229,7 @@ class TableUnionSearch:
         if measure in ("nl", "ensemble"):
             embedded = query(self._embeddings, self._embed)
             parts.append(np.maximum(embedded @ self._embeddings.T, 0.0))
-        return np.maximum.reduce(parts), equal.any(axis=2).any(axis=0)
+        return np.maximum.reduce(parts), (agree > 0).any(axis=0)
 
     def search(
         self,

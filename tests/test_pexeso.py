@@ -19,6 +19,7 @@ from repro.search.pexeso import (
     PexesoConfig,
     PexesoIndex,
     exact_fuzzy_join_fraction,
+    reach_counts,
     reach_matrix,
 )
 from repro.search.results import ColumnResult
@@ -210,6 +211,24 @@ class TestReachMatrix:
             product = (cols @ (vectors[q] @ vectors.T >= tau).T).sum(axis=1)
             counts = index._reach[:, q].getnnz(axis=1)
             assert counts.tolist() == np.asarray(product).ravel().tolist()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.sampled_from([2, 5, 8]),
+        picks=st.lists(st.integers(min_value=0, max_value=10_000), max_size=30),
+    )
+    def test_counts_equal_the_sliced_matrix(self, seed, picks):
+        """Gathering the query ids' index runs counts what scipy's column
+        slice counts, repeated ids included."""
+        lake, space = _small_lake(seed)
+        reach = PexesoIndex(space).build(lake)._reach
+        qids = np.array([p % reach.shape[1] for p in picks], dtype=np.int32)
+        got = reach_counts(reach, qids)
+        assert got.tolist() == reach[:, qids].getnnz(axis=1).tolist()
+
+    def test_no_query_ids_count_zero_everywhere(self, pexeso):
+        counts = reach_counts(pexeso._reach, np.zeros(0, dtype=np.int32))
+        assert counts.tolist() == [0] * pexeso._reach.shape[0]
 
     def test_pairs_at_the_threshold_are_decided_in_float64(self):
         """Dots within the float32 screen's margin of ``tau``, on either

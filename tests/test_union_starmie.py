@@ -101,6 +101,17 @@ class TestLifecycle:
         assert stats["columns"] > 0
         assert stats["matrix_bytes"] == stats["columns"] * dim * 8
 
+    def test_rebuild_keeps_one_row_per_column(self, union_corpus, encoder):
+        """A second build replaces the table -> rows map instead of adding
+        to it, so a query by reference reads each column once."""
+        s = StarmieUnionSearch(union_corpus.lake, encoder).build()
+        query = union_corpus.lake.table(union_corpus.groups[0][0])
+        rows = {name: list(r) for name, r in s._table_rows.items()}
+        want = s.search(query, k=5, by_ref=True)
+        s.build()
+        assert s._table_rows == rows
+        assert s.search(query, k=5, by_ref=True) == want
+
 
 class TestRetrieval:
     def test_group_members_rank_top(self, union_corpus, starmie):

@@ -1,5 +1,7 @@
 """Tests for TUS-style table union search."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.ontology import subsample_ontology
-from repro.datalake.table import ColumnRef
+from repro.datalake.lake import DataLake
+from repro.datalake.table import Column, ColumnRef, Table
 from repro.search.aggregate import table_unionability
 from repro.search.results import TableResult
 from repro.search.union_tus import MEASURES, TableUnionSearch, TusConfig
@@ -23,6 +26,12 @@ def tus(union_corpus, union_space):
         ontology=union_corpus.ontology,
         space=union_space,
     ).build()
+
+
+def _copy_table(table, name=None):
+    """An equal table outside the index, optionally renamed."""
+    columns = [Column(c.name, list(c.values)) for c in table.columns]
+    return Table(name or table.name, columns, table.metadata)
 
 
 def column_score(tus, column, ref, measure=None):
@@ -199,8 +208,11 @@ class TestExactness:
             )
             sharing = {tus.refs[j].table for j in np.flatnonzero(shares_slot)}
             assert sharing - {query.name} == candidates
-            for measure in MEASURES:
-                got, report = tus.search(query, k=k, measure=measure, explain=True)
+            for measure, by_ref in itertools.product(MEASURES, (False, True)):
+                got, report = tus.search(
+                    query, k=k, measure=measure, explain=True, by_ref=by_ref
+                )
+                assert report.params["by_ref"] == (by_ref and query.name in tus._slices)
                 want = reference.search(query, k, measure)
                 assert [h.table for h in got] == [h.table for h in want]
                 for g, w in zip(got, want):
@@ -211,6 +223,30 @@ class TestExactness:
                     for (_, _, gs), (_, _, ws) in zip(g.alignment, w.alignment):
                         assert gs == pytest.approx(ws, abs=1e-9)
                 assert report.counts()["candidates"] == len(candidates)
+
+    def test_slot_counts_beyond_uint8(self, union_corpus):
+        """At 300 permutations a slot count needs more than a byte.  A twin
+        table agrees with its original on every slot, and the stored
+        counts (by reference) and the compared ones (by copy) both say so."""
+        first = next(iter(union_corpus.lake))
+        lake = DataLake(list(union_corpus.lake) + [_copy_table(first, "twin")])
+        tus = TableUnionSearch(lake, config=TusConfig(measure="set", num_perm=300)).build()
+        assert tus._agree.dtype == np.uint16
+        assert tus.stats()["agreement_bytes"] == 2 * len(tus.refs) ** 2
+        reference = PairwiseTus(lake, num_perm=300)
+        for query in lake:
+            by_ref, ref_report = tus.search(query, k=5, explain=True, by_ref=True)
+            by_copy, copy_report = tus.search(_copy_table(query), k=5, explain=True)
+            assert ref_report.params["by_ref"] and not copy_report.params["by_ref"]
+            assert by_ref == by_copy
+            assert ref_report.counts() == copy_report.counts()
+            want = reference.search(query, 5, "set")
+            assert [(h.table, h.score) for h in by_ref] == [
+                (h.table, pytest.approx(h.score, abs=1e-12)) for h in want
+            ]
+        twin = tus.search(first, k=1, by_ref=True)[0]
+        assert twin.table == "twin"
+        assert [s for _, _, s in twin.alignment] == [1.0] * len(twin.alignment)
 
 
 class TestMeasures:
