@@ -548,9 +548,11 @@ def _run_inspect(args, out) -> int:
             json.dumps([r.to_dict() for r in reports], indent=2), file=out
         )
     else:
+        # The rows count memory once, so their sum is the whole total.
         total = sum(r.memory_bytes for r in reports)
         print(
-            f"{len(reports)} indexes, estimated {total / 1024:.1f} KiB total",
+            f"{len(reports) - 1} indexes plus shared inputs, "
+            f"estimated {total / 1024:.1f} KiB total",
             file=out,
         )
         prov = system.provenance

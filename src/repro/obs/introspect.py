@@ -22,37 +22,39 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.obs.health import percentile
 
 
-def deep_sizeof(obj: Any) -> int:
+def deep_sizeof(obj: Any, seen: dict[int, Any] | None = None) -> int:
     """Estimated total bytes reachable from ``obj``.
 
     Iterative traversal over containers and ``__dict__``/``__slots__``
-    instances, counting each object once by identity.  numpy arrays report
-    ``sys.getsizeof`` plus their buffer (``nbytes``) so large vector stores
-    are not undercounted.  An estimate, not an accounting: shared interned
-    objects are charged to the first referrer.
+    instances, counting each object once by identity.  ``seen`` maps each
+    counted id to its object (kept alive, so no id is reused); pass one map
+    to several calls to charge an object to the first root reaching it.
+    An array's buffer is counted once: ``getsizeof`` of an owning array
+    includes it, and a view adds its ``base``.  An instance ``__dict__`` is
+    sized as a copy, whose size does not depend on how many instances of
+    the class exist.  An estimate, not an accounting.
     """
-    seen: set[int] = set()
+    seen = {} if seen is None else seen
     total = 0
     stack = [obj]
     while stack:
         cur = stack.pop()
         if id(cur) in seen:
             continue
-        seen.add(id(cur))
+        seen[id(cur)] = cur
         try:
             total += sys.getsizeof(cur)
         except TypeError:  # pragma: no cover - exotic objects
             continue
-        nbytes = getattr(cur, "nbytes", None)
-        if nbytes is not None and not isinstance(cur, (int, float)):
-            # numpy array / memoryview: getsizeof misses the data buffer
-            # for ndarray views; nbytes covers it.
-            total += int(nbytes)
-            continue
-        if isinstance(cur, dict):
+        if isinstance(cur, np.ndarray):
+            if cur.base is not None:
+                stack.append(cur.base)
+        elif isinstance(cur, dict):
             stack.extend(cur.keys())
             stack.extend(cur.values())
         elif isinstance(cur, (list, tuple, set, frozenset)):
@@ -61,8 +63,11 @@ def deep_sizeof(obj: Any) -> int:
             continue
         else:
             d = getattr(cur, "__dict__", None)
-            if d is not None:
-                stack.append(d)
+            if d is not None and id(d) not in seen:
+                seen[id(d)] = d
+                total += sys.getsizeof(dict(d))
+                stack.extend(d.keys())
+                stack.extend(d.values())
             for slot in getattr(type(cur), "__slots__", ()) or ():
                 if hasattr(cur, slot):
                     stack.append(getattr(cur, slot))
