@@ -12,7 +12,7 @@ import pytest
 from repro.bench.harness import ExperimentTable
 from repro.bench.metrics import precision_at_k, recall_at_k
 from repro.datalake.ontology import subsample_ontology
-from repro.search.union_tus import MEASURES, TableUnionSearch, TusConfig
+from repro.search.union_tus import MEASURES, TableUnionSearch
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,6 @@ def tus_engine(union_corpus, union_space):
         union_corpus.lake,
         ontology=onto,
         space=union_space,
-        config=TusConfig(num_perm=128),
     ).build()
 
 

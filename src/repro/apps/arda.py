@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.apps.ml import RidgeRegression, train_test_split
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table, cell_key
+from repro.datalake.table import Table
 from repro.search.josie import JosieIndex
 
 
@@ -88,19 +88,19 @@ class ArdaAugmenter:
     ) -> np.ndarray:
         """Left-join a candidate numeric column onto the base keys (mean of
         duplicate keys; missing keys imputed with the column mean)."""
-        cand_keys = cand.columns[cand_key].values
+        cand_keys = cand.columns[cand_key].cell_keys()
         cand_vals = cand.columns[num_col].numeric_values()
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}
-        for key, v in zip(map(cell_key, cand_keys), cand_vals):
+        for key, v in zip(cand_keys, cand_vals):
             if key and np.isfinite(v):
                 sums[key] = sums.get(key, 0.0) + float(v)
                 counts[key] = counts.get(key, 0) + 1
         means = {key: sums[key] / counts[key] for key in sums}
         overall = float(np.mean(list(means.values()))) if means else 0.0
         out = np.empty(base.num_rows)
-        for i, key in enumerate(base.columns[key_column].values):
-            out[i] = means.get(cell_key(key), overall)
+        for i, key in enumerate(base.columns[key_column].cell_keys()):
+            out[i] = means.get(key, overall)
         return out
 
     def augment(

@@ -52,10 +52,11 @@ class LakeGraphEmbedding:
             adj.setdefault(b, []).append(a)
 
         for table in lake:
+            cols = [(ci, col.cell_keys()) for ci, col in table.text_columns()]
             for ri in range(table.num_rows):
                 row_node = f"row:{table.name}:{ri}"
-                for ci, col in table.text_columns():
-                    value = cell_key(col.values[ri])
+                for ci, keys in cols:
+                    value = keys[ri]
                     if not value:
                         continue
                     col_node = f"col:{table.name}:{ci}"

@@ -93,7 +93,10 @@ log = get_logger("core.snapshot")
 #: Version 18: PEXESO also holds its build-time boolean CSC column x
 #: vocabulary reach matrix (its ``tau`` is fixed at build).  Version 19:
 #: TUS also holds its column x column slot-agreement count matrix.
-FORMAT_VERSION = 19
+#: Version 20: TUS's signature rows are the ``column_sets`` foundation's
+#: matrix (one object in the dump, not a copy), and every lake column may
+#: carry its cached row-aligned ``cell_keys`` view.
+FORMAT_VERSION = 20
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -3,24 +3,17 @@
 
 from __future__ import annotations
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    as_pair,
-    register_engine,
-)
+from repro.core.engine import EngineContext, register_engine
+from repro.engines.union_base import UnionIndexEngine
 from repro.search.union_santos import SantosUnionSearch
 
 
 @register_engine
-class SantosEngine(Engine):
+class SantosEngine(UnionIndexEngine):
     """Ontology relationship-intent union search (needs an ontology)."""
 
     name = "santos"
-    stage = "union_index"
     depends_on = ("annotation",)
-    query_label = "union"
     kind = "semantic-graph"
 
     def build(self, ctx: EngineContext) -> None:
@@ -34,17 +27,3 @@ class SantosEngine(Engine):
 
     def items(self, stats: dict) -> int:
         return int(stats["tables"])
-
-    def accepts(self, request: QueryRequest) -> bool:
-        return request.table is not None
-
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(
-                request.table,
-                request.k,
-                explain=request.explain,
-                by_ref=request.table_ref is not None,
-            ),
-            request.explain,
-        )

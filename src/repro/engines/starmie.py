@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    as_pair,
-    register_engine,
-)
+from repro.core.engine import EngineContext, register_engine
+from repro.engines.union_base import UnionIndexEngine
 from repro.search.union_starmie import StarmieUnionSearch
 
 
 @register_engine
-class StarmieEngine(Engine):
+class StarmieEngine(UnionIndexEngine):
     """Contextual column embeddings + exact vector scan."""
 
     name = "starmie"
-    stage = "union_index"
     depends_on = ("embeddings",)
-    query_label = "union"
     kind = "vector-scan"
     items_key = "columns"
 
@@ -28,17 +21,3 @@ class StarmieEngine(Engine):
         if ctx.encoder is None:
             return
         self.raw = StarmieUnionSearch(ctx.lake, ctx.encoder).build()
-
-    def accepts(self, request: QueryRequest) -> bool:
-        return request.table is not None
-
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(
-                request.table,
-                request.k,
-                explain=request.explain,
-                by_ref=request.table_ref is not None,
-            ),
-            request.explain,
-        )

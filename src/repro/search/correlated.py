@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datalake.lake import DataLake
-from repro.datalake.table import Table, cell_key
+from repro.datalake.table import Table
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
-from repro.sketch.qcr import bottom_n, key_hashes, pearson
+from repro.sketch.qcr import bottom_n, hash_keys, pearson
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class CorrelatedHit:
 
 
 def _key_value_pairs(table: Table, key_col: int, num_col: int):
-    keys = map(cell_key, table.columns[key_col].values)
+    keys = table.columns[key_col].cell_keys()
     nums = table.columns[num_col].numeric_values()
     for k, v in zip(keys, nums):
         if k and math.isfinite(v):
@@ -80,7 +80,7 @@ class CorrelatedSearch:
             if not nums:
                 continue
             for ki, column in table.text_columns():
-                key_hash, present = key_hashes(column.values, memo=memo)
+                key_hash, present = hash_keys(column.cell_keys(), memo=memo)
                 for ni, num in nums:
                     h, v = bottom_n(
                         key_hash[present], num[present], self.sketch_size
@@ -154,7 +154,7 @@ class CorrelatedSearch:
             own = np.flatnonzero(self.sketch_of == stored)
             qh, qv = self.hashes[own], self.values[own]
         else:
-            key_hash, present = key_hashes(query.columns[key_column].values)
+            key_hash, present = hash_keys(query.columns[key_column].cell_keys())
             nums = query.columns[value_column].numeric_values()
             qh, qv = bottom_n(key_hash[present], nums[present], self.sketch_size)
         size = len(self.keys)

@@ -60,8 +60,7 @@ class InfoGather:
         """Index every text cell for entity lookup."""
         for table in self.lake:
             for ci, col in table.text_columns():
-                for ri, raw in enumerate(col.values):
-                    v = cell_key(raw)
+                for ri, v in enumerate(col.cell_keys()):
                     if v:
                         self._entity_index[v].append((table.name, ci, ri))
         self._built = True
@@ -93,7 +92,7 @@ class InfoGather:
                         < self.min_header_similarity
                     ):
                         continue
-                    value = cell_key(col.values[ri])
+                    value = col.cell_keys()[ri]
                     if value:
                         votes[entity][value] += 1
                         sources.add(tname)
@@ -128,7 +127,7 @@ class InfoGather:
                 for cj, col in enumerate(table.columns):
                     if cj == ci:
                         continue
-                    if expected and cell_key(col.values[ri]) == expected:
+                    if expected and col.cell_keys()[ri] == expected:
                         pair_hits[(tname, ci, cj)] += 1
         good_pairs = [
             pair for pair, hits in pair_hits.items() if hits >= min_example_hits
@@ -137,11 +136,9 @@ class InfoGather:
         sources: set[str] = set()
         for tname, ci, cj in good_pairs:
             table = self.lake.table(tname)
-            ecol = table.columns[ci]
-            vcol = table.columns[cj]
-            for ri in range(table.num_rows):
-                entity = cell_key(ecol.values[ri])
-                value = cell_key(vcol.values[ri])
+            ekeys = table.columns[ci].cell_keys()
+            vkeys = table.columns[cj].cell_keys()
+            for entity, value in zip(ekeys, vkeys):
                 if entity and value:
                     # Weight by how many examples this pair explained.
                     votes[entity][value] += pair_hits[(tname, ci, cj)]

@@ -34,10 +34,11 @@ def _cell_mask(key: str, bits: int) -> int:
 
 def row_super_key(cells: list[str], bits: int = 64) -> int:
     """OR-aggregate the cell masks of a row's non-null cell keys."""
-    key = 0
-    for cell in filter(None, map(cell_key, cells)):
-        key |= _cell_mask(cell, bits)
-    return key
+    mask = 0
+    for raw in cells:
+        if key := cell_key(raw):
+            mask |= _cell_mask(key, bits)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ class MateIndex:
     """Inverted index from text cells to the rows holding them, plus one
     super key per row.
 
-    A cell is a text-column value's non-null ``cell_key`` (the one cell
-    rule of :mod:`repro.datalake.table`).  Rows are numbered across the
+    A cell is a text-column value's non-null key, read from
+    :meth:`~repro.datalake.table.Column.cell_keys` (so a lake table queried
+    by reference is not keyed again).  Rows are numbered across the
     lake in table order, and cell ids in the order cells are first seen
     there (row by row, column by column).  The build
     puts each row's cells in an :class:`InvertedIndex` and keeps only its
@@ -96,16 +98,13 @@ class MateIndex:
         tables: list[str] = []
         table_rows = [0]
         row_cells: list[dict[str, None]] = []
-        keyed: dict[str, str] = {}  # raw cell -> key, each keyed once
         for table in lake:
             tables.append(table.name)
-            cols = [c.values for _, c in table.text_columns()]
-            for raw in set().union(*cols).difference(keyed):
-                keyed[raw] = cell_key(raw)
-            for values in zip(*cols) if cols else repeat((), table.num_rows):
+            cols = [c.cell_keys() for _, c in table.text_columns()]
+            for keys in zip(*cols) if cols else repeat((), table.num_rows):
                 # A dict keeps the cells in column order, so cell ids do not
                 # depend on string hashing.
-                row_cells.append(dict.fromkeys(filter(None, map(keyed.__getitem__, values))))
+                row_cells.append(dict.fromkeys(filter(None, keys)))
             table_rows.append(len(row_cells))
         cells = InvertedIndex(row_cells)
         masks = np.fromiter(
@@ -150,7 +149,7 @@ class MateIndex:
         postings, and credit each of their tables once.  A key with a cell
         that no row holds matches nothing.
         """
-        cols = [map(cell_key, query.columns[c].values) for c in key_columns]
+        cols = [query.columns[c].cell_keys() for c in key_columns]
         keys = list(dict.fromkeys(filter(all, zip(*cols))))
         matched = np.zeros(len(self.tables), dtype=np.int64)
         probe = _Probe(len(keys), matched, 0, 0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
-from repro.datalake.table import Table, cell_key
+from repro.datalake.table import Table
 from repro.obs import TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import TableResult
@@ -126,7 +126,7 @@ class SantosUnionSearch:
         support: dict[tuple[str, str], float] = {}
         n_rows = min(table.num_rows, cfg.max_rows)
         ids = list(classes)
-        keys = {i: list(map(cell_key, table.columns[i].values[:n_rows])) for i in ids}
+        keys = {i: table.columns[i].cell_keys()[:n_rows] for i in ids}
         for x in range(len(ids)):
             for y in range(x + 1, len(ids)):
                 i, j = ids[x], ids[y]

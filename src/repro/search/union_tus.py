@@ -13,10 +13,12 @@ scores with bipartite matching:
 Search is one exact pass over per-column matrices built offline: MinHash
 signatures, embeddings, class vectors and the *slot-agreement* matrix,
 whose entry ``(i, j)`` counts the MinHash slots on which indexed columns
-``i`` and ``j`` agree.  An indexed lake table queried by reference reads
-its own rows of them, so its set scores are stored counts divided by
-``num_perm`` and nothing is sketched or compared; only a column outside
-the index is signed and compared slot by slot with every indexed row.
+``i`` and ``j`` agree; the columns and signatures are the rows of the
+:class:`~repro.search.joinable.ColumnSets` the join engines read.  An
+indexed lake table queried by reference reads its own rows of them, so
+its set scores are stored counts divided by ``num_perm`` and nothing is
+sketched or compared; only a column outside the index is signed and
+compared slot by slot with every indexed row.
 Candidate tables share at least one MinHash slot with a query column:
 what a banded LSH at threshold 0.05 returns, since its optimal banding is
 one slot per band for 8–205 permutations.  The agreement matrix is square
@@ -37,6 +39,7 @@ from repro.datalake.table import Column, ColumnRef, Table
 from repro.obs import TRACER
 from repro.search.aggregate import table_unionability
 from repro.search.explain import ExplainReport, summarize_results
+from repro.search.joinable import ColumnSets
 from repro.search.results import TableResult
 from repro.sketch.minhash import MinHash
 from repro.understanding.embedding import EmbeddingSpace
@@ -76,8 +79,6 @@ def agreement_matrix(signatures: np.ndarray) -> np.ndarray:
 @dataclass
 class TusConfig:
     measure: str = "ensemble"
-    num_perm: int = 128
-    min_column_size: int = 2
 
 
 class TableUnionSearch:
@@ -98,6 +99,7 @@ class TableUnionSearch:
             raise ValueError(f"unknown measure {self.config.measure!r}")
         #: indexed text columns in lake order; row i of each matrix is refs[i]
         self.refs: list[ColumnRef] = []
+        #: the ColumnSets signature rows (not a copy), one per refs entry
         self._signatures: np.ndarray | None = None
         #: (columns x columns) slot-agreement counts of the signature rows
         self._agree = np.zeros((0, 0), dtype=np.uint8)
@@ -110,18 +112,18 @@ class TableUnionSearch:
 
     # -- offline ------------------------------------------------------------------
 
-    def build(self) -> "TableUnionSearch":
-        refs: list[ColumnRef] = []
-        value_sets = []
+    def build(self, sets: ColumnSets | None = None) -> "TableUnionSearch":
+        """Index the rows of ``sets``, the :class:`ColumnSets` of this
+        lake (built here when not given): its columns, in its row order,
+        and its signature matrix as it is."""
+        sets = sets or ColumnSets(self.lake)
+        refs = sets.refs
         slices: dict[str, tuple[int, int]] = {}
-        for ref, col in self.lake.iter_text_columns():
-            if len(col.value_set()) < self.config.min_column_size:
-                continue
-            slices[ref.table] = (slices.get(ref.table, (len(refs),))[0], len(refs) + 1)
-            refs.append(ref)
-            value_sets.append(col.value_set())
+        for r, ref in enumerate(refs):
+            slices[ref.table] = (slices.get(ref.table, (r,))[0], r + 1)
+        value_sets = [self.lake.column(ref).value_set() for ref in refs]
         self.refs, self._slices = refs, slices
-        self._signatures = self._sign(value_sets)
+        self._signatures = sets.sigs
         self._agree = agreement_matrix(self._signatures)
         self._embeddings = self._embed(value_sets)
         counts = [self._class_counts(values) for values in value_sets]
@@ -133,7 +135,7 @@ class TableUnionSearch:
         """Introspection: indexed columns and the shapes of the matrices."""
         return {
             "columns": len(self.refs),
-            "signatures": [len(self.refs), self.config.num_perm],
+            "signatures": list(self._signatures.shape),
             "agreement_bytes": self._agree.nbytes,
             "classes": len(self._classes),
             "embedding_dim": self._embeddings.shape[1],
@@ -141,7 +143,7 @@ class TableUnionSearch:
         }
 
     def _sign(self, value_sets) -> np.ndarray:
-        num_perm = self.config.num_perm
+        num_perm = self._signatures.shape[1]
         return np.array(
             [MinHash.from_values(v, num_perm=num_perm).hashvalues for v in value_sets],
             dtype=np.uint64,
@@ -219,7 +221,7 @@ class TableUnionSearch:
         )
         parts = []
         if measure in ("set", "ensemble"):
-            parts.append(agree / self.config.num_perm)
+            parts.append(agree / self._signatures.shape[1])
         if measure in ("sem", "ensemble"):
             classes = query(
                 self._class_vectors,

@@ -28,22 +28,26 @@ from repro.sketch.hashing import stable_hash64
 DEFAULT_SEED = 13
 
 
-def key_hashes(
-    cells: list[str], seed: int = DEFAULT_SEED, memo: dict | None = None
+def hash_keys(
+    keys, seed: int = DEFAULT_SEED, memo: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 hashes of raw join-key cells, each hashed as its ``cell_key``,
-    and which cells are keys: a null cell is not (its hash reads 0).
+    """uint64 hashes of cell keys (a column's ``cell_keys()``), and which
+    are keys: a null's ``""`` is not (its hash reads 0).
 
-    ``memo`` maps raw cells to hashes (None for a null); pass one dict to
-    several calls to key and hash a cell repeated across columns once.
+    ``memo`` maps keys to hashes (None for a null); pass one dict to
+    several calls to hash a key repeated across columns once.
     """
     memo = {} if memo is None else memo
-    for raw in set(cells).difference(memo):
-        key = cell_key(raw)
-        memo[raw] = stable_hash64(key, seed) if key else None
-    hashes = list(map(memo.__getitem__, cells))
+    for key in set(keys).difference(memo):
+        memo[key] = stable_hash64(key, seed) if key else None
+    hashes = list(map(memo.__getitem__, keys))
     present = np.array([h is not None for h in hashes], dtype=bool)
     return np.array([h or 0 for h in hashes], dtype=np.uint64), present
+
+
+def key_hashes(cells: list[str], seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hash_keys` of raw join-key cells, each keyed by ``cell_key``."""
+    return hash_keys([cell_key(raw) for raw in cells], seed)
 
 
 def bottom_n(

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.datalake.ontology import Ontology
-from repro.datalake.table import Table, cell_key
+from repro.datalake.table import Table
 
 
 @dataclass
@@ -60,7 +60,7 @@ class OntologyAnnotator:
 
         # Pairwise relationships from row-wise value pairs (sampled rows).
         n_rows = min(table.num_rows, self.max_pair_rows)
-        keys = [list(map(cell_key, c.values[:n_rows])) for _, c in text_cols]
+        keys = [c.cell_keys()[:n_rows] for _, c in text_cols]
         for ai in range(len(text_cols)):
             for bi in range(ai + 1, len(text_cols)):
                 i, j = text_cols[ai][0], text_cols[bi][0]
@@ -90,7 +90,7 @@ def synthesize_kb(lake_tables: list[Table], min_pair_count: int = 3) -> Ontology
     """
     pair_tables: dict[tuple[str, str], set[str]] = {}
     for t in lake_tables:
-        keys = [list(map(cell_key, c.values)) for _, c in t.text_columns()]
+        keys = [c.cell_keys() for _, c in t.text_columns()]
         for ai in range(len(keys)):
             for bi in range(ai + 1, len(keys)):
                 for a, b in zip(keys[ai], keys[bi]):

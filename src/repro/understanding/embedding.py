@@ -140,10 +140,7 @@ def ppmi_matrix(
         # Row context: values co-occurring in a row are related.
         if row_context and len(text_cols) >= 2:
             cells = [
-                np.array(
-                    [index.get(cell_key(v), -1) for v in c.values],
-                    dtype=np.int64,
-                )
+                np.array([index.get(key, -1) for key in c.cell_keys()], dtype=np.int64)
                 for c in text_cols
             ]
             for i in range(len(cells)):

@@ -7,12 +7,15 @@ nothing.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalake.generate import make_join_corpus
+from repro.core.config import DiscoveryConfig
+from repro.core.system import DiscoverySystem
+from repro.datalake.generate import make_join_corpus, make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import NULL_TOKENS, Column, Table, cell_key
@@ -21,6 +24,7 @@ from repro.search.infogather import InfoGather
 from repro.search.joinable import ColumnSets
 from repro.search.mate import MateHit, MateIndex
 from repro.search.union_santos import SantosUnionSearch
+from repro.sketch.minhash import MinHash
 from repro.sketch.qcr import key_hashes
 
 NULL_RENDERINGS = ["", " ", "N/A", "n/a", "NULL", " null ", "NaN", "None", "-", "?", "NA"]
@@ -296,3 +300,80 @@ def test_noisy_rendering_gives_clean_hits(seed, noise):
     noisy = _noisy_lake(clean, random.Random(noise))
     assert [t.columns[2].is_numeric for t in noisy] == [True] * len(noisy)
     assert _hits(noisy) == _hits(clean)
+
+
+# -- one keyed view: each text cell keyed once, each column signed once ------
+
+
+def _fresh(lake: DataLake) -> DataLake:
+    """An equal lake whose columns have keyed nothing yet."""
+    return DataLake(
+        [Table(t.name, [Column(c.name, list(c.values)) for c in t.columns]) for t in lake]
+    )
+
+
+def _calls(fn, code, skip_module: str | None = None) -> int:
+    """How many calls of the function with ``code`` running ``fn`` makes,
+    not counting calls made from the module ``skip_module``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += frame.f_back.f_globals.get("__name__") != skip_module
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+_KEY = cell_key.__code__
+_SIGN = MinHash.from_values.__func__.__code__
+_ONTOLOGY = "repro.datalake.ontology"
+
+
+def _union_case():
+    corpus = make_union_corpus(n_groups=2, tables_per_group=3, rows_per_table=20, seed=7)
+    # Every key is in the vocabulary at min_count 1 (see EmbeddingSpace._row).
+    config = DiscoveryConfig(embedding_dim=16, embedding_min_count=1, enable_domains=True)
+    return _fresh(corpus.lake), config, corpus.ontology
+
+
+def _join_case():
+    corpus = make_join_corpus(n_tables=12, n_queries=2, base_size=60, seed=3)
+    return _fresh(corpus.lake), DiscoveryConfig(enable_embeddings=False), None
+
+
+class TestKeyedOnce:
+    @pytest.mark.parametrize("case", [_union_case, _join_case], ids=["union", "join"])
+    def test_build_keys_each_text_cell_once(self, case):
+        lake, config, ontology = case()
+        system = DiscoverySystem(lake, config, ontology)
+        text_cells = sum(len(c) for t in lake for _, c in t.text_columns())
+        assert _calls(system.build, _KEY, _ONTOLOGY) == text_cells > 0
+
+    @pytest.mark.parametrize("case", [_union_case, _join_case], ids=["union", "join"])
+    def test_build_signs_each_column_once(self, case):
+        system = DiscoverySystem(*case())
+        signed = _calls(system.build, _SIGN)
+        assert signed == len(system.foundations["column_sets"].raw.ids) > 0
+
+    def test_lake_table_through_mate_keys_nothing(self):
+        lake, config, _ = _join_case()
+        system = DiscoverySystem(lake, config).build()
+        for name in lake.table_names():
+            query = lambda: system.multi_attribute_search(name, [0, 1], k=5)  # noqa: E731
+            assert _calls(query, _KEY) == 0
+
+    def test_keyed_view_is_what_readers_read(self):
+        column = Column("c", ["  New  York ", "N/A", "boston", "BOSTON", ""])
+        keys = column.cell_keys()
+        assert keys == ("new york", "", "boston", "boston", "")
+        assert column.cell_keys() is keys
+        assert keys[2] is column.values[2]  # a cell that is its own key is kept
+        assert column.non_null_values() == ["new york", "boston", "boston"]
+        assert column.value_set() == {"new york", "boston"}
+        assert column.null_fraction() == 2 / 5

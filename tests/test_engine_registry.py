@@ -53,8 +53,9 @@ class TestDerivedDag:
         assert REGISTRY.stage_names() == STAGES
 
     def test_stage_deps_match_legacy_literal(self):
+        # TUS indexes the column_sets foundation's rows (join_index).
         assert STAGE_DEPS == {
-            "union_index": ("embeddings", "annotation"),
+            "union_index": ("join_index", "embeddings", "annotation"),
             "navigation": ("embeddings",),
         }
         assert REGISTRY.stage_deps() == STAGE_DEPS

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DiscoveryConfig
+from repro.core.errors import LakeError
+from repro.core.system import DiscoverySystem
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.ontology import subsample_ontology
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef, Table
 from repro.search.aggregate import table_unionability
+from repro.search.joinable import ColumnSets, JoinSearchConfig
 from repro.search.results import TableResult
 from repro.search.union_tus import MEASURES, TableUnionSearch, TusConfig
 from repro.sketch.lsh import optimal_bands
@@ -53,7 +57,7 @@ class PairwiseTus:
         self.columns = {
             ref: col
             for ref, col in lake.iter_text_columns()
-            if len(col.value_set()) >= TusConfig().min_column_size
+            if len(col.value_set()) >= JoinSearchConfig().min_column_size
         }
 
     def minhash(self, column):
@@ -230,7 +234,8 @@ class TestExactness:
         counts (by reference) and the compared ones (by copy) both say so."""
         first = next(iter(union_corpus.lake))
         lake = DataLake(list(union_corpus.lake) + [_copy_table(first, "twin")])
-        tus = TableUnionSearch(lake, config=TusConfig(measure="set", num_perm=300)).build()
+        sets = ColumnSets(lake, JoinSearchConfig(num_perm=300))
+        tus = TableUnionSearch(lake, config=TusConfig(measure="set")).build(sets)
         assert tus._agree.dtype == np.uint16
         assert tus.stats()["agreement_bytes"] == 2 * len(tus.refs) ** 2
         reference = PairwiseTus(lake, num_perm=300)
@@ -307,3 +312,44 @@ class TestMeasures:
         top_weak = sum(r.score for r in res_weak)
         top_full = sum(r.score for r in res_full)
         assert top_full >= top_weak
+
+
+class TestOneSignatureMatrix:
+    """TUS indexes the column_sets foundation's rows: one signature matrix
+    per build, shared with the join engines."""
+
+    @pytest.fixture(scope="class")
+    def system(self, union_corpus):
+        config = DiscoveryConfig(embedding_dim=16)
+        return DiscoverySystem(union_corpus.lake, config, union_corpus.ontology).build()
+
+    def test_signatures_are_the_foundations(self, system):
+        sets = system.engine_context.column_sets
+        tus = system.engines["tus"].raw
+        assert tus._signatures is sets.sigs
+        assert tus.refs == sets.refs
+
+    def test_standalone_build_equals_the_engines(self, system, union_corpus):
+        tus = system.engines["tus"].raw
+        alone = TableUnionSearch(
+            union_corpus.lake, ontology=union_corpus.ontology, space=system.space
+        ).build()
+        assert alone.refs == tus.refs
+        assert np.array_equal(alone._signatures, tus._signatures)
+        for query in union_corpus.lake:
+            assert alone.search(query, k=5, by_ref=True) == tus.search(query, k=5, by_ref=True)
+
+    def test_snapshot_keeps_one_matrix(self, system, tmp_path):
+        system.save(tmp_path / "snap")
+        loaded = DiscoverySystem.load(tmp_path / "snap")
+        tus = loaded.engines["tus"].raw
+        assert tus._signatures is loaded.engine_context.column_sets.sigs
+
+    def test_skipped_join_index_names_it(self, union_corpus):
+        system = DiscoverySystem(
+            union_corpus.lake, DiscoveryConfig(embedding_dim=16), union_corpus.ontology
+        ).build(skip={"join_index"})
+        name = union_corpus.groups[0][0]
+        with pytest.raises(LakeError, match="join_index"):
+            system.unionable_search(name, method="tus")
+        assert system.unionable_search(name, method="starmie")
