@@ -12,8 +12,10 @@ This module replaces the hand-wiring with a single protocol:
 :class:`Engine`
     One discovery method behind a uniform surface — ``name``, the build
     ``stage`` it belongs to, the stages it ``depends_on``, ``build(ctx)``,
-    ``query(request)``, ``stats()``, and ``to_payload()``/``from_payload()``
-    for snapshots.
+    ``serve(request, report)``, ``stats()``, and
+    ``to_payload()``/``from_payload()`` for snapshots.  ``query(request)``
+    is written once, here: it opens the EXPLAIN report, calls ``serve`` and
+    closes the funnel.
 
 :class:`EngineRegistry` / :func:`register_engine`
     The process-wide catalogue of engine classes.  Everything downstream is
@@ -36,11 +38,11 @@ from numbers import Real
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator
 
 from repro.core.errors import ConfigError, LakeError
+from repro.search.explain import ExplainReport, summarize_results
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import DiscoverySystem
     from repro.datalake.table import Column, ColumnRef, Table
-    from repro.search.explain import ExplainReport
 
 #: Engine label used by the federated dispatcher in the query log / SLOs.
 FEDERATED_LABEL = "federated"
@@ -227,10 +229,22 @@ class Engine(ABC):
         """Whether ``request`` carries enough input for this engine."""
         return False
 
-    def query(
-        self, request: QueryRequest
-    ) -> tuple[list, "ExplainReport | None"]:
-        """Serve one query; returns ``(hits, report-or-None)``."""
+    def query(self, request: QueryRequest) -> tuple[list, ExplainReport | None]:
+        """Serve one query; returns ``(hits, report-or-None)``.
+
+        With ``request.explain`` the report is opened here (engine name and
+        ``k``), filled in by :meth:`serve`, and closed here with the
+        ``returned`` count and the result summary."""
+        report = ExplainReport(self.name, k=request.k) if request.explain else None
+        hits = self.serve(request, report)
+        if report is not None:
+            report.stage("returned", len(hits))
+            report.results = summarize_results(hits)
+        return hits, report
+
+    def serve(self, request: QueryRequest, report: ExplainReport | None) -> list:
+        """The hits for ``request``; a given ``report`` gets the query
+        string, the params and this engine's own funnel stages."""
         raise LakeError(f"engine {self.name!r} does not serve queries")
 
     # -- snapshots ---------------------------------------------------------------
@@ -254,12 +268,6 @@ class Engine(ABC):
             "query_label": self.query_label,
             "kind": self.kind,
         }
-
-
-def as_pair(out: Any, explain: bool) -> tuple[list, "ExplainReport | None"]:
-    """``(hits, report-or-None)`` from a ``repro.search`` call made with
-    ``explain=explain`` (which returns the pair itself only when asked)."""
-    return out if explain else (out, None)
 
 
 class EngineRegistry:

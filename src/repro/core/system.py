@@ -95,11 +95,13 @@ class _QueryCapture:
         self.engine_errors: list[str] = []  # "<engine>: <ExcType>"
 
     def finish(self, hits: list, report: ExplainReport | None = None) -> None:
-        """Record the query outcome: hit count attr, result summary, and
-        (when the query ran with explain) the funnel counts."""
+        """Record the query outcome: hit count attr, result summary (the
+        report's, when the query ran with explain) and the funnel counts."""
         self.span.set("hits", len(hits))
-        self.results = summarize_results(hits)
-        if report is not None:
+        if report is None:
+            self.results = summarize_results(hits)
+        else:
+            self.results = report.results
             self.funnel = report.counts()
 
 
@@ -491,9 +493,9 @@ class DiscoverySystem:
         query_repr: str,
         **span_attrs,
     ):
-        """The one online query path behind every ``*_search`` facade:
-        a ``query.<label>`` span and query-log record around the
-        availability and input checks and ``engine.query``.
+        """The one online query path behind every ``*_search`` facade and
+        ``navigate``: a ``query.<label>`` span and query-log record around
+        the availability and input checks and ``engine.query``.
 
         ``name`` is ``None`` when the caller's ``method`` names no engine.
         Returns ``hits``, or ``(hits, ExplainReport)`` with
@@ -832,10 +834,9 @@ class DiscoverySystem:
     def navigate(self, intent_text: str) -> list[str]:
         """Navigate the organization toward free-text intent; returns the
         tables at the reached node."""
-        tables, _ = self._ready("organization").query(
-            QueryRequest(text=intent_text)
+        return self._query(
+            "organization", QueryRequest(text=intent_text), "navigate", intent_text
         )
-        return tables
 
     def explore_results(self, tables: list[str]) -> Organization:
         """RONIN-style online organization of a search result set (§2.6)."""

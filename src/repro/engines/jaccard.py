@@ -30,7 +30,7 @@ class JaccardLshEngine(JoinIndexEngine):
         self.raw = MinHashLSH(num_perm=sets.config.num_perm)
         self.raw.insert_rows(sets.refs, sets.sigs)
 
-    def query(self, request: QueryRequest):
+    def serve(self, request: QueryRequest, report):
         """Columns whose estimated Jaccard with the query reaches the
         index threshold, best first, the top k kept."""
         ref = request.column_ref
@@ -47,4 +47,4 @@ class JaccardLshEngine(JoinIndexEngine):
             for cand, score in self.raw.query_verified(mh)
             if exclude_table is None or cand.table != exclude_table
         ]
-        return hits[: request.k], None
+        return hits[: request.k]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.engine import EngineContext, QueryRequest, as_pair, register_engine
+from repro.core.engine import EngineContext, QueryRequest, register_engine
 from repro.engines.join_base import JoinIndexEngine
 
 
@@ -23,14 +23,11 @@ class JosieEngine(JoinIndexEngine):
     def memory_object(self) -> Any:
         return self.raw.josie
 
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.exact_topk(
-                request.column,
-                request.k,
-                exclude_table=request.exclude_table,
-                explain=request.explain,
-                ref=request.column_ref,
-            ),
-            request.explain,
+    def serve(self, request: QueryRequest, report):
+        return self.raw.exact_topk(
+            request.column,
+            request.k,
+            exclude_table=request.exclude_table,
+            report=report,
+            ref=request.column_ref,
         )

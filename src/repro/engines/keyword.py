@@ -6,7 +6,6 @@ from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
-    as_pair,
     register_engine,
 )
 from repro.search.keyword import KeywordSearchEngine
@@ -30,8 +29,5 @@ class KeywordEngine(Engine):
     def accepts(self, request: QueryRequest) -> bool:
         return bool(request.text)
 
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(request.text, request.k, explain=request.explain),
-            request.explain,
-        )
+    def serve(self, request: QueryRequest, report):
+        return self.raw.search(request.text, request.k, report=report)

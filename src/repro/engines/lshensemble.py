@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.engine import EngineContext, QueryRequest, register_engine
-from repro.datalake.table import Column, ColumnRef
 from repro.engines.join_base import JoinIndexEngine
 from repro.obs import METRICS, TRACER
-from repro.search.explain import ExplainReport, summarize_results
-from repro.search.joinable import ColumnSets
 from repro.search.results import ColumnResult
 from repro.sketch.lshensemble import LSHEnsemble
 from repro.sketch.minhash import MinHash
@@ -33,36 +28,30 @@ class LshEnsembleEngine(JoinIndexEngine):
         )
         self.raw.index_rows(sets.ids.tolist(), sets.sigs, sets.sizes)
 
-    def _signed(
-        self, sets: ColumnSets, column: Column, ref: ColumnRef | None
-    ) -> tuple[MinHash, int, np.ndarray, bool]:
-        """``(signature, set size, token ids, by_ref)`` of the query column:
-        the ensemble's stored row and the store's forward row for an
-        indexed ``ref``, else signed and looked up from the cells."""
-        store = sets.josie.inverted
-        key = sets.key_of(ref)
-        if key is not None:
-            mh, size = self.raw.entry(key)
-            return mh, size, store.row(key), True
-        values = column.value_set()
-        mh = MinHash.from_values(values, num_perm=self.raw.num_perm)
-        return mh, len(values), store.token_ids(values), False
-
-    def query(self, request: QueryRequest):
+    def serve(self, request: QueryRequest, report):
         """LSH Ensemble candidates verified to containment >= threshold,
         best first, the top k kept.
 
-        Verification is *exact* against the stored value sets (the standard
-        filter-verify architecture), so precision is 1.0 and recall is
-        bounded only by the filter."""
+        An indexed address reads the ensemble's stored row and the store's
+        forward row; any other column is signed and looked up from its
+        cells.  Verification is *exact* against the stored value sets (the
+        standard filter-verify architecture), so precision is 1.0 and
+        recall is bounded only by the filter."""
         threshold = request.threshold
         if threshold is None:
             threshold = self.ctx.config.containment_threshold
         exclude_table = request.exclude_table
         sets = self.ctx.column_sets
-        mh, size, tids, by_ref = self._signed(sets, request.column, request.column_ref)
-        candidates = self.raw.query(mh, size, threshold)
         store, keys = sets.josie.inverted, sets.josie.keys
+        key = sets.key_of(request.column_ref)
+        if key is None:
+            values = request.column.value_set()
+            mh = MinHash.from_values(values, num_perm=self.raw.num_perm)
+            size, tids = len(values), store.token_ids(values)
+        else:
+            mh, size = self.raw.entry(key)
+            tids = store.row(key)
+        candidates = self.raw.query(mh, size, threshold)
         mask = store.token_mask(tids)
         out = []
         checked = 0
@@ -79,26 +68,17 @@ class LshEnsembleEngine(JoinIndexEngine):
         sp = TRACER.current()
         sp.set("containment.candidates_checked", checked)
         sp.set("containment.results", len(out))
-        passed = len(out)
-        # Containment has no k: trim here and close the funnel with it.
-        out = sorted(out)[: request.k]
-        if not request.explain:
-            return out, None
-        report = ExplainReport(
-            "lshensemble",
-            query=f"column<{size} values>",
-            k=request.k,
-            params={
+        if report is not None:
+            report.query = f"column<{size} values>"
+            report.params = {
                 "threshold": threshold,
                 "num_perm": self.raw.num_perm,
                 "num_partitions": self.raw.num_partitions,
-                "by_ref": by_ref,
-            },
-        )
-        report.stage("indexed_columns", len(keys))
-        report.stage("candidates", len(candidates))
-        report.stage("checked", checked)
-        report.stage("passed_threshold", passed)
-        report.stage("returned", len(out))
-        report.results = summarize_results(out)
-        return out, report
+                "by_ref": key is not None,
+            }
+            report.stage("indexed_columns", len(keys))
+            report.stage("candidates", len(candidates))
+            report.stage("checked", checked)
+            report.stage("passed_threshold", len(out))
+        # Containment has no k: trim here.
+        return sorted(out)[: request.k]

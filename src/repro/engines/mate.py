@@ -6,7 +6,6 @@ from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
-    as_pair,
     register_engine,
 )
 from repro.search.mate import MateIndex
@@ -31,13 +30,7 @@ class MateEngine(Engine):
     def accepts(self, request: QueryRequest) -> bool:
         return request.table is not None and bool(request.key_columns)
 
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(
-                request.table,
-                list(request.key_columns),
-                request.k,
-                explain=request.explain,
-            ),
-            request.explain,
+    def serve(self, request: QueryRequest, report):
+        return self.raw.search(
+            request.table, list(request.key_columns), request.k, report=report
         )

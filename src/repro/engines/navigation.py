@@ -55,12 +55,15 @@ class NavigationEngine(Engine):
     def items(self, stats: dict) -> int:
         return int(stats["tables"])
 
-    def query(self, request: QueryRequest):
+    def accepts(self, request: QueryRequest) -> bool:
+        return request.text is not None
+
+    def serve(self, request: QueryRequest, report):
         """Navigate toward free-text intent; hits are the (unscored)
         table names at the reached node."""
         intent = self.ctx.space.embed_set(request.text.lower().split())
         _, tables = self.raw.navigate(intent)
-        return tables, None
+        return tables
 
     def to_payload(self) -> Any:
         return {"org": self.raw, "table_vectors": self.table_vectors}

@@ -6,7 +6,6 @@ from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
-    as_pair,
     register_engine,
 )
 from repro.search.pexeso import PexesoIndex
@@ -34,14 +33,11 @@ class PexesoEngine(Engine):
     def accepts(self, request: QueryRequest) -> bool:
         return request.column is not None
 
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(
-                request.column,
-                request.k,
-                exclude_table=request.exclude_table,
-                explain=request.explain,
-                ref=request.column_ref,
-            ),
-            request.explain,
+    def serve(self, request: QueryRequest, report):
+        return self.raw.search(
+            request.column,
+            request.k,
+            exclude_table=request.exclude_table,
+            report=report,
+            ref=request.column_ref,
         )

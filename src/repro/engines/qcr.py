@@ -6,7 +6,6 @@ from repro.core.engine import (
     Engine,
     EngineContext,
     QueryRequest,
-    as_pair,
     register_engine,
 )
 from repro.search.correlated import CorrelatedSearch
@@ -36,15 +35,12 @@ class QcrEngine(Engine):
             and request.value_column is not None
         )
 
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(
-                request.table,
-                request.key_column,
-                request.value_column,
-                request.k,
-                explain=request.explain,
-                by_ref=request.table_ref is not None,
-            ),
-            request.explain,
+    def serve(self, request: QueryRequest, report):
+        return self.raw.search(
+            request.table,
+            request.key_column,
+            request.value_column,
+            request.k,
+            report=report,
+            by_ref=request.table_ref is not None,
         )

@@ -4,7 +4,7 @@ facade resolved the table to the lake's own."""
 
 from __future__ import annotations
 
-from repro.core.engine import Engine, QueryRequest, as_pair
+from repro.core.engine import Engine, QueryRequest
 
 
 class UnionIndexEngine(Engine):
@@ -16,13 +16,10 @@ class UnionIndexEngine(Engine):
     def accepts(self, request: QueryRequest) -> bool:
         return request.table is not None
 
-    def query(self, request: QueryRequest):
-        return as_pair(
-            self.raw.search(
-                request.table,
-                request.k,
-                explain=request.explain,
-                by_ref=request.table_ref is not None,
-            ),
-            request.explain,
+    def serve(self, request: QueryRequest, report):
+        return self.raw.search(
+            request.table,
+            request.k,
+            report=report,
+            by_ref=request.table_ref is not None,
         )

@@ -18,7 +18,7 @@ import numpy as np
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.obs import METRICS, TRACER
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.sketch.qcr import bottom_n, hash_keys, pearson
 
 
@@ -130,16 +130,16 @@ class CorrelatedSearch:
         value_column: int,
         k: int = 10,
         min_containment: float = 0.3,
-        explain: bool = False,
+        report: ExplainReport | None = None,
         by_ref: bool = False,
-    ):
+    ) -> list[CorrelatedHit]:
         """Top-k candidate columns by estimated post-join |correlation|.
 
         ``by_ref`` says ``query`` is the indexed lake table of that name:
         the sketch stored for ``(query.name, key_column, value_column)``
         is then the query's sample, and nothing is hashed.  Without such
         a sketch (or ``by_ref``) the query is sketched from its cells.
-        With ``explain=True`` returns ``(hits, ExplainReport)``.
+        A given ``report`` gets the query, the params and the funnel.
         """
         table_id = self.table_ids.get(query.name, -1)
         stored = (
@@ -194,23 +194,16 @@ class CorrelatedSearch:
         sp.set("by_ref", by_ref)
         sp.set("qcr.sketches_compared", compared)
         sp.set("qcr.pruned_by_containment", pruned)
-        if explain:
-            report = ExplainReport(
-                "qcr",
-                query=f"{query.name}[{key_column},{value_column}]",
-                k=k,
-                params={
-                    "min_containment": min_containment,
-                    "sketch_size": self.sketch_size,
-                    "by_ref": by_ref,
-                },
-            )
+        if report is not None:
+            report.query = f"{query.name}[{key_column},{value_column}]"
+            report.params = {
+                "min_containment": min_containment,
+                "sketch_size": self.sketch_size,
+                "by_ref": by_ref,
+            }
             report.stage("sketches_indexed", size)
             report.stage("compared", compared)
             report.stage("passed_containment", compared - pruned)
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out
 
     def _stored_sketch(

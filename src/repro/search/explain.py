@@ -2,10 +2,15 @@
 
 Every engine can answer *why* a query returned what it did: how many
 candidates each internal stage generated, how many each filter pruned, and
-what thresholds were in force.  Engines accept ``explain=True`` and return
-``(results, ExplainReport)``; the report is a strictly shrinking funnel —
-each stage's count is at most the previous stage's — so consumers (tests,
-the CLI, the query log) can check internal consistency mechanically.
+what thresholds were in force.  A ``repro.search`` method always returns
+its hit list; given ``report=`` (an :class:`ExplainReport`) it fills in the
+query string, the params and its own stages.  The caller owns the report
+and closes it: ``Engine.query`` opens one per explained query and, after
+the engine's ``serve``, appends the ``returned`` stage and the result
+summary, once for every engine.  The report is a strictly shrinking
+funnel — each stage's count is at most the previous stage's — so
+consumers (tests, the CLI, the query log) can check internal consistency
+mechanically.
 
 The report is JSON-ready (``to_dict``) and renders as an ASCII funnel
 (``render``) for ``repro query --explain``.

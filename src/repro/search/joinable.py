@@ -24,7 +24,7 @@ import numpy as np
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef
 from repro.obs import METRICS, TRACER
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.search.josie import JosieIndex
 from repro.search.results import ColumnResult
 from repro.sketch.minhash import MinHash
@@ -96,13 +96,11 @@ class ColumnSets:
         column: Column,
         k: int = 10,
         exclude_table: str | None = None,
-        explain: bool = False,
+        report: ExplainReport | None = None,
         ref: ColumnRef | None = None,
-    ):
-        """JOSIE exact top-k joinable columns by overlap with the query.
-
-        With ``explain=True`` returns ``(hits, ExplainReport)``.
-        """
+    ) -> list[ColumnResult]:
+        """JOSIE exact top-k joinable columns by overlap with the query; a
+        given ``report`` gets the query, the read counts and the funnel."""
         exclude = None if exclude_table is None else (
             lambda cand: cand.table == exclude_table
         )
@@ -116,23 +114,16 @@ class ColumnSets:
             raw, stats = self.josie.topk_of_key(key, k, exclude)
         # JOSIE ranks by (overlap desc, str(key)): already ColumnResult order.
         out = [ColumnResult(cand, overlap / max(size, 1)) for cand, overlap in raw]
-        if explain:
-            report = ExplainReport(
-                "josie",
-                query=f"column<{size} values>",
-                k=k,
-                params={
-                    "query_tokens": stats["query_tokens"],
-                    "posting_lists_read": stats["posting_lists_read"],
-                    "posting_entries_read": stats["posting_entries_read"],
-                    "by_ref": key is not None,
-                },
-            )
+        if report is not None:
+            report.query = f"column<{size} values>"
+            report.params = {
+                "query_tokens": stats["query_tokens"],
+                "posting_lists_read": stats["posting_lists_read"],
+                "posting_entries_read": stats["posting_entries_read"],
+                "by_ref": key is not None,
+            }
             report.stage("indexed_sets", len(self.josie))
             report.stage("candidates_examined", stats["candidates_examined"])
             report.stage("verified", stats["sets_verified"])
             report.stage("positive_overlap", len(raw))
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.datalake.lake import DataLake
 from repro.datalake.table import tokenize
 from repro.obs import METRICS, TRACER
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,11 @@ class KeywordSearchEngine:
         df = self._df.get(token, 0)
         return math.log(1 + (n - df + 0.5) / (df + 0.5))
 
-    def search(self, query: str, k: int = 10, explain: bool = False):
-        """Top-k tables by BM25 score for a keyword query.
-
-        With ``explain=True`` returns ``(hits, ExplainReport)``.
-        """
+    def search(
+        self, query: str, k: int = 10, report: ExplainReport | None = None
+    ) -> list[KeywordHit]:
+        """Top-k tables by BM25 score for a keyword query; a given
+        ``report`` gets the query, the BM25 params and the funnel."""
         q_tokens = tokenize(query)
         hits = []
         for name, counts in self._docs.items():
@@ -123,18 +123,11 @@ class KeywordSearchEngine:
         sp = TRACER.current()
         sp.set("keyword.docs_scored", len(self._docs))
         sp.set("keyword.candidates", len(hits))
-        if explain:
-            report = ExplainReport(
-                "keyword",
-                query=query,
-                k=k,
-                params={"k1": self.k1, "b": self.b},
-            )
+        if report is not None:
+            report.query = query
+            report.params = {"k1": self.k1, "b": self.b}
             report.stage("documents_indexed", len(self._docs))
             report.stage("matched", len(hits), query_tokens=len(q_tokens))
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out
 
     def search_clustered(

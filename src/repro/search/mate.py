@@ -19,7 +19,7 @@ import numpy as np
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table, cell_key
 from repro.obs import METRICS, TRACER
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.sketch.hashing import stable_hash64
 from repro.sketch.inverted import InvertedIndex
 
@@ -217,21 +217,19 @@ class MateIndex:
         key_columns: list[int],
         k: int = 10,
         exclude: str | None = None,
-        explain: bool = False,
-    ):
+        report: ExplainReport | None = None,
+    ) -> list[MateHit]:
         """Top-k tables by fraction of query composite keys matched.
 
         A query key (tuple of cells) matches a candidate row if the row's
         super key covers all cell masks (filter) and the row actually
-        contains every cell (verification).  With ``explain=True`` returns
-        ``(hits, ExplainReport)``.
+        contains every cell (verification).  A given ``report`` gets the
+        query, the params and the funnel.
         """
         probe = self._probe(query, key_columns, exclude)
         if not probe.keys:
-            if explain:
-                return [], ExplainReport(
-                    "mate", query="<no usable query keys>", k=k
-                )
+            if report is not None:
+                report.query = "<no usable query keys>"
             return []
         hits = [
             MateHit(self.tables[t], int(probe.matched[t]), probe.keys)
@@ -247,13 +245,9 @@ class MateIndex:
         sp = TRACER.current()
         sp.set("mate.rows_checked", probe.rows_checked)
         sp.set("mate.rows_passed_filter", probe.rows_passed_filter)
-        if explain:
-            report = ExplainReport(
-                "mate",
-                query=f"composite<{probe.keys} keys>",
-                k=k,
-                params={"bits": self.bits, "key_columns": str(key_columns)},
-            )
+        if report is not None:
+            report.query = f"composite<{probe.keys} keys>"
+            report.params = {"bits": self.bits, "key_columns": str(key_columns)}
             report.stage(
                 "rows_checked",
                 probe.rows_checked,
@@ -263,9 +257,6 @@ class MateIndex:
             report.stage("rows_passed_filter", probe.rows_passed_filter)
             report.stage("keys_matched", keys_matched)
             report.stage("tables_matched", len(hits))
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out
 
     def filter_stats(self, query: Table, key_columns: list[int]) -> dict:

@@ -28,7 +28,7 @@ from scipy.sparse import csc_matrix, csr_matrix
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef
 from repro.obs import METRICS, TRACER
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.search.results import ColumnResult
 from repro.understanding.embedding import EmbeddingSpace
 
@@ -169,9 +169,9 @@ class PexesoIndex:
         column: Column,
         k: int = 10,
         exclude_table: str | None = None,
-        explain: bool = False,
+        report: ExplainReport | None = None,
         ref: ColumnRef | None = None,
-    ):
+    ) -> list[ColumnResult]:
         """Top-k fuzzy-joinable columns by exact match fraction.
 
         Block and verify are one lookup: the query's vocabulary ids select
@@ -181,7 +181,8 @@ class PexesoIndex:
         Columns with at least one match are the blocked candidates; those
         scoring >= sigma are results.  ``ref``, when it is an indexed
         column, is the query's lake address: its stored id segment is the
-        query.  With ``explain=True`` returns ``(hits, ExplainReport)``.
+        query.  A given ``report`` gets the query, the params and the
+        funnel.
         """
         if self._reach is None:
             raise RuntimeError("call build() before searching")
@@ -212,21 +213,14 @@ class PexesoIndex:
         sp.set("pexeso.columns_blocked", len(blocked))
         sp.set("pexeso.candidates_verified", len(blocked))
         out = sorted(results)[:k]
-        if explain:
-            report = ExplainReport(
-                "pexeso",
-                query=f"column<{len(qids)} vectors>",
-                k=k,
-                params={"tau": cfg.tau, "sigma": cfg.sigma, "by_ref": row is not None},
-            )
+        if report is not None:
+            report.query = f"column<{len(qids)} vectors>"
+            report.params = {"tau": cfg.tau, "sigma": cfg.sigma, "by_ref": row is not None}
             report.stage("columns_indexed", len(self._refs))
             report.stage("columns_blocked", len(blocked))
             # Blocking computes every blocked column's exact fraction.
             report.stage("candidates_verified", len(blocked))
             report.stage("passed_sigma", len(results))
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out
 
 

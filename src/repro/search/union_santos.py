@@ -22,7 +22,7 @@ from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import Table
 from repro.obs import TRACER
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.search.results import TableResult
 from repro.understanding.annotate import synthesize_kb
 
@@ -198,15 +198,19 @@ class SantosUnionSearch:
         return w * rel_score + (1 - w) * cls_score
 
     def search(
-        self, query: Table, k: int = 10, explain: bool = False, by_ref: bool = False
-    ):
+        self,
+        query: Table,
+        k: int = 10,
+        report: ExplainReport | None = None,
+        by_ref: bool = False,
+    ) -> list[TableResult]:
         """Top-k tables by relationship-intent match.
 
         ``by_ref`` says ``query`` is the indexed lake table of that name,
         whose semantics the build already computed; any other table is
-        annotated from its cells, whatever its name.  With
-        ``explain=True`` returns ``(hits, ExplainReport)``; SANTOS has no
-        internal funnel, so the report holds the returned count only.
+        annotated from its cells, whatever its name.  SANTOS has no
+        internal funnel: a given ``report`` gets the query and ``by_ref``
+        only.
         """
         if not self._built:
             raise RuntimeError("call build() before searching")
@@ -227,11 +231,9 @@ class SantosUnionSearch:
             TableResult(self._names[i], s)
             for i, s in zip(top, scores[top].tolist())
         ]
-        if explain:
-            report = ExplainReport("santos", query=query.name, k=k, params={"by_ref": by_ref})
-            report.stage("returned", len(hits))
-            report.results = summarize_results(hits)
-            return hits, report
+        if report is not None:
+            report.query = query.name
+            report.params = {"by_ref": by_ref}
         return hits
 
 

@@ -19,7 +19,7 @@ from repro.datalake.lake import DataLake
 from repro.datalake.table import ColumnRef, Table
 from repro.obs import METRICS, TRACER
 from repro.search.aggregate import table_unionability
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.search.results import TableResult
 from repro.understanding.contextual import ContextualColumnEncoder
 
@@ -81,8 +81,12 @@ class StarmieUnionSearch:
     # -- retrieval -------------------------------------------------------------------
 
     def search(
-        self, query: Table, k: int = 10, explain: bool = False, by_ref: bool = False
-    ):
+        self,
+        query: Table,
+        k: int = 10,
+        report: ExplainReport | None = None,
+        by_ref: bool = False,
+    ) -> list[TableResult]:
         """Top-k unionable tables by aggregated contextual-cosine alignment.
 
         ``Q @ M.T`` scores every query column against every indexed column
@@ -91,8 +95,8 @@ class StarmieUnionSearch:
         candidate table's alignment matrix is read from the same scores.
         ``by_ref`` says ``query`` is the indexed lake table of that name:
         its query columns are then its indexed columns and ``Q`` their
-        rows of ``M``, with nothing encoded.  With ``explain=True`` returns
-        ``(hits, ExplainReport)``.
+        rows of ``M``, with nothing encoded.  A given ``report`` gets the
+        query, the params and the funnel.
         """
         if self._matrix is None:
             raise RuntimeError("call build() before searching")
@@ -110,11 +114,10 @@ class StarmieUnionSearch:
                     if not col.is_numeric and np.linalg.norm(qvecs[i]) > 0
                 ]
             )
+        if report is not None:
+            report.query = query.name
+            report.params = {"by_ref": by_ref}
         if not len(qmatrix):
-            if explain:
-                return [], ExplainReport(
-                    "starmie", query=query.name, k=k, params={"by_ref": by_ref}
-                )
             return []
         scores = qmatrix @ self._matrix.T
         # Gather per-table candidate columns (column index -> matrix row).
@@ -142,21 +145,13 @@ class StarmieUnionSearch:
         sp.set("starmie.candidates_examined", candidates_examined)
         sp.set("starmie.tables_scored", len(table_cols))
         out = sorted(results)[:k]
-        if explain:
-            report = ExplainReport(
-                "starmie",
-                query=query.name,
-                k=k,
-                params={
-                    "candidates_per_column": self.config.candidates_per_column,
-                    "query_columns": len(qmatrix),
-                    "by_ref": by_ref,
-                },
-            )
+        if report is not None:
+            report.params = {
+                "candidates_per_column": self.config.candidates_per_column,
+                "query_columns": len(qmatrix),
+                "by_ref": by_ref,
+            }
             report.stage("candidate_probes", candidates_examined)
             report.stage("tables_scored", len(table_cols))
             report.stage("positive_alignment", len(results))
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out

@@ -38,7 +38,7 @@ from repro.datalake.ontology import Ontology
 from repro.datalake.table import Column, ColumnRef, Table
 from repro.obs import TRACER
 from repro.search.aggregate import table_unionability
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 from repro.search.joinable import ColumnSets
 from repro.search.results import TableResult
 from repro.sketch.minhash import MinHash
@@ -238,15 +238,15 @@ class TableUnionSearch:
         query: Table,
         k: int = 10,
         measure: str | None = None,
-        explain: bool = False,
+        report: ExplainReport | None = None,
         by_ref: bool = False,
-    ):
+    ) -> list[TableResult]:
         """Top-k unionable tables under the chosen measure, each candidate
         table's slice of the score matrix aligned by the Hungarian matcher.
 
         ``by_ref`` says ``query`` is the indexed lake table of that name:
-        its indexed columns then read their stored rows.  With
-        ``explain=True`` returns ``(hits, ExplainReport)``.
+        its indexed columns then read their stored rows.  A given
+        ``report`` gets the query, the params and the funnel.
         """
         measure = measure or self.config.measure
         text = query.text_columns()
@@ -269,14 +269,10 @@ class TableUnionSearch:
                 alignment = tuple((i, self.refs[first + j].index, s) for i, j, s in pairs)
                 results.append(TableResult(name, total, alignment))
         out = sorted(results)[:k]
-        if explain:
-            report = ExplainReport(
-                "tus", query=query.name, k=k, params={"measure": measure, "by_ref": by_ref}
-            )
+        if report is not None:
+            report.query = query.name
+            report.params = {"measure": measure, "by_ref": by_ref}
             report.stage("tables_in_lake", len(self.lake.table_names()))
             report.stage("candidates", len(names))
             report.stage("positive", len(results))
-            report.stage("returned", len(out))
-            report.results = summarize_results(out)
-            return out, report
         return out

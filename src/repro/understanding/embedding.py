@@ -52,15 +52,19 @@ class EmbeddingSpace:
         i = self._row(value)
         return self.vectors[i] if i is not None else None
 
-    def ids(self, values) -> np.ndarray:
-        """Rows of ``vectors`` for the known values, in the given order
-        (int32; out-of-vocabulary values are dropped)."""
+    def ids(self, keys) -> np.ndarray:
+        """Rows of ``vectors`` for the known cell keys, in the given order
+        (int32; out-of-vocabulary keys are dropped).  Each is looked up as
+        given: every caller passes keys (``value_set`` members), so a miss
+        is not keyed again."""
+        index = self._index
         return np.fromiter(
-            (i for v in values if (i := self._row(v)) is not None), dtype=np.int32
+            (i for v in keys if (i := index.get(v)) is not None), dtype=np.int32
         )
 
     def embed_set(self, values, sample: int = 200) -> np.ndarray:
-        """Mean vector of (a sample of) the values; zero vector if none known.
+        """Mean vector of (a sample of) the cell keys ``values``, each
+        looked up as given (:meth:`ids`); zero vector if none known.
 
         Values are summed in sorted order, so the result does not depend on
         the iteration order of ``values`` (a set's varies with the hash

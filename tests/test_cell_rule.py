@@ -20,6 +20,7 @@ from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import NULL_TOKENS, Column, Table, cell_key
 from repro.search.correlated import CorrelatedSearch, exact_join_correlation
+from repro.search.explain import ExplainReport
 from repro.search.infogather import InfoGather
 from repro.search.joinable import ColumnSets
 from repro.search.mate import MateHit, MateIndex
@@ -120,7 +121,8 @@ class TestNullsNeverMatch:
     def test_mate_all_null_query_has_no_keys(self):
         lake = self._lake()
         query = Table.from_dict("nq", {"k": ["N/A", "null", " "], "j": ["-", "?", "NaN"]})
-        hits, report = _mate(lake).search(query, [0, 1], explain=True)
+        report = ExplainReport("mate")
+        hits = _mate(lake).search(query, [0, 1], report=report)
         assert hits == [] and report.query == "<no usable query keys>"
 
     def test_qcr(self):
@@ -337,9 +339,16 @@ _ONTOLOGY = "repro.datalake.ontology"
 
 def _union_case():
     corpus = make_union_corpus(n_groups=2, tables_per_group=3, rows_per_table=20, seed=7)
-    # Every key is in the vocabulary at min_count 1 (see EmbeddingSpace._row).
+    # Every key is in the vocabulary at min_count 1.
     config = DiscoveryConfig(embedding_dim=16, embedding_min_count=1, enable_domains=True)
     return _fresh(corpus.lake), config, corpus.ontology
+
+
+def _union_case_min_count_2():
+    """The default ``embedding_min_count``: many keys are out of the
+    vocabulary, and embedding them must not key them again."""
+    corpus = make_union_corpus(n_groups=2, tables_per_group=3, rows_per_table=20, seed=7)
+    return _fresh(corpus.lake), DiscoveryConfig(embedding_dim=16), corpus.ontology
 
 
 def _join_case():
@@ -348,7 +357,11 @@ def _join_case():
 
 
 class TestKeyedOnce:
-    @pytest.mark.parametrize("case", [_union_case, _join_case], ids=["union", "join"])
+    @pytest.mark.parametrize(
+        "case",
+        [_union_case, _union_case_min_count_2, _join_case],
+        ids=["union", "union-min-count-2", "join"],
+    )
     def test_build_keys_each_text_cell_once(self, case):
         lake, config, ontology = case()
         system = DiscoverySystem(lake, config, ontology)

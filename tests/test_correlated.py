@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.datalake.generate import make_correlation_corpus, make_join_corpus
 from repro.search.correlated import CorrelatedSearch, exact_join_correlation
+from repro.search.explain import ExplainReport
 from repro.sketch.qcr import CorrelationSketch
 
 
@@ -287,8 +288,7 @@ class TestTopK:
         in_sketch_order = sorted(
             every, key=lambda h: sketch[(h.table, h.key_column, h.value_column)]
         )
-        got, report = index.search(
-            query, 0, 1, k=k, min_containment=min_c, explain=True
-        )
+        report = ExplainReport("qcr")
+        got = index.search(query, 0, 1, k=k, min_containment=min_c, report=report)
         assert got == sorted(in_sketch_order)[:k]
         assert report.counts()["passed_containment"] == len(every)

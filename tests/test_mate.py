@@ -19,6 +19,7 @@ from repro.core.system import STAGES, DiscoverySystem
 from repro.datalake.generate import make_composite_key_corpus, make_join_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, Table, cell_key
+from repro.search.explain import ExplainReport
 from repro.search.mate import MateIndex, row_super_key
 from repro.sketch.inverted import InvertedIndex
 
@@ -279,7 +280,8 @@ class TestPostingSideOnly:
         tables += list(corpus.lake)[::12]
         for table in tables:
             for keys in ([0], [0, 1])[: table.num_cols]:
-                hits, report = index.search(table, keys, k=10, explain=True)
+                report = ExplainReport("mate")
+                hits = index.search(table, keys, k=10, report=report)
                 want_hits, want_counts = reference.probe(table, keys, 10)
                 assert [(h.table, h.matched, h.total) for h in hits] == want_hits
                 counts = report.counts()
@@ -302,7 +304,8 @@ class TestArrayProbe:
     @given(case=_hand_built(), k=st.integers(1, 6))
     def test_hits_and_counts_match_row_sets_on_hand_built_tables(self, case, k):
         lake, query, keys, exclude = case
-        hits, report = _indexed(lake).search(query, keys, k, exclude, explain=True)
+        report = ExplainReport("mate")
+        hits = _indexed(lake).search(query, keys, k, exclude, report=report)
         want_hits, want_counts = RowSets(lake).probe(query, keys, k, exclude)
         assert [(h.table, h.matched, h.total) for h in hits] == want_hits
         counts = report.counts()

@@ -14,6 +14,7 @@ from repro.core.system import DiscoverySystem
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, Table
+from repro.search.explain import ExplainReport
 from repro.search.pexeso import (
     SCREEN_MARGIN,
     PexesoConfig,
@@ -62,7 +63,8 @@ class TestSearch:
     def test_oov_query_returns_empty(self, union_corpus, pexeso):
         query = Column("q", ["never-seen-1", "never-seen-2"])
         assert pexeso.search(query) == []
-        hits, report = pexeso.search(query, explain=True)
+        report = ExplainReport("pexeso")
+        hits = pexeso.search(query, report=report)
         assert hits == []
         assert report.counts()["columns_indexed"] == pexeso.stats()["columns"]
         assert report.counts()["columns_blocked"] == 0
@@ -116,9 +118,8 @@ class TestSearch:
         query = lake.table("only").columns[0]
         assert idx.search(query, k=5)  # the column matches itself
         assert idx.search(query, k=5, exclude_table="only") == []
-        hits, report = idx.search(
-            query, k=5, exclude_table="only", explain=True
-        )
+        report = ExplainReport("pexeso")
+        hits = idx.search(query, k=5, exclude_table="only", report=report)
         assert hits == []
         assert report.counts()["columns_blocked"] == 0
 
@@ -135,7 +136,8 @@ class TestSearch:
         assert idx.stats()["columns"] == 0
         query = union_corpus.lake.table(union_corpus.groups[0][0]).columns[0]
         assert idx.search(query, k=5) == []
-        hits, report = idx.search(query, k=5, explain=True)
+        report = ExplainReport("pexeso")
+        hits = idx.search(query, k=5, report=report)
         assert hits == []
         assert report.counts()["columns_indexed"] == 0
 

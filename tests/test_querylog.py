@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.core.config import DiscoveryConfig
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, LakeError
 from repro.core.system import DiscoverySystem
 from repro.datalake.lake import ColumnRef
 from repro.obs.querylog import QueryLog, QueryRecord
@@ -195,6 +195,28 @@ class TestSystemIntegration:
         system.joinable_search(ColumnRef(qname, 0), k=3, explain=True)
         last = obs.QUERY_LOG.records()[-1]
         assert last.funnel and "returned" in last.funnel
+
+    def test_navigate_is_logged(self, system):
+        tables = system.navigate("concept_000")
+        assert system.navigate("") is not None  # any text answers
+        first, last = obs.QUERY_LOG.records()[-2:]
+        assert (first.engine, first.query, first.status) == ("navigate", "concept_000", "ok")
+        assert [ident for ident, _ in first.results] == tables[:20]
+        assert (last.engine, last.query, last.status) == ("navigate", "", "ok")
+
+    def test_navigate_unavailable_raises_and_is_logged(self, union_corpus):
+        with pytest.raises(LakeError, match="call build\\(\\) first"):
+            DiscoverySystem(union_corpus.lake).navigate("x")
+        skipped = DiscoverySystem(
+            union_corpus.lake, DiscoveryConfig(enable_embeddings=False)
+        ).build(skip={"navigation"})
+        with pytest.raises(
+            LakeError,
+            match="stage 'navigation' was skipped at build time: organization unavailable",
+        ):
+            skipped.navigate("x")
+        last = obs.QUERY_LOG.records()[-1]
+        assert (last.engine, last.status, last.error) == ("navigate", "error", "LakeError")
 
     def test_failed_query_logged_as_error(self, system, union_corpus):
         qname = union_corpus.groups[0][0]

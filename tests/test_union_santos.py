@@ -11,6 +11,7 @@ from repro.datalake.generate import make_relationship_corpus, make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import Column, Table
+from repro.search.explain import ExplainReport
 from repro.search.results import TableResult
 from repro.search.union_santos import (
     ColumnOnlySantosBaseline,
@@ -332,7 +333,8 @@ class TestArrayPassEqualsScoreLoop:
             name = table.name if form == "copy" else "fresh_query"
             query = Table(name, [Column(c.name, list(c.values)) for c in table.columns])
         by_ref = form == "lake"
-        hits, report = santos.search(query, k=k, explain=True, by_ref=by_ref)
+        report = ExplainReport("santos")
+        hits = santos.search(query, k=k, report=report, by_ref=by_ref)
         assert hits == _reference_search(santos, query, k, by_ref)
         assert report.params["by_ref"] is (by_ref and table.name in santos._semantics)
 

@@ -15,6 +15,7 @@ from repro.datalake.ontology import subsample_ontology
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Column, ColumnRef, Table
 from repro.search.aggregate import table_unionability
+from repro.search.explain import ExplainReport
 from repro.search.joinable import ColumnSets, JoinSearchConfig
 from repro.search.results import TableResult
 from repro.search.union_tus import MEASURES, TableUnionSearch, TusConfig
@@ -213,8 +214,9 @@ class TestExactness:
             sharing = {tus.refs[j].table for j in np.flatnonzero(shares_slot)}
             assert sharing - {query.name} == candidates
             for measure, by_ref in itertools.product(MEASURES, (False, True)):
-                got, report = tus.search(
-                    query, k=k, measure=measure, explain=True, by_ref=by_ref
+                report = ExplainReport("tus")
+                got = tus.search(
+                    query, k=k, measure=measure, report=report, by_ref=by_ref
                 )
                 assert report.params["by_ref"] == (by_ref and query.name in tus._slices)
                 want = reference.search(query, k, measure)
@@ -240,8 +242,9 @@ class TestExactness:
         assert tus.stats()["agreement_bytes"] == 2 * len(tus.refs) ** 2
         reference = PairwiseTus(lake, num_perm=300)
         for query in lake:
-            by_ref, ref_report = tus.search(query, k=5, explain=True, by_ref=True)
-            by_copy, copy_report = tus.search(_copy_table(query), k=5, explain=True)
+            ref_report, copy_report = ExplainReport("tus"), ExplainReport("tus")
+            by_ref = tus.search(query, k=5, report=ref_report, by_ref=True)
+            by_copy = tus.search(_copy_table(query), k=5, report=copy_report)
             assert ref_report.params["by_ref"] and not copy_report.params["by_ref"]
             assert by_ref == by_copy
             assert ref_report.counts() == copy_report.counts()
