@@ -11,13 +11,18 @@ snapshot is a directory with two files:
     the lake contents, a checksum of the payload, and the stages that ran.
 
 ``payload.pkl``
-    One pickle of the complete built state: the lake, the config, and a
+    One pickle of the complete built state: the config, the ontology, a
     per-engine payload for every registered engine (plus the foundation
     stages' shared outputs), each produced by that engine's
-    ``to_payload()``.  Everything is dumped together so shared objects
-    (the embedding space referenced by several indexes, the
-    ``column_sets`` store and signature rows the three join engines read)
-    stay shared on reload via pickle's memo.
+    ``to_payload()``, and the lake's own pickled bytes.  The engine and
+    foundation payloads are dumped together so shared objects (the
+    embedding space referenced by several indexes, the ``column_sets``
+    store and signature rows the three join engines read) stay shared on
+    reload via pickle's memo.  No payload holds the lake or one of its
+    tables or columns: an engine that searches the lake gets the restored
+    system's lake back in ``from_payload``.  So a reloaded system holds
+    one lake, the caller's live lake when one is given (whose stored
+    bytes are then never unpickled), else the stored one.
 
 ``load()`` refuses to serve anything it cannot prove matches: a format
 version this code does not read, a payload whose checksum disagrees with
@@ -95,8 +100,10 @@ log = get_logger("core.snapshot")
 #: TUS also holds its column x column slot-agreement count matrix.
 #: Version 20: TUS's signature rows are the ``column_sets`` foundation's
 #: matrix (one object in the dump, not a copy), and every lake column may
-#: carry its cached row-aligned ``cell_keys`` view.
-FORMAT_VERSION = 20
+#: carry its cached row-aligned ``cell_keys`` view.  Version 21: the
+#: lake is pickled by itself into the payload's ``lake`` bytes, and the
+#: TUS, Starmie and SANTOS payloads hold no lake.
+FORMAT_VERSION = 21
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"
@@ -129,8 +136,15 @@ def lake_fingerprint(lake: "DataLake") -> str:
             h.update(b"\x00M" + repr(meta).encode("utf-8"))
         for col in table.columns:
             h.update(b"\x00C" + col.name.encode("utf-8"))
-            for value in col.values:
-                h.update(b"\x00v" + str(value).encode("utf-8"))
+            # One update per column: the same bytes as one "\x00v"-led
+            # update per cell, so the same digest.  An empty column adds
+            # nothing.
+            if col.values:
+                try:
+                    cells = "\x00v".join(col.values)
+                except TypeError:  # a non-str cell written after construction
+                    cells = "\x00v".join(map(str, col.values))
+                h.update(("\x00v" + cells).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -218,7 +232,8 @@ def save_snapshot(
     }
     payload: dict[str, Any] = {
         "config": system.config,
-        "lake": system.lake,
+        # Pickled by itself: a load given the live lake never unpickles it.
+        "lake": pickle.dumps(system.lake, protocol=pickle.HIGHEST_PROTOCOL),
         "ontology": system.ontology,
         "stats": system.stats,
         "skipped_stages": sorted(system.skipped_stages),
@@ -332,6 +347,8 @@ def load_snapshot(
             saved_config: DiscoveryConfig = payload["config"]
             foundation_payloads = payload["foundation"]
             engine_payloads = payload["engines"]
+            if lake is None:
+                lake = pickle.loads(payload["lake"])
         except SnapshotError:
             raise
         except Exception as exc:
@@ -340,7 +357,7 @@ def load_snapshot(
             ) from exc
 
         system = DiscoverySystem(
-            lake if lake is not None else payload["lake"],
+            lake,
             saved_config,
             ontology if ontology is not None else payload["ontology"],
         )

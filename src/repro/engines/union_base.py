@@ -4,11 +4,18 @@ facade resolved the table to the lake's own."""
 
 from __future__ import annotations
 
-from repro.core.engine import Engine, QueryRequest
+import copy
+from typing import Any
+
+from repro.core.engine import Engine, EngineContext, QueryRequest
 
 
 class UnionIndexEngine(Engine):
-    """Base adapter for the table-in, tables-out union engines."""
+    """Base adapter for the table-in, tables-out union engines.
+
+    Each index keeps the lake it searches as ``raw.lake``.  A snapshot
+    saves the lake once, by itself, so the payload is the index without
+    it, and a restore hands the index the system's lake."""
 
     stage = "union_index"
     query_label = "union"
@@ -23,3 +30,12 @@ class UnionIndexEngine(Engine):
             report=report,
             by_ref=request.table_ref is not None,
         )
+
+    def to_payload(self) -> Any:
+        raw = copy.copy(self.raw)
+        raw.lake = None
+        return raw
+
+    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
+        super().from_payload(payload, ctx)
+        payload.lake = ctx.lake

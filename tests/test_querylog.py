@@ -204,6 +204,26 @@ class TestSystemIntegration:
         assert [ident for ident, _ in first.results] == tables[:20]
         assert (last.engine, last.query, last.status) == ("navigate", "", "ok")
 
+    def test_navigate_logs_no_k(self, system, union_corpus):
+        """Navigation ranks no top-k: its record and span carry no ``k``,
+        while keyword and join queries keep theirs."""
+        qname = union_corpus.groups[0][0]
+        obs.TRACER.enable()
+        try:
+            system.navigate("concept_000")
+            system.keyword_search("concept", k=3)
+            system.joinable_search(ColumnRef(qname, 0), k=4)
+        finally:
+            obs.TRACER.disable()
+        records = obs.QUERY_LOG.records()[-3:]
+        assert [(r.engine, r.k) for r in records] == [
+            ("navigate", 0), ("keyword", 3), ("join", 4),
+        ]
+        spans = {s.name: s.attrs for s in obs.TRACER.roots()}
+        assert "k" not in spans["query.navigate"]
+        assert spans["query.keyword"]["k"] == 3
+        assert spans["query.join"]["k"] == 4
+
     def test_navigate_unavailable_raises_and_is_logged(self, union_corpus):
         with pytest.raises(LakeError, match="call build\\(\\) first"):
             DiscoverySystem(union_corpus.lake).navigate("x")

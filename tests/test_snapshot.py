@@ -1,7 +1,9 @@
 """Snapshot layer: save/load round-trips, and rejection of stale,
 mismatched, or corrupt snapshots."""
 
+import io
 import json
+import pickle
 
 import pytest
 
@@ -17,7 +19,8 @@ from repro.core.snapshot import (
 )
 from repro.core.system import DiscoverySystem
 from repro.datalake.lake import DataLake
-from repro.datalake.table import ColumnRef, Table
+from repro.datalake.table import Column, ColumnRef, Table, TableMetadata
+from repro.engines.union_base import UnionIndexEngine
 from repro.obs import METRICS
 
 
@@ -148,6 +151,97 @@ class TestRoundTrip:
             assert "build_ms" not in report.to_dict()
 
 
+def _union_engines(system):
+    engines = [
+        engine
+        for engine in system.engines.values()
+        if isinstance(engine, UnionIndexEngine) and engine.is_built()
+    ]
+    assert sorted(e.name for e in engines) == ["santos", "starmie", "tus"]
+    return engines
+
+
+class TestOneLake:
+    """A reloaded system holds exactly one lake, and every engine that
+    searches the lake searches that one."""
+
+    def test_load_with_lake_serves_the_live_lake(self, snapdir, union_corpus):
+        live = union_corpus.lake
+        loaded = DiscoverySystem.load(snapdir, lake=live)
+        assert loaded.lake is live
+        for engine in _union_engines(loaded):
+            assert engine.raw.lake is live, engine.name
+
+    def test_load_without_lake_shares_the_stored_lake(
+        self, snapdir, union_corpus
+    ):
+        loaded = DiscoverySystem.load(snapdir)
+        assert loaded.lake is not union_corpus.lake
+        assert loaded.lake.table_names() == union_corpus.lake.table_names()
+        for engine in _union_engines(loaded):
+            assert engine.raw.lake is loaded.lake, engine.name
+
+    def test_saving_leaves_the_live_engines_their_lake(self, built):
+        for engine in _union_engines(built):
+            assert engine.raw.lake is built.lake, engine.name
+
+    def test_payloads_hold_no_lake_object(self, built):
+        """The engine and foundation payloads, pickled as the snapshot
+        pickles them, reference no lake, table or column."""
+        found = []
+
+        class Probe(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, (DataLake, Table, Column)):
+                    found.append(type(obj).__name__)
+                return None
+
+        payloads = {
+            "engines": {
+                name: engine.to_payload()
+                for name, engine in built.engines.items()
+                if engine.is_built()
+            },
+            "foundation": {
+                name: foundation.to_payload()
+                for name, foundation in built.foundations.items()
+            },
+        }
+        Probe(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(payloads)
+        assert found == []
+
+    def test_hits_and_funnels_equal_live_and_both_loads(
+        self, built, snapdir, union_corpus
+    ):
+        systems = {
+            "live": built,
+            "load(lake=)": DiscoverySystem.load(snapdir, lake=union_corpus.lake),
+            "load()": DiscoverySystem.load(snapdir),
+        }
+
+        def answers(system):
+            out = {}
+            for table in union_corpus.groups[0][:2]:
+                for method in ("tus", "starmie", "santos"):
+                    out[method, table] = system.unionable_search(
+                        table, k=5, method=method, explain=True
+                    )
+                ref = ColumnRef(table, 0)
+                out["join", table] = system.joinable_search(ref, k=5, explain=True)
+                out["mate", table] = system.multi_attribute_search(
+                    system.lake.table(table), [0], k=5, explain=True
+                )
+            return out
+
+        want = answers(systems.pop("live"))
+        assert all(hits for hits, _ in want.values())
+        for label, system in systems.items():
+            got = answers(system)
+            for key, (hits, report) in want.items():
+                assert got[key][0] == hits, (label, key)
+                assert got[key][1] == report, (label, key)
+
+
 class TestRejection:
     def _assert_miss(self, snapdir, **kwargs):
         before = METRICS.snapshot()["counters"].get("snapshot.load.miss", 0)
@@ -233,6 +327,22 @@ class TestFingerprints:
         a = DataLake([Table.from_dict("t", {"x": ["1", "2"]})])
         b = DataLake([Table.from_dict("t", {"x": ["1", "2"]})])
         assert lake_fingerprint(a) == lake_fingerprint(b)
+
+    def test_fingerprint_golden_digest(self):
+        """The digest of one column-at-a-time hashing is that of hashing
+        each cell by itself: this value was made by a per-cell loop.  The
+        lake has an empty column, non-ASCII cells and a non-``str`` cell
+        written after construction."""
+        cities = Table.from_dict(
+            "cities",
+            {"city": ["Zürich", "東京", ""], "pop": ["1", "2.5", "3"]},
+            metadata=TableMetadata(title="Cities", tags=["geo"]),
+        )
+        cities.columns[1].values[2] = 30
+        empty = Table.from_dict("empty", {"a": [], "b": []})
+        assert lake_fingerprint(DataLake([cities, empty])) == (
+            "0212fda268d42d70516312f7d4d71fb32571333bac5cf96661d512e036bb629f"
+        )
 
     def test_config_hash_ignores_runtime_fields(self):
         a = DiscoveryConfig()
