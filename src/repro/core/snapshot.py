@@ -102,8 +102,11 @@ log = get_logger("core.snapshot")
 #: matrix (one object in the dump, not a copy), and every lake column may
 #: carry its cached row-aligned ``cell_keys`` view.  Version 21: the
 #: lake is pickled by itself into the payload's ``lake`` bytes, and the
-#: TUS, Starmie and SANTOS payloads hold no lake.
-FORMAT_VERSION = 21
+#: TUS, Starmie and SANTOS payloads hold no lake.  Version 22: the keyword
+#: index holds per-token postings (document names, term frequencies and
+#: BM25 denominators) instead of per-document term counts and a document
+#: frequency table.
+FORMAT_VERSION = 22
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from contextlib import contextmanager
 from numbers import Integral
 
 import repro.engines  # noqa: F401  - populate the engine registry
@@ -49,14 +48,14 @@ from repro.core.engine import (
 from repro.core.errors import ConfigError, LakeError
 from repro.obs import METRICS, QUERY_LOG, SAMPLER, TRACER, get_logger
 from repro.obs.introspect import IndexStatsReport, deep_sizeof, publish
-from repro.obs.querylog import QueryRecord
+from repro.obs.querylog import RESULTS_KEPT, QueryRecord
 from repro.datalake.lake import DataLake
 from repro.datalake.ontology import Ontology
 from repro.datalake.table import Column, ColumnRef, Table
 from repro.graph.aurum import EnterpriseKnowledgeGraph
 from repro.graph.organize import Organization
 from repro.graph.ronin import RoninExplorer
-from repro.search.explain import ExplainReport, summarize_results
+from repro.search.explain import ExplainReport
 
 log = get_logger("core.system")
 
@@ -82,27 +81,97 @@ UNION_METHODS = ("tus", "santos", "starmie")
 
 
 class _QueryCapture:
-    """Mutable holder threaded through ``_query_span``: the active span
-    plus the result summary / EXPLAIN funnel captured for the query log,
-    and the engines that failed inside a federated query."""
+    """Per-query observability, as a context manager: a
+    ``query.<engine>`` span, the latency and CPU histograms, the query
+    counter, and a structured :class:`QueryRecord` appended to the
+    process-wide query log (always recorded; the span is a no-op when
+    tracing is disabled).
 
-    __slots__ = ("span", "results", "funnel", "engine_errors")
+    Each record carries resource accounting, not just latency: thread CPU
+    time always, and the peak allocation delta whenever
+    ``obs.enable_memory_accounting()`` has tracemalloc running.  Inside the
+    block the caller records the outcome with :meth:`finish` and appends
+    the engines that failed inside a federated query to
+    ``engine_errors``."""
 
-    def __init__(self):
+    __slots__ = (
+        "engine", "query_repr", "attrs", "span", "hits", "report",
+        "engine_errors", "_span_cm", "_t0", "_cpu0", "_mem_base",
+    )
+
+    def __init__(self, engine: str, query_repr: str, attrs: dict):
+        self.engine = engine
+        self.query_repr = query_repr
+        self.attrs = attrs
         self.span = None
-        self.results: list[tuple[str, float]] = []
-        self.funnel: dict[str, int] = {}
+        self.hits: tuple = ()
+        self.report: ExplainReport | None = None
         self.engine_errors: list[str] = []  # "<engine>: <ExcType>"
 
+    def __enter__(self) -> "_QueryCapture":
+        self._t0 = time.perf_counter()
+        self._cpu0 = time.thread_time()
+        self._mem_base = None
+        if tracemalloc.is_tracing():
+            tracemalloc.reset_peak()
+            self._mem_base = tracemalloc.get_traced_memory()[0]
+        self._span_cm = TRACER.span(f"query.{self.engine}", **self.attrs)
+        self.span = self._span_cm.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        try:
+            self._span_cm.__exit__(exc_type, exc, tb)
+        finally:
+            self._record(exc_type)
+        return False
+
     def finish(self, hits: list, report: ExplainReport | None = None) -> None:
-        """Record the query outcome: hit count attr, result summary (the
-        report's, when the query ran with explain) and the funnel counts."""
+        """Record the query outcome: the hit count attr and the first hits
+        (summarized only when the record's ``results`` is read), or the
+        report, whose summary and funnel counts the query ran with."""
         self.span.set("hits", len(hits))
         if report is None:
-            self.results = summarize_results(hits)
-        else:
-            self.results = report.results
-            self.funnel = report.counts()
+            self.hits = tuple(hits[:RESULTS_KEPT])
+        self.report = report
+
+    def _record(self, exc_type) -> None:
+        engine = self.engine
+        latency_ms = (time.perf_counter() - self._t0) * 1000
+        cpu_ms = (time.thread_time() - self._cpu0) * 1000
+        mem_peak_kb = None
+        if self._mem_base is not None and tracemalloc.is_tracing():
+            peak = tracemalloc.get_traced_memory()[1]
+            mem_peak_kb = max(0, peak - self._mem_base) / 1024
+        METRICS.inc(f"query.{engine}.count")
+        METRICS.observe("query.latency_ms", latency_ms)
+        METRICS.observe("query.cpu_ms", cpu_ms)
+        METRICS.observe(f"query.{engine}.latency_ms", latency_ms)
+        status = "ok"
+        error: str | None = None
+        if exc_type is not None and issubclass(exc_type, Exception):
+            status = "error"
+            error = exc_type.__name__
+            METRICS.inc(f"query.{engine}.errors")
+        elif self.engine_errors:
+            status = "partial"
+            error = "; ".join(self.engine_errors)
+        report = self.report
+        QUERY_LOG.append(
+            QueryRecord(
+                engine=engine,
+                query=self.query_repr,
+                k=int(self.attrs.get("k", 0) or 0),
+                latency_ms=latency_ms,
+                cpu_ms=cpu_ms,
+                mem_peak_kb=mem_peak_kb,
+                results=None if report is None else report.results,
+                hits=self.hits,
+                funnel={} if report is None else report.counts(),
+                status=status,
+                error=error,
+            )
+        )
 
 
 def _column_index(i) -> int:
@@ -404,65 +473,6 @@ class DiscoverySystem:
         publish(reports)
         return reports
 
-    @contextmanager
-    def _query_span(self, engine: str, query_repr: str = "", **attrs):
-        """Per-query observability: a ``query.<engine>`` span, latency
-        histogram, query counter, and a structured :class:`QueryRecord`
-        appended to the process-wide query log (always recorded; the span
-        is a no-op when tracing is disabled).
-
-        Each record carries resource accounting, not just latency: thread
-        CPU time always, and the peak allocation delta whenever
-        ``obs.enable_memory_accounting()`` has tracemalloc running."""
-        t0 = time.perf_counter()
-        cpu0 = time.thread_time()
-        mem_on = tracemalloc.is_tracing()
-        mem_base = 0
-        if mem_on:
-            tracemalloc.reset_peak()
-            mem_base = tracemalloc.get_traced_memory()[0]
-        capture = _QueryCapture()
-        error: str | None = None
-        try:
-            with TRACER.span(f"query.{engine}", **attrs) as sp:
-                capture.span = sp
-                yield capture
-        except Exception as exc:
-            error = type(exc).__name__
-            raise
-        finally:
-            latency_ms = (time.perf_counter() - t0) * 1000
-            cpu_ms = (time.thread_time() - cpu0) * 1000
-            mem_peak_kb = None
-            if mem_on and tracemalloc.is_tracing():
-                peak = tracemalloc.get_traced_memory()[1]
-                mem_peak_kb = max(0, peak - mem_base) / 1024
-            METRICS.inc(f"query.{engine}.count")
-            METRICS.observe("query.latency_ms", latency_ms)
-            METRICS.observe("query.cpu_ms", cpu_ms)
-            METRICS.observe(f"query.{engine}.latency_ms", latency_ms)
-            status = "ok"
-            if error:
-                status = "error"
-                METRICS.inc(f"query.{engine}.errors")
-            elif capture.engine_errors:
-                status = "partial"
-                error = "; ".join(capture.engine_errors)
-            QUERY_LOG.append(
-                QueryRecord(
-                    engine=engine,
-                    query=query_repr,
-                    k=int(attrs.get("k", 0) or 0),
-                    latency_ms=latency_ms,
-                    cpu_ms=cpu_ms,
-                    mem_peak_kb=mem_peak_kb,
-                    results=capture.results,
-                    funnel=capture.funnel,
-                    status=status,
-                    error=error,
-                )
-            )
-
     def _ready(self, name: str):
         """The built engine ``name``, or a :class:`LakeError` derived from
         its declarations: its own stage skipped at build time, else the
@@ -507,7 +517,7 @@ class DiscoverySystem:
         self._require_built()
         if ranked:
             span_attrs["k"] = request.k
-        with self._query_span(label, query_repr=query_repr, **span_attrs) as q:
+        with _QueryCapture(label, query_repr, span_attrs) as q:
             if name is None:
                 raise ConfigError(
                     f"unknown {label} method {span_attrs.get('method')!r}"
@@ -791,9 +801,7 @@ class DiscoverySystem:
         request = self._federated_request(query, k)
         scores: dict[str, float] = {}
         sources: dict[str, dict[str, int]] = {}
-        with self._query_span(
-            FEDERATED_LABEL, query_repr=str(query), k=k
-        ) as q:
+        with _QueryCapture(FEDERATED_LABEL, str(query), {"k": k}) as q:
             asked = 0
             for engine in selected:
                 if not engine.is_built() or not engine.accepts(request):
@@ -822,9 +830,10 @@ class DiscoverySystem:
                     )
                     sources.setdefault(table, {})[engine.name] = rank
             q.span.set("engines_asked", asked)
-            merged = sorted(
-                FederatedHit(t, scores[t], sources[t]) for t in scores
-            )[:k]
+            # Rank (-score, table) pairs, the order of FederatedHit.__lt__,
+            # and build hits for the top k only.
+            ranked = sorted((-s, t) for t, s in scores.items())[:k]
+            merged = [FederatedHit(t, -neg, sources[t]) for neg, t in ranked]
             q.finish(merged)
         return merged
 

@@ -80,5 +80,7 @@ class LshEnsembleEngine(JoinIndexEngine):
             report.stage("candidates", len(candidates))
             report.stage("checked", checked)
             report.stage("passed_threshold", len(out))
-        # Containment has no k: trim here.
-        return sorted(out)[: request.k]
+        # Containment has no k: trim here.  The key is ColumnResult.__lt__'s
+        # order, with each ref formatted once instead of per comparison.
+        out.sort(key=lambda r: (-r.score, str(r.ref)))
+        return out[: request.k]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Any
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
@@ -59,11 +60,13 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
+        # The first bucket with ``value <= bound``; NaN compares false with
+        # every bound, so it overflows (bisect alone would put it first).
+        i = bisect_left(self.buckets, value)
+        if i < len(self.buckets) and value == value:
+            self.counts[i] += 1
+        else:
+            self.overflow += 1
 
     def to_dict(self) -> dict[str, Any]:
         buckets = {f"<={b:g}": c for b, c in zip(self.buckets, self.counts)}

@@ -3,9 +3,12 @@
 Every online query the :class:`~repro.core.system.DiscoverySystem` serves
 appends one :class:`QueryRecord` — engine, query, k, latency, the returned
 result ids/scores, and (when the query ran with ``explain=True``) the
-candidate-funnel counts.  The ring is bounded (oldest records drop first)
-so the log is safe to leave on under sustained traffic; an optional JSONL
-sink persists every record as it arrives.
+candidate-funnel counts.  A record keeps the query's first
+:data:`RESULTS_KEPT` hits and summarizes them into ``(id, score)`` pairs
+only when its ``results`` is first read, so a query nobody reads back pays
+no summary.  The ring is bounded (oldest records drop first) so the log is
+safe to leave on under sustained traffic; an optional JSONL sink persists
+every record as it arrives.
 """
 
 from __future__ import annotations
@@ -16,6 +19,35 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
+
+#: The hits a record keeps, and so the length of its ``results``.
+RESULTS_KEPT = 20
+
+
+class _Results:
+    """``QueryRecord.results`` (a dataclass descriptor-typed field): the
+    pairs given at construction, else the summary of the record's ``hits``,
+    made the first time it is read.  Hits are frozen (or ``str``), so a
+    later summary is the summary the query returned."""
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None  # the field default: summarize ``hits`` when read
+        # ``hits`` before ``_results``: a reader that finds ``hits`` already
+        # cleared by another thread then finds that thread's summary.
+        hits = record.hits
+        results = record._results
+        if results is None:
+            # Not at module level: importing the repro.search package
+            # imports modules that import repro.obs.
+            from repro.search.explain import summarize_results
+
+            results = record._results = summarize_results(hits)
+            record.hits = ()
+        return results
+
+    def __set__(self, record, value) -> None:
+        record._results = value
 
 
 @dataclass
@@ -38,13 +70,16 @@ class QueryRecord:
     cpu_ms: float = 0.0
     #: peak allocation delta in KiB (None unless memory accounting is on)
     mem_peak_kb: float | None = None
-    #: ``(result id, score)`` pairs, truncated to the first ~20 hits.
-    results: list[tuple[str, float]] = field(default_factory=list)
+    #: ``(result id, score)`` pairs of the first :data:`RESULTS_KEPT` hits;
+    #: left ``None``, they are summarized from ``hits`` when first read.
+    results: list[tuple[str, float]] = _Results()
     #: EXPLAIN funnel counts (``{stage: count}``) when available.
     funnel: dict[str, int] = field(default_factory=dict)
     status: str = "ok"
     error: str | None = None
     ts: float = 0.0
+    #: the query's first hits, until ``results`` summarizes them
+    hits: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def funnel_total(self) -> int:

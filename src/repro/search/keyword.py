@@ -4,6 +4,12 @@ BM25 ranking over the concatenation of title, description, tags, and column
 headers — the GOODS / Google Dataset Search setting where only metadata is
 indexed, not cell data.  OCTOPUS-style clustering groups hits sharing a
 schema so the user sees one cluster per logical relation.
+
+The index is an inverted file: each token maps to three parallel tuples —
+the documents that hold it, its term frequency in each, and each posting's
+BM25 length-normalised denominator, precomputed at build.  A query reads
+only the postings of its own tokens, so it touches only the documents that
+match; a token's document frequency is the length of its posting list.
 """
 
 from __future__ import annotations
@@ -45,14 +51,20 @@ class KeywordSearchEngine:
         # search can reach tables whose metadata never mentions the topic.
         self.include_values = include_values
         self.max_value_tokens = max_value_tokens
-        self._docs: dict[str, Counter[str]] = {}
         self._doc_len: dict[str, int] = {}
-        self._df: Counter[str] = Counter()
         self._avg_len = 0.0
+        #: token -> (document names, term frequencies, BM25 denominators)
+        self._postings: dict[
+            str, tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...]]
+        ] = {}
         self._schemas: dict[str, tuple[str, ...]] = {}
 
     def index_lake(self, lake: DataLake) -> None:
-        """Index every table's metadata text (and headers)."""
+        """Index every table's metadata text (and headers), replacing any
+        earlier index."""
+        docs: dict[str, Counter[str]] = {}
+        self._doc_len = {}
+        self._schemas = {}
         for table in lake:
             text = table.metadata.text()
             tokens = tokenize(text)
@@ -71,13 +83,26 @@ class KeywordSearchEngine:
                     if budget <= 0:
                         break
             counts = Counter(tokens)
-            self._docs[table.name] = counts
-            self._doc_len[table.name] = sum(counts.values())
-            for t in counts:
-                self._df[t] += 1
+            docs[table.name] = counts
+            self._doc_len[table.name] = len(tokens)
             self._schemas[table.name] = tuple(sorted(h.lower() for h in table.header))
-        n = len(self._docs)
+        n = len(docs)
         self._avg_len = (sum(self._doc_len.values()) / n) if n else 0.0
+        avg = max(self._avg_len, 1e-9)
+        lists: dict[str, tuple[list[str], list[int], list[float]]] = {}
+        for name, counts in docs.items():
+            norm = self.k1 * (1 - self.b + self.b * self._doc_len[name] / avg)
+            for t, tf in counts.items():
+                posting = lists.get(t)
+                if posting is None:
+                    posting = lists[t] = ([], [], [])
+                posting[0].append(name)
+                posting[1].append(tf)
+                posting[2].append(tf + norm)
+        self._postings = {
+            t: (tuple(names), tuple(tfs), tuple(denoms))
+            for t, (names, tfs, denoms) in lists.items()
+        }
         METRICS.inc("index.keyword.tables_indexed", n)
 
     def stats(self) -> dict:
@@ -85,16 +110,11 @@ class KeywordSearchEngine:
         from repro.obs.introspect import summarize_distribution
 
         return {
-            "documents": len(self._docs),
-            "vocabulary": len(self._df),
+            "documents": len(self._doc_len),
+            "vocabulary": len(self._postings),
             "avg_doc_len": round(self._avg_len, 3),
             "doc_len": summarize_distribution(self._doc_len.values()),
         }
-
-    def _idf(self, token: str) -> float:
-        n = len(self._docs)
-        df = self._df.get(token, 0)
-        return math.log(1 + (n - df + 0.5) / (df + 0.5))
 
     def search(
         self, query: str, k: int = 10, report: ExplainReport | None = None
@@ -102,32 +122,35 @@ class KeywordSearchEngine:
         """Top-k tables by BM25 score for a keyword query; a given
         ``report`` gets the query, the BM25 params and the funnel."""
         q_tokens = tokenize(query)
-        hits = []
-        for name, counts in self._docs.items():
-            score = 0.0
-            dl = self._doc_len[name]
-            for t in q_tokens:
-                tf = counts.get(t, 0)
-                if tf == 0:
-                    continue
-                denom = tf + self.k1 * (
-                    1 - self.b + self.b * dl / max(self._avg_len, 1e-9)
-                )
-                score += self._idf(t) * tf * (self.k1 + 1) / denom
-            if score > 0:
-                hits.append(KeywordHit(name, score))
-        out = sorted(hits)[:k]
+        n = len(self._doc_len)
+        k1 = self.k1
+        # Each document's terms are added in query-token order (repeats
+        # included), as a per-document loop would add them.
+        scores: dict[str, float] = {}
+        for t in q_tokens:
+            posting = self._postings.get(t)
+            if posting is None:
+                continue
+            names, tfs, denoms = posting
+            df = len(names)
+            idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
+            for name, tf, denom in zip(names, tfs, denoms):
+                scores[name] = scores.get(name, 0.0) + idf * tf * (k1 + 1) / denom
+        # Rank (-score, name) pairs, the order of KeywordHit.__lt__, and
+        # build hits for the top k only.
+        ranked = sorted((-s, name) for name, s in scores.items() if s > 0)
+        out = [KeywordHit(name, -neg) for neg, name in ranked[:k]]
         METRICS.inc("search.keyword.queries")
-        METRICS.inc("search.keyword.docs_scored", len(self._docs))
+        METRICS.inc("search.keyword.docs_scored", n)
         METRICS.inc("search.keyword.hits_returned", len(out))
         sp = TRACER.current()
-        sp.set("keyword.docs_scored", len(self._docs))
-        sp.set("keyword.candidates", len(hits))
+        sp.set("keyword.docs_scored", n)
+        sp.set("keyword.candidates", len(ranked))
         if report is not None:
             report.query = query
             report.params = {"k1": self.k1, "b": self.b}
-            report.stage("documents_indexed", len(self._docs))
-            report.stage("matched", len(hits), query_tokens=len(q_tokens))
+            report.stage("documents_indexed", n)
+            report.stage("matched", len(ranked), query_tokens=len(q_tokens))
         return out
 
     def search_clustered(

@@ -278,3 +278,32 @@ def test_query_equals_bucket_dicts(sets, query, parts, threshold):
             expected.append((key, c))
     expected.sort(key=lambda kv: (-kv[1], str(kv[0])))
     assert ens.query_verified(qmh, len(tokens), threshold) == expected
+
+
+class TestEngineRanking:
+    """The engine sorts by ``(-score, str(ref))``, ``ColumnResult``'s own
+    order, where ``str`` order is not ``(table, index)`` order."""
+
+    def test_ties_rank_by_ref_string(self):
+        from repro.core.config import DiscoveryConfig
+        from repro.core.system import DiscoverySystem
+        from repro.datalake.lake import DataLake
+        from repro.datalake.table import ColumnRef, Table
+
+        values = [f"v{i}" for i in range(30)]
+        wide = Table.from_dict("t", {f"c{j}": values for j in range(12)})
+        query = Table.from_dict("q", {"key": values})
+        system = DiscoverySystem(
+            DataLake([query, wide]), DiscoveryConfig(enable_embeddings=False)
+        ).build()
+        hits = system.joinable_search(
+            ColumnRef("q", 0), k=20, method="containment"
+        )
+        assert [h.score for h in hits] == [1.0] * 12
+        assert [str(h.ref) for h in hits] == sorted(f"t[{j}]" for j in range(12))
+        order = [str(h.ref) for h in hits]
+        assert order.index("t[10]") < order.index("t[2]")
+        assert hits == sorted(hits)
+        assert len(system.joinable_search(
+            ColumnRef("q", 0), k=3, method="containment"
+        )) == 3

@@ -92,3 +92,48 @@ def test_concurrent_writers_and_scraper():
     assert stats["kept"] + stats["dropped"] == total
     assert len(obs.TRACER.roots()) == stats["kept"]
     assert slo["ok"] is True
+
+
+def test_concurrent_readers_share_one_summary():
+    """A record summarizes its kept hits when ``results`` is first read,
+    then drops them.  Threads that read a fresh record at once must each
+    see the full summary, never an empty one made from hits another reader
+    already dropped."""
+    import sys
+
+    from repro.search.explain import summarize_results
+    from repro.search.keyword import KeywordHit
+
+    hits = tuple(KeywordHit(f"t{i}", 1.0 / (i + 1)) for i in range(20))
+    want = summarize_results(hits)
+    records = [obs.QueryRecord(engine="keyword", hits=hits) for _ in range(N_ITERS)]
+    # Every thread waits at the barrier before each record, so all of them
+    # race on each record's first read.
+    each = threading.Barrier(N_THREADS)
+    wrong: list[int] = []
+    errors: list[BaseException] = []
+
+    def reader() -> None:
+        try:
+            bad = 0
+            for record in records:
+                each.wait(timeout=10)
+                bad += record.results != want
+            wrong.append(bad)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert wrong == [0] * N_THREADS
+    assert all(r.results == want and r.hits == () for r in records)

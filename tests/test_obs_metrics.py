@@ -1,7 +1,11 @@
 """Tests for repro.obs.metrics: counters, gauges, histogram bucketing."""
 
 import json
+import math
 import threading
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
@@ -81,6 +85,61 @@ class TestHistogram:
         m.observe("lat", 4.0, buckets=(99.0,))  # ignored: already created
         assert m.histogram("lat").buckets == (1.0, 10.0)
         assert m.histogram("lat").count == 2
+
+
+def _loop_bucket(buckets: tuple[float, ...], value: float) -> int | None:
+    """The bucket the first-``value <= bound`` scan picks (None: overflow)."""
+    for i, bound in enumerate(buckets):
+        if value <= bound:
+            return i
+    return None
+
+
+def _landed(h: Histogram, value: float) -> int | None:
+    before, overflow = list(h.counts), h.overflow
+    h.observe(value)
+    if h.overflow != overflow:
+        return None
+    (i,) = [i for i, (a, b) in enumerate(zip(before, h.counts)) if a != b]
+    return i
+
+
+class TestBucketSearch:
+    """``observe`` finds the bucket by bisection; it must pick the bucket
+    the linear first-``value <= bound`` scan picks, edges included."""
+
+    def test_value_equal_to_a_bound(self):
+        h = Histogram(buckets=DEFAULT_BUCKETS)
+        for i, bound in enumerate(h.buckets):
+            assert _landed(h, bound) == i
+
+    def test_value_above_the_last_bound_overflows(self):
+        h = Histogram(buckets=(1.0, 5.0))
+        assert _landed(h, 5.0000001) is None
+        assert _landed(h, math.inf) is None
+        assert h.to_dict()["buckets"]["+inf"] == 2
+
+    def test_nan_overflows(self):
+        # A bare bisect_left puts NaN in the first bucket.
+        h = Histogram(buckets=(1.0, 5.0))
+        assert _landed(h, math.nan) is None
+        assert h.counts == [0, 0] and h.overflow == 1
+
+    def test_minus_infinity_and_repeated_bounds(self):
+        h = Histogram(buckets=(1.0, 1.0, 5.0))
+        assert _landed(h, -math.inf) == 0
+        assert _landed(h, 1.0) == 0
+        h = Histogram(buckets=(1.0, math.inf))
+        assert _landed(h, math.inf) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    def test_matches_the_linear_scan(self, bounds, value):
+        h = Histogram(buckets=tuple(bounds))
+        assert _landed(h, value) == _loop_bucket(h.buckets, value)
 
 
 class TestSnapshot:

@@ -8,8 +8,11 @@ from repro import obs
 from repro.core.config import DiscoveryConfig
 from repro.core.errors import ConfigError, LakeError
 from repro.core.system import DiscoverySystem
+from repro.datalake.generate import make_join_corpus
 from repro.datalake.lake import ColumnRef
-from repro.obs.querylog import QueryLog, QueryRecord
+from repro.obs.querylog import QueryLog, QueryRecord, load_jsonl
+from repro.search.explain import summarize_results
+from repro.search.keyword import KeywordHit
 
 
 @pytest.fixture(autouse=True)
@@ -272,3 +275,164 @@ class TestSystemIntegration:
         out = obs.report()
         assert out["querylog"]
         assert out["querylog"][-1]["engine"] == "keyword"
+
+
+# -- records summarize their hits when read ------------------------------------------
+
+_TIMED = ("ts", "latency_ms", "cpu_ms")
+
+
+def _untimed(d: dict) -> dict:
+    return {key: v for key, v in d.items() if key not in _TIMED}
+
+
+def _expected(engine, query, k, hits, report=None, status="ok", error=None):
+    """The record dict a query logs: the summary of its first 20 hits, made
+    when the query returns (or the report's, with the report's funnel)."""
+    results = summarize_results(list(hits))[:20] if report is None else report.results
+    d = {
+        "engine": engine,
+        "query": query,
+        "k": k,
+        "status": status,
+        "results": [[str(i), float(s)] for i, s in results],
+    }
+    if report is not None and report.counts():
+        d["funnel"] = report.counts()
+        d["funnel_total"] = sum(report.counts().values())
+    if error:
+        d["error"] = error
+    return d
+
+
+@pytest.fixture(scope="module")
+def union_system(union_corpus):
+    config = DiscoveryConfig(embedding_dim=16, num_partitions=4)
+    return DiscoverySystem(
+        union_corpus.lake, config, ontology=union_corpus.ontology
+    ).build()
+
+
+@pytest.fixture(scope="module")
+def join_system():
+    lake = make_join_corpus(n_tables=24, n_queries=2, base_size=300, seed=3).lake
+    config = DiscoveryConfig(enable_embeddings=False, num_partitions=4)
+    return DiscoverySystem(lake, config).build()
+
+
+def _queries(union_system, join_system, union_corpus):
+    """``(engine label, query repr, k, call)`` for every engine the facade
+    reaches; ``call(explain)`` runs the query."""
+    us, js = union_system, join_system
+    qname = union_corpus.groups[0][0]
+    ref = ColumnRef(qname, 0)
+    table = union_corpus.lake.table(qname)
+    return [
+        ("keyword", "concept", 10, lambda ex: us.keyword_search("concept", explain=ex)),
+        # 24 hits: the record keeps the first 20.
+        ("keyword", "attr", 30, lambda ex: js.keyword_search("attr", k=30, explain=ex)),
+        ("join", str(ref), 5, lambda ex: us.joinable_search(ref, k=5, explain=ex)),
+        ("join", str(ref), 5, lambda ex: us.joinable_search(
+            ref, k=5, method="containment", threshold=0.3, explain=ex)),
+        ("fuzzy_join", str(ref), 5, lambda ex: us.fuzzy_joinable_search(ref, k=5, explain=ex)),
+        ("multi_attribute", f"{qname}[0]", 5, lambda ex: us.multi_attribute_search(
+            table, [0], k=5, explain=ex)),
+        *[
+            ("union", qname, 5, lambda ex, m=m: us.unionable_search(
+                qname, k=5, method=m, explain=ex))
+            for m in ("tus", "santos", "starmie")
+        ],
+        ("correlated", "query_000[0,2]", 5, lambda ex: js.correlated_search(
+            "query_000", 0, 2, k=5, explain=ex)),
+    ]
+
+
+class TestResultsSummarizedWhenRead:
+    def test_every_engine_with_and_without_explain(
+        self, union_system, join_system, union_corpus
+    ):
+        expected = []
+        for engine, query, k, call in _queries(union_system, join_system, union_corpus):
+            for explain in (False, True):
+                out = call(explain)
+                hits, report = out if explain else (out, None)
+                assert hits, (engine, query)
+                if report is not None:
+                    assert report.results == summarize_results(hits)[:20]
+                expected.append(_expected(engine, query, k, hits, report))
+        qname = union_corpus.groups[0][0]
+        hits = union_system.search(qname, k=25)
+        expected.append(_expected("federated", qname, 25, hits))
+        tables = union_system.navigate("concept_000")
+        expected.append(_expected("navigate", "concept_000", 0, tables))
+        records = obs.QUERY_LOG.records()
+        assert [_untimed(r.to_dict()) for r in records] == expected
+        assert len(records[2].results) == 20  # "attr": 24 hits, 20 kept
+
+    def test_returned_list_changed_afterwards(self, union_system, join_system):
+        hits = join_system.keyword_search("attr", k=30)
+        want = summarize_results(list(hits))
+        hits[0] = KeywordHit("elsewhere", 99.0)
+        hits.append(KeywordHit("late", 1.0))
+        record = obs.QUERY_LOG.records()[-1]
+        assert record.results == want
+        tables = union_system.navigate("concept_000")
+        want = summarize_results(list(tables))
+        tables.clear()
+        assert obs.QUERY_LOG.records()[-1].results == want
+        assert want
+
+    def test_partial_federated_query(self, union_system, union_corpus, monkeypatch):
+        qname = union_corpus.groups[0][0]
+
+        def boom(request):
+            raise RuntimeError("index corrupted")
+
+        monkeypatch.setattr(union_system.engines["tus"], "query", boom)
+        hits = union_system.search(qname, k=5)
+        (record,) = obs.QUERY_LOG.records()
+        assert _untimed(record.to_dict()) == _expected(
+            "federated", qname, 5, hits, status="partial",
+            error="tus: RuntimeError",
+        )
+
+    def test_failing_query(self, union_system, union_corpus, monkeypatch):
+        qname = union_corpus.groups[0][0]
+
+        def boom(request):
+            raise RuntimeError("index corrupted")
+
+        monkeypatch.setattr(union_system.engines["keyword"], "query", boom)
+        with pytest.raises(RuntimeError):
+            union_system.keyword_search("concept", k=3)
+        with pytest.raises(ConfigError):
+            union_system.unionable_search(qname, method="bogus")
+        assert [_untimed(r.to_dict()) for r in obs.QUERY_LOG.records()] == [
+            _expected("keyword", "concept", 3, [], status="error", error="RuntimeError"),
+            _expected("union", qname, 10, [], status="error", error="ConfigError"),
+        ]
+
+    def test_jsonl_sink_and_round_trip(
+        self, union_system, join_system, union_corpus, tmp_path
+    ):
+        sink = tmp_path / "queries.jsonl"
+        obs.QUERY_LOG.configure(sink=str(sink))
+        expected = []
+        for engine, query, k, call in _queries(union_system, join_system, union_corpus):
+            expected.append(_expected(engine, query, k, call(False)))
+        lines = [json.loads(line) for line in sink.read_text().splitlines()]
+        assert [_untimed(line) for line in lines] == expected
+        loaded = load_jsonl(str(sink))
+        assert [r.results for r in loaded] == [
+            [(i, s) for i, s in d["results"]] for d in expected
+        ]
+        assert [_untimed(r.to_dict()) for r in loaded] == expected
+
+    def test_record_built_from_hits_or_results(self):
+        hits = (KeywordHit("a", 1.0 / 3), KeywordHit("b", 0.25))
+        record = QueryRecord(engine="keyword", hits=hits)
+        assert record.results == [("a", 0.333333), ("b", 0.25)]
+        assert record.results is record.results  # summarized once
+        assert QueryRecord(engine="e", results=[("x", 1.0)]).results == [("x", 1.0)]
+        assert QueryRecord(engine="e").results == []
+        assert QueryRecord(engine="keyword", hits=hits) == record

@@ -286,6 +286,26 @@ class TestRejection:
         err = self._assert_miss(d)
         assert f"format version {version}" in str(err)
 
+    def test_format_21_refused(self, built, tmp_path):
+        """A version-21 payload holds the keyword index as per-document
+        term counts and a document-frequency table, which this code does
+        not read: such a snapshot is refused, not served with an empty
+        keyword index."""
+        d = tmp_path / "snap"
+        built.save(d)
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        assert manifest["format_version"] == FORMAT_VERSION == 22
+        manifest["format_version"] = 21
+        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        err = self._assert_miss(d)
+        assert "format version 21" in str(err)
+
+    def test_keyword_payload_holds_postings(self, snapdir):
+        keyword = DiscoverySystem.load(snapdir).engines["keyword"].raw
+        assert keyword._postings and not hasattr(keyword, "_docs")
+        names, tfs, denoms = keyword._postings["group"]
+        assert len(names) == len(tfs) == len(denoms) > 0
+
     def test_corrupt_payload_refused(self, built, tmp_path):
         d = tmp_path / "snap"
         built.save(d)
