@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.datalake.generate import (
-    JoinCorpus,
-    RelationshipCorpus,
-    UnionCorpus,
-)
+from repro.datalake.generate import JoinCorpus, UnionCorpus
 from repro.datalake.table import Column, ColumnRef
 
 
@@ -55,9 +51,3 @@ class UnionWorkload:
             for name in members[:queries_per_group]:
                 out.append((name, corpus.truth[name]))
         return cls(out)
-
-    @classmethod
-    def from_relationship_corpus(
-        cls, corpus: RelationshipCorpus
-    ) -> "UnionWorkload":
-        return cls([(q, set(t)) for q, t in sorted(corpus.truth.items())])

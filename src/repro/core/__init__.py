@@ -13,7 +13,6 @@ from repro.core.errors import (
 from repro.core.engine import (
     REGISTRY,
     Engine,
-    EngineContext,
     EngineRegistry,
     FederatedHit,
     QueryRequest,
@@ -33,7 +32,6 @@ __all__ = [
     "DiscoveryError",
     "DiscoverySystem",
     "Engine",
-    "EngineContext",
     "EngineRegistry",
     "FederatedHit",
     "LakeError",

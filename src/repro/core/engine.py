@@ -11,7 +11,7 @@ This module replaces the hand-wiring with a single protocol:
 
 :class:`Engine`
     One discovery method behind a uniform surface — ``name``, the build
-    ``stage`` it belongs to, the stages it ``depends_on``, ``build(ctx)``,
+    ``stage`` it belongs to, the stages it ``depends_on``, ``build()``,
     ``serve(request, report)``, ``stats()``, and
     ``to_payload()``/``from_payload()`` for snapshots.  ``query(request)``
     is written once, here: it opens the EXPLAIN report, calls ``serve`` and
@@ -117,45 +117,6 @@ class FederatedHit:
         return (-self.score, self.table) < (-other.score, other.table)
 
 
-class EngineContext:
-    """What an engine sees at build / restore time: the owning system's
-    lake, config, ontology, and the foundation stages' outputs."""
-
-    def __init__(self, system: "DiscoverySystem"):
-        self.system = system
-
-    # Convenience views over the owning system -------------------------------
-    @property
-    def lake(self):
-        return self.system.lake
-
-    @property
-    def config(self):
-        return self.system.config
-
-    @property
-    def ontology(self):
-        return self.system.ontology
-
-    @property
-    def space(self):
-        return self.system.space
-
-    @property
-    def encoder(self):
-        return self.system.encoder
-
-    @property
-    def annotations(self):
-        return self.system.annotations
-
-    @property
-    def column_sets(self):
-        """The join columns' token sets and signatures (the
-        ``column_sets`` foundation's :class:`~repro.search.joinable.ColumnSets`)."""
-        return self.system.foundations["column_sets"].raw
-
-
 class Engine(ABC):
     """One discovery method behind the uniform engine protocol.
 
@@ -179,6 +140,11 @@ class Engine(ABC):
         Introspection: the index family shown by ``repro inspect`` and the
         ``stats()`` key holding the primary cardinality.
 
+    Each instance is created with its context :attr:`ctx`: the owning
+    :class:`~repro.core.system.DiscoverySystem`, whose ``lake``,
+    ``config``, ``ontology`` and foundation outputs (``space``,
+    ``encoder``, ``annotations``, ``column_sets``) ``build`` reads.
+
     An adapter that holds one index object stores it in :attr:`raw` from
     ``build`` and inherits the rest: ``is_built()`` is ``raw is not None``,
     ``stats()`` is ``raw.stats()``, and the snapshot payload is ``raw``
@@ -193,14 +159,14 @@ class Engine(ABC):
     kind: ClassVar[str] = ""
     items_key: ClassVar[str | None] = None
 
-    def __init__(self) -> None:
-        self.ctx: EngineContext | None = None
+    def __init__(self, ctx: "DiscoverySystem | None" = None) -> None:
+        self.ctx = ctx
         #: The underlying index object (``None`` until built or restored).
         self.raw: Any = None
 
     # -- offline -----------------------------------------------------------------
     @abstractmethod
-    def build(self, ctx: EngineContext) -> None:
+    def build(self) -> None:
         """Build this engine's index over ``ctx.lake`` into :attr:`raw`.
         Must be a no-op (leaving the engine unbuilt) when its inputs are
         unavailable."""
@@ -252,9 +218,8 @@ class Engine(ABC):
         """Pickle-ready state for the snapshot payload."""
         return self.raw
 
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
+    def from_payload(self, payload: Any) -> None:
         """Restore the state produced by :meth:`to_payload`."""
-        self.ctx = ctx
         self.raw = payload
 
     # -- description -------------------------------------------------------------
@@ -328,13 +293,13 @@ class EngineRegistry:
         """Names of the query-serving engines, registration order."""
         return [c.name for c in self.all()]
 
-    def create(self) -> dict[str, Engine]:
-        """Fresh per-system instances of every query-serving engine."""
-        return {c.name: c() for c in self.all()}
+    def create(self, ctx: "DiscoverySystem") -> dict[str, Engine]:
+        """Fresh instances of every query-serving engine for ``ctx``."""
+        return {c.name: c(ctx) for c in self.all()}
 
-    def create_foundations(self) -> dict[str, Engine]:
-        """Fresh per-system instances of every foundation stage."""
-        return {c.name: c() for c in self.foundations()}
+    def create_foundations(self, ctx: "DiscoverySystem") -> dict[str, Engine]:
+        """Fresh instances of every foundation stage for ``ctx``."""
+        return {c.name: c(ctx) for c in self.foundations()}
 
     # -- derivations --------------------------------------------------------------
     def stage_names(self) -> tuple[str, ...]:

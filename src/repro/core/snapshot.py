@@ -105,8 +105,11 @@ log = get_logger("core.snapshot")
 #: TUS, Starmie and SANTOS payloads hold no lake.  Version 22: the keyword
 #: index holds per-token postings (document names, term frequencies and
 #: BM25 denominators) instead of per-document term counts and a document
-#: frequency table.
-FORMAT_VERSION = 22
+#: frequency table.  Version 23: the ``embeddings``, ``domains`` and
+#: ``annotation`` foundation payloads are their artifacts themselves (the
+#: contextual encoder, which holds the space; the domain list; the
+#: annotation dict) instead of dicts naming them.
+FORMAT_VERSION = 23
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"
@@ -374,7 +377,7 @@ def load_snapshot(
                     name,
                 )
                 continue
-            foundation.from_payload(state, system.engine_context)
+            foundation.from_payload(state)
         for name, state in engine_payloads.items():
             engine = system.engines.get(name)
             if engine is None:
@@ -385,7 +388,7 @@ def load_snapshot(
                     name,
                 )
                 continue
-            engine.from_payload(state, system.engine_context)
+            engine.from_payload(state)
         system._built = True
         system.provenance = {
             "source": "snapshot",

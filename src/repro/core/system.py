@@ -41,7 +41,6 @@ from repro.core.dag import Stage, StageGraph
 from repro.core.engine import (
     FEDERATED_LABEL,
     REGISTRY,
-    EngineContext,
     FederatedHit,
     QueryRequest,
 )
@@ -208,20 +207,11 @@ class DiscoverySystem:
         self.stats = PipelineStats()
         self._configure_sampler()
 
-        # Understanding outputs shared across engines (populated by the
-        # foundation stages):
-        self.space = None
-        self.encoder = None
-        self.domains: list = []
-        self.annotations: dict = {}
-
         # Engine instances: one fresh adapter per registered engine, plus
-        # the foundation (understanding) stages, all sharing one context.
-        self.engine_context = EngineContext(self)
-        self.engines = REGISTRY.create()
-        self.foundations = REGISTRY.create_foundations()
-        for adapter in (*self.foundations.values(), *self.engines.values()):
-            adapter.ctx = self.engine_context
+        # the foundation (understanding) stages, each with this system as
+        # its context.
+        self.engines = REGISTRY.create(self)
+        self.foundations = REGISTRY.create_foundations(self)
 
         self._ekg: EnterpriseKnowledgeGraph | None = None
         self._infogather = None  # built lazily by augment_entities
@@ -260,6 +250,38 @@ class DiscoverySystem:
             )
         SAMPLER.configure(rate=wanted[0], slow_ms=wanted[1])
 
+    # -- understanding outputs (the foundations' artifacts) -------------------------
+
+    @property
+    def encoder(self):
+        """The contextual column encoder (``None``: embeddings did not run)."""
+        return self.foundations["embeddings"].raw
+
+    @property
+    def space(self):
+        """The lake's embedding space, the one the encoder holds."""
+        encoder = self.encoder
+        return None if encoder is None else encoder.space
+
+    @property
+    def domains(self) -> list:
+        """The discovered value domains (empty: the stage did not run)."""
+        domains = self.foundations["domains"].raw
+        return [] if domains is None else domains
+
+    @property
+    def annotations(self) -> dict:
+        """Table name -> ontology annotation (empty: the stage did not run)."""
+        annotations = self.foundations["annotation"].raw
+        return {} if annotations is None else annotations
+
+    @property
+    def column_sets(self):
+        """The join columns' token sets and signatures (a
+        :class:`~repro.search.joinable.ColumnSets`; ``None``: the join
+        stage did not run)."""
+        return self.foundations["column_sets"].raw
+
     # -- offline pipeline ------------------------------------------------------------
 
     def _stage_enabled(self) -> dict[str, bool]:
@@ -278,7 +300,7 @@ class DiscoverySystem:
     ) -> StageGraph:
         """The stage DAG for this build, derived from the engine registry:
         enabled stages minus ``skip``, each stage running its member
-        engines' ``build(ctx)`` in registration order, each inside a
+        engines' ``build()`` in registration order, each inside a
         forced ``engine.<name>.build`` span whose wall time lands in
         ``build_ms``."""
         members = REGISTRY.by_stage(
@@ -292,7 +314,7 @@ class DiscoverySystem:
                     with TRACER.span(
                         f"engine.{engine.name}.build", force=True
                     ) as sp:
-                        engine.build(self.engine_context)
+                        engine.build()
                     build_ms[engine.name] = sp.duration_s * 1000
 
             return run

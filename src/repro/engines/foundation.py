@@ -2,24 +2,23 @@
 engine protocol as the search engines.
 
 Embeddings, domain discovery, and ontology annotation do not answer
-queries themselves — they produce the shared inputs (embedding space,
-contextual encoder, discovered domains, table annotations) that the
-downstream indexes consume.  Registering them as ``category="foundation"``
-engines means the stage DAG, snapshot payload, and build scheduling all
-derive from one registry instead of special-casing the understanding
-stages by hand.
+queries themselves — they produce the shared inputs that the downstream
+indexes consume.  Registering them as ``category="foundation"`` engines
+means the stage DAG, snapshot payload, and build scheduling all derive
+from one registry instead of special-casing the understanding stages by
+hand.
 
-Their built state lives on the owning :class:`DiscoverySystem` (``space``,
-``encoder``, ``domains``, ``annotations``) because several engines and the
-online facade share it; the adapters read and write it through the
-:class:`~repro.core.engine.EngineContext`.
+Each keeps its output in :attr:`~repro.core.engine.Engine.raw`, as the
+``column_sets`` foundation does: the contextual column encoder (which
+holds the embedding space), the discovered domains, and the table
+annotations.  The owning :class:`~repro.core.system.DiscoverySystem`
+exposes them as read-only ``space``, ``encoder``, ``domains`` and
+``annotations``, which the downstream engines and the online facade read.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.core.engine import Engine, EngineContext, register_engine
+from repro.core.engine import Engine, register_engine
 from repro.obs import METRICS
 from repro.understanding.annotate import OntologyAnnotator
 from repro.understanding.contextual import ContextualColumnEncoder
@@ -29,103 +28,67 @@ from repro.understanding.embedding import train_embeddings
 
 @register_engine
 class EmbeddingsFoundation(Engine):
-    """Lake-wide value embeddings + the contextual column encoder."""
+    """Lake-wide value embeddings, held by the contextual column encoder
+    (:attr:`raw`, whose ``space`` is the embedding space)."""
 
     name = "embeddings"
     stage = "embeddings"
     category = "foundation"
     kind = "embedding-space"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        system = ctx.system
-        cfg = ctx.config
-        system.space = train_embeddings(
-            ctx.lake,
+    def build(self) -> None:
+        system = self.ctx
+        cfg = system.config
+        space = train_embeddings(
+            system.lake,
             dim=cfg.embedding_dim,
             min_count=cfg.embedding_min_count,
             seed=cfg.seed,
         )
-        system.stats.vocabulary = len(system.space.vocab)
+        system.stats.vocabulary = len(space.vocab)
         METRICS.set_gauge("embedding.vocabulary", system.stats.vocabulary)
-        system.encoder = ContextualColumnEncoder(
-            system.space, context_weight=cfg.context_weight
+        self.raw = ContextualColumnEncoder(
+            space, context_weight=cfg.context_weight
         )
 
-    def is_built(self) -> bool:
-        return self.ctx is not None and self.ctx.space is not None
-
     def stats(self) -> dict:
-        space = self.ctx.space if self.ctx is not None else None
-        return {
-            "vocabulary": len(space.vocab) if space is not None else 0,
-            "dim": space.dim if space is not None else 0,
-        }
-
-    def to_payload(self) -> Any:
-        return {"space": self.ctx.space, "encoder": self.ctx.encoder}
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        ctx.system.space = payload["space"]
-        ctx.system.encoder = payload["encoder"]
+        if self.raw is None:
+            return {"vocabulary": 0, "dim": 0}
+        space = self.raw.space
+        return {"vocabulary": len(space.vocab), "dim": space.dim}
 
 
 @register_engine
 class DomainsFoundation(Engine):
-    """Value-overlap domain discovery over the lake's text columns."""
+    """Value-overlap domain discovery over the lake's text columns
+    (:attr:`raw`, the list of domains)."""
 
     name = "domains"
     stage = "domains"
     category = "foundation"
     kind = "value-domains"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        system = ctx.system
-        system.domains = DomainDiscovery().discover(ctx.lake)
-        system.stats.domains_found = len(system.domains)
-
-    def is_built(self) -> bool:
-        return self.ctx is not None and bool(self.ctx.system.domains)
+    def build(self) -> None:
+        self.raw = DomainDiscovery().discover(self.ctx.lake)
+        self.ctx.stats.domains_found = len(self.raw)
 
     def stats(self) -> dict:
-        domains = self.ctx.system.domains if self.ctx is not None else []
-        return {"domains": len(domains)}
-
-    def to_payload(self) -> Any:
-        return {"domains": self.ctx.system.domains}
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        ctx.system.domains = payload["domains"]
+        return {"domains": len(self.raw or ())}
 
 
 @register_engine
 class AnnotationFoundation(Engine):
-    """Ontology class annotation of every table (feeds SANTOS)."""
+    """Ontology class annotation of every table (:attr:`raw`, table name
+    -> annotation; feeds SANTOS)."""
 
     name = "annotation"
     stage = "annotation"
     category = "foundation"
     kind = "ontology-annotations"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        annotator = OntologyAnnotator(ctx.ontology)
-        for table in ctx.lake:
-            ctx.system.annotations[table.name] = annotator.annotate(table)
-
-    def is_built(self) -> bool:
-        return self.ctx is not None and bool(self.ctx.annotations)
+    def build(self) -> None:
+        annotator = OntologyAnnotator(self.ctx.ontology)
+        self.raw = {table.name: annotator.annotate(table) for table in self.ctx.lake}
 
     def stats(self) -> dict:
-        annotations = self.ctx.annotations if self.ctx is not None else {}
-        return {"annotated_tables": len(annotations)}
-
-    def to_payload(self) -> Any:
-        return {"annotations": self.ctx.annotations}
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        ctx.system.annotations = payload["annotations"]
+        return {"annotated_tables": len(self.raw or ())}

@@ -8,7 +8,7 @@ federated dispatcher and introspectable like every other engine.
 
 from __future__ import annotations
 
-from repro.core.engine import EngineContext, QueryRequest, register_engine
+from repro.core.engine import QueryRequest, register_engine
 from repro.engines.join_base import JoinIndexEngine
 from repro.obs import TRACER
 from repro.search.results import ColumnResult
@@ -23,10 +23,9 @@ class JaccardLshEngine(JoinIndexEngine):
     name = "jaccard_lsh"
     kind = "banded-lsh"
 
-    def build(self, ctx: EngineContext) -> None:
+    def build(self) -> None:
         """Band the foundation's signature rows as they are (no copy)."""
-        self.ctx = ctx
-        sets = ctx.column_sets
+        sets = self.ctx.column_sets
         self.raw = MinHashLSH(num_perm=sets.config.num_perm)
         self.raw.insert_rows(sets.refs, sets.sigs)
 

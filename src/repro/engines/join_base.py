@@ -13,7 +13,7 @@ dump, so pickle's memo keeps them on one store after a reload.
 
 from __future__ import annotations
 
-from repro.core.engine import Engine, EngineContext, QueryRequest, register_engine
+from repro.core.engine import Engine, QueryRequest, register_engine
 from repro.search.joinable import ColumnSets, JoinSearchConfig
 
 
@@ -26,8 +26,8 @@ class ColumnSetsFoundation(Engine):
     category = "foundation"
     kind = "column-sets"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
+        ctx = self.ctx
         self.raw = ColumnSets(ctx.lake, JoinSearchConfig(num_perm=ctx.config.num_perm))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.engine import EngineContext, QueryRequest, register_engine
+from repro.core.engine import QueryRequest, register_engine
 from repro.engines.join_base import JoinIndexEngine
 
 
@@ -16,9 +16,8 @@ class JosieEngine(JoinIndexEngine):
     name = "josie"
     kind = "csr-token-sets"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self.raw = ctx.column_sets
+    def build(self) -> None:
+        self.raw = self.ctx.column_sets
 
     def memory_object(self) -> Any:
         return self.raw.josie

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    register_engine,
-)
+from repro.core.engine import Engine, QueryRequest, register_engine
 from repro.search.keyword import KeywordSearchEngine
 
 
@@ -21,10 +16,9 @@ class KeywordEngine(Engine):
     kind = "bm25"
     items_key = "documents"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
         self.raw = KeywordSearchEngine()
-        self.raw.index_lake(ctx.lake)
+        self.raw.index_lake(self.ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return bool(request.text)

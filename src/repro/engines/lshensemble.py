@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import EngineContext, QueryRequest, register_engine
+from repro.core.engine import QueryRequest, register_engine
 from repro.engines.join_base import JoinIndexEngine
 from repro.obs import METRICS, TRACER
 from repro.search.results import ColumnResult
@@ -18,13 +18,12 @@ class LshEnsembleEngine(JoinIndexEngine):
     name = "lshensemble"
     kind = "partitioned-lsh"
 
-    def build(self, ctx: EngineContext) -> None:
+    def build(self) -> None:
         """Partition the foundation's signature rows, keyed by JOSIE key id
         (so verification reads each candidate's set from the store)."""
-        self.ctx = ctx
-        sets = ctx.column_sets
+        sets = self.ctx.column_sets
         self.raw = LSHEnsemble(
-            num_partitions=ctx.config.num_partitions, num_perm=sets.config.num_perm
+            num_partitions=self.ctx.config.num_partitions, num_perm=sets.config.num_perm
         )
         self.raw.index_rows(sets.ids.tolist(), sets.sigs, sets.sizes)
 

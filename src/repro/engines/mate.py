@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    register_engine,
-)
+from repro.core.engine import Engine, QueryRequest, register_engine
 from repro.search.mate import MateIndex
 
 
@@ -22,10 +17,9 @@ class MateEngine(Engine):
     kind = "inverted+super-key"
     items_key = "rows"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
         self.raw = MateIndex()
-        self.raw.index_lake(ctx.lake)
+        self.raw.index_lake(self.ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.table is not None and bool(request.key_columns)

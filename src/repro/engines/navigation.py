@@ -5,12 +5,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    register_engine,
-)
+from repro.core.engine import Engine, QueryRequest, register_engine
 from repro.graph.organize import Organization
 
 
@@ -25,13 +20,14 @@ class NavigationEngine(Engine):
     category = "navigation"
     query_label = "navigate"
     kind = "navigation-tree"
+    items_key = "tables"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, ctx=None) -> None:
+        super().__init__(ctx)
         self.table_vectors: dict = {}
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
+        ctx = self.ctx
         if ctx.space is None:
             return
         for table in ctx.lake:
@@ -52,9 +48,6 @@ class NavigationEngine(Engine):
     def stats(self) -> dict:
         return {"tables": len(self.table_vectors)}
 
-    def items(self, stats: dict) -> int:
-        return int(stats["tables"])
-
     def accepts(self, request: QueryRequest) -> bool:
         return request.text is not None
 
@@ -68,7 +61,6 @@ class NavigationEngine(Engine):
     def to_payload(self) -> Any:
         return {"org": self.raw, "table_vectors": self.table_vectors}
 
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def from_payload(self, payload: Any) -> None:
         self.raw = payload["org"]
         self.table_vectors = payload["table_vectors"]

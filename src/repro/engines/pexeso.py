@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    register_engine,
-)
+from repro.core.engine import Engine, QueryRequest, register_engine
 from repro.search.pexeso import PexesoIndex
 
 
@@ -22,13 +17,12 @@ class PexesoEngine(Engine):
     kind = "vector-scan"
     items_key = "columns"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        # PEXESO is built only when the contextual encoder (and thus the
-        # embedding space) exists.
-        if ctx.encoder is None or ctx.space is None:
+    def build(self) -> None:
+        # PEXESO is built only when the embeddings stage ran.
+        space = self.ctx.space
+        if space is None:
             return
-        self.raw = PexesoIndex(ctx.space).build(ctx.lake)
+        self.raw = PexesoIndex(space).build(self.ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return request.column is not None

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import (
-    Engine,
-    EngineContext,
-    QueryRequest,
-    register_engine,
-)
+from repro.core.engine import Engine, QueryRequest, register_engine
 from repro.search.correlated import CorrelatedSearch
 
 
@@ -22,11 +17,10 @@ class QcrEngine(Engine):
     kind = "correlation-sketch"
     items_key = "sketches"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
         self.raw = CorrelatedSearch(
-            sketch_size=ctx.config.qcr_sketch_size
-        ).build(ctx.lake)
+            sketch_size=self.ctx.config.qcr_sketch_size
+        ).build(self.ctx.lake)
 
     def accepts(self, request: QueryRequest) -> bool:
         return (

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import EngineContext, register_engine
+from repro.core.engine import register_engine
 from repro.engines.union_base import UnionIndexEngine
 from repro.search.union_santos import SantosUnionSearch
 
@@ -15,15 +15,10 @@ class SantosEngine(UnionIndexEngine):
     name = "santos"
     depends_on = ("annotation",)
     kind = "semantic-graph"
+    items_key = "tables"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
+        ctx = self.ctx
         if ctx.ontology is None:
             return
         self.raw = SantosUnionSearch(ctx.lake, ctx.ontology).build()
-
-    def stats(self) -> dict:
-        return {"tables": self.ctx.system.stats.tables}
-
-    def items(self, stats: dict) -> int:
-        return int(stats["tables"])

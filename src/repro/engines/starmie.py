@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import EngineContext, register_engine
+from repro.core.engine import register_engine
 from repro.engines.union_base import UnionIndexEngine
 from repro.search.union_starmie import StarmieUnionSearch
 
@@ -16,8 +16,8 @@ class StarmieEngine(UnionIndexEngine):
     kind = "vector-scan"
     items_key = "columns"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
+        ctx = self.ctx
         if ctx.encoder is None:
             return
         self.raw = StarmieUnionSearch(ctx.lake, ctx.encoder).build()

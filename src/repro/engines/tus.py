@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.engine import EngineContext, register_engine
+from repro.core.engine import register_engine
 from repro.engines.union_base import UnionIndexEngine
 from repro.search.union_tus import TableUnionSearch, TusConfig
 
@@ -17,8 +17,8 @@ class TusEngine(UnionIndexEngine):
     kind = "signature-matrix"
     items_key = "columns"
 
-    def build(self, ctx: EngineContext) -> None:
-        self.ctx = ctx
+    def build(self) -> None:
+        ctx = self.ctx
         if ctx.column_sets is None:
             return
         self.raw = TableUnionSearch(

@@ -7,7 +7,7 @@ from __future__ import annotations
 import copy
 from typing import Any
 
-from repro.core.engine import Engine, EngineContext, QueryRequest
+from repro.core.engine import Engine, QueryRequest
 
 
 class UnionIndexEngine(Engine):
@@ -36,6 +36,6 @@ class UnionIndexEngine(Engine):
         raw.lake = None
         return raw
 
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        super().from_payload(payload, ctx)
-        payload.lake = ctx.lake
+    def from_payload(self, payload: Any) -> None:
+        super().from_payload(payload)
+        payload.lake = self.ctx.lake

@@ -100,6 +100,14 @@ class SantosUnionSearch:
         self._built = True
         return self
 
+    def stats(self) -> dict:
+        """Introspection: indexed tables, classes and relationship pairs."""
+        return {
+            "tables": len(self._names),
+            "classes": len(self._classes),
+            "relationship_pairs": len(self._pairs),
+        }
+
     def _column_class(self, values: list[str]) -> str | None:
         return self.ontology.annotate_column(
             values, self.config.min_class_support

@@ -93,7 +93,7 @@ class TestRegistryValidation:
         class Nameless(Engine):
             stage = "s"
 
-            def build(self, ctx):
+            def build(self):
                 pass
 
             def is_built(self):
@@ -105,7 +105,7 @@ class TestRegistryValidation:
             def to_payload(self):
                 return None
 
-            def from_payload(self, payload, ctx):
+            def from_payload(self, payload):
                 pass
 
         with pytest.raises(ValueError, match="no name"):
@@ -119,7 +119,7 @@ class TestRegistryValidation:
                 name = engine_name
                 stage = "s"
 
-                def build(self, ctx):
+                def build(self):
                     pass
 
                 def is_built(self):
@@ -131,7 +131,7 @@ class TestRegistryValidation:
                 def to_payload(self):
                     return None
 
-                def from_payload(self, payload, ctx):
+                def from_payload(self, payload):
                     pass
 
             return Dummy
@@ -148,7 +148,7 @@ class TestRegistryValidation:
             stage = "s"
             category = "frobnicator"
 
-            def build(self, ctx):
+            def build(self):
                 pass
 
             def is_built(self):
@@ -160,7 +160,7 @@ class TestRegistryValidation:
             def to_payload(self):
                 return None
 
-            def from_payload(self, payload, ctx):
+            def from_payload(self, payload):
                 pass
 
         with pytest.raises(ValueError, match="category"):
@@ -174,7 +174,7 @@ class TestRegistryValidation:
             stage = "s"
             depends_on = ("no_such_stage",)
 
-            def build(self, ctx):
+            def build(self):
                 pass
 
             def is_built(self):
@@ -186,7 +186,7 @@ class TestRegistryValidation:
             def to_payload(self):
                 return None
 
-            def from_payload(self, payload, ctx):
+            def from_payload(self, payload):
                 pass
 
         reg.register(Dangling)

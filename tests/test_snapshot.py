@@ -242,6 +242,39 @@ class TestOneLake:
                 assert got[key][1] == report, (label, key)
 
 
+class TestSharedInputs:
+    """Each shared input is one object that every engine reading it holds,
+    live and after either reload: the foundations' payloads are their
+    artifacts, and one pickle dump keeps the engines on them."""
+
+    @pytest.mark.parametrize("source", ["live", "load(lake=)", "load()"])
+    def test_one_object_each(self, built, snapdir, union_corpus, source):
+        if source == "live":
+            system = built
+        elif source == "load(lake=)":
+            system = DiscoverySystem.load(snapdir, lake=union_corpus.lake)
+        else:
+            system = DiscoverySystem.load(snapdir)
+        space, encoder = system.space, system.encoder
+        assert space is not None and space is encoder.space
+        assert system.engines["pexeso"].raw.space is space
+        assert system.engines["tus"].raw.space is space
+        assert system.engines["starmie"].raw.encoder is encoder
+        assert system.annotations
+        assert system.annotations is system.foundations["annotation"].raw
+        assert system.column_sets is system.foundations["column_sets"].raw
+
+    def test_no_space_without_embeddings(self, union_corpus, tmp_path):
+        config = DiscoveryConfig(num_partitions=4, enable_embeddings=False)
+        system = DiscoverySystem(
+            union_corpus.lake, config, ontology=union_corpus.ontology
+        ).build()
+        system.save(tmp_path / "snap")
+        for s in (system, DiscoverySystem.load(tmp_path / "snap")):
+            assert s.space is None and s.encoder is None
+            assert s.foundations["embeddings"].stats() == {"vocabulary": 0, "dim": 0}
+
+
 class TestRejection:
     def _assert_miss(self, snapdir, **kwargs):
         before = METRICS.snapshot()["counters"].get("snapshot.load.miss", 0)
@@ -294,7 +327,7 @@ class TestRejection:
         d = tmp_path / "snap"
         built.save(d)
         manifest = json.loads((d / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == FORMAT_VERSION == 22
+        assert manifest["format_version"] == FORMAT_VERSION == 23
         manifest["format_version"] = 21
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)

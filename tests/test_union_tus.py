@@ -327,7 +327,7 @@ class TestOneSignatureMatrix:
         return DiscoverySystem(union_corpus.lake, config, union_corpus.ontology).build()
 
     def test_signatures_are_the_foundations(self, system):
-        sets = system.engine_context.column_sets
+        sets = system.column_sets
         tus = system.engines["tus"].raw
         assert tus._signatures is sets.sigs
         assert tus.refs == sets.refs
@@ -346,7 +346,7 @@ class TestOneSignatureMatrix:
         system.save(tmp_path / "snap")
         loaded = DiscoverySystem.load(tmp_path / "snap")
         tus = loaded.engines["tus"].raw
-        assert tus._signatures is loaded.engine_context.column_sets.sigs
+        assert tus._signatures is loaded.column_sets.sigs
 
     def test_skipped_join_index_names_it(self, union_corpus):
         system = DiscoverySystem(
