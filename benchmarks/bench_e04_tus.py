@@ -19,10 +19,9 @@ from repro.search.union_tus import MEASURES, TableUnionSearch
 def tus_engine(union_corpus, union_space):
     onto = subsample_ontology(union_corpus.ontology, coverage=0.6, seed=1)
     return TableUnionSearch(
-        union_corpus.lake,
         ontology=onto,
         space=union_space,
-    ).build()
+    ).build(union_corpus.lake)
 
 
 def test_e04_measures(union_corpus, tus_engine, benchmark):

@@ -26,8 +26,8 @@ def corpus():
 
 
 def test_e05_relationship_vs_column_only(corpus, benchmark):
-    santos = SantosUnionSearch(corpus.lake, corpus.ontology).build()
-    baseline = ColumnOnlySantosBaseline(corpus.lake, corpus.ontology).build()
+    santos = SantosUnionSearch(corpus.ontology).build(corpus.lake)
+    baseline = ColumnOnlySantosBaseline(corpus.ontology).build(corpus.lake)
 
     table = ExperimentTable(
         "E5: relationship-aware union search (SANTOS vs column-only)",

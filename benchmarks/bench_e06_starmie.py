@@ -39,13 +39,11 @@ def queries(union_corpus):
 
 def test_e06_context_ablation(union_corpus, union_space, queries, benchmark):
     plain = StarmieUnionSearch(
-        union_corpus.lake,
         ContextualColumnEncoder(union_space, context_weight=0.0),
-    ).build()
+    ).build(union_corpus.lake)
     contextual = StarmieUnionSearch(
-        union_corpus.lake,
         ContextualColumnEncoder(union_space, context_weight=0.3),
-    ).build()
+    ).build(union_corpus.lake)
     table = ExperimentTable(
         "E6a: contextual vs plain column embeddings (Starmie ablation)",
         ["encoder", "P@5", "MAP"],
@@ -130,7 +128,7 @@ def test_e06_index_ablation(union_corpus, union_space, queries, benchmark):
     table.show()
     assert 0.5 <= hnsw_recall <= 1.0
 
-    engine = StarmieUnionSearch(union_corpus.lake, encoder).build()
+    engine = StarmieUnionSearch(encoder).build(union_corpus.lake)
     p, _ = _quality(engine, union_corpus, queries)
     assert p >= 0.8
     q0 = union_corpus.lake.table(queries[0])

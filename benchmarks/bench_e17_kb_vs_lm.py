@@ -43,9 +43,9 @@ def test_e17_coverage_sweep(union_corpus, union_space, benchmark):
             union_corpus.ontology, coverage=coverage, seed=5,
             granularity="class",
         )
-        engine = TableUnionSearch(
-            union_corpus.lake, ontology=onto, space=union_space
-        ).build()
+        engine = TableUnionSearch(ontology=onto, space=union_space).build(
+            union_corpus.lake
+        )
         sem = _quality(engine, union_corpus, queries, "sem")
         nl = _quality(engine, union_corpus, queries, "nl")
         ens = _quality(engine, union_corpus, queries, "ensemble")

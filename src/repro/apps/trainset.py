@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.ml import LogisticRegression, train_test_split
+from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.search.union_tus import TableUnionSearch
 
@@ -29,7 +30,13 @@ class TrainsetReport:
 class TrainingSetBuilder:
     """Grow a labelled training set by unioning discovered tables."""
 
-    def __init__(self, union_search: TableUnionSearch, min_score: float = 0.3):
+    def __init__(
+        self,
+        lake: DataLake,
+        union_search: TableUnionSearch,
+        min_score: float = 0.3,
+    ):
+        self.lake = lake
         self.union_search = union_search
         self.min_score = min_score
 
@@ -53,7 +60,7 @@ class TrainingSetBuilder:
             match = next((r for r in results if r.table == name), None)
             if match is None:
                 continue
-            cand = self.union_search.lake.table(name)
+            cand = self.lake.table(name)
             col_map = {qi: cj for qi, cj, _ in match.alignment}
             for r in range(cand.num_rows):
                 row = []

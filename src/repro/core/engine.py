@@ -12,10 +12,10 @@ This module replaces the hand-wiring with a single protocol:
 :class:`Engine`
     One discovery method behind a uniform surface — ``name``, the build
     ``stage`` it belongs to, the stages it ``depends_on``, ``build()``,
-    ``serve(request, report)``, ``stats()``, and
-    ``to_payload()``/``from_payload()`` for snapshots.  ``query(request)``
-    is written once, here: it opens the EXPLAIN report, calls ``serve`` and
-    closes the funnel.
+    ``serve(request, report)``, ``stats()``, and ``raw``, the index that
+    ``build`` produced and the whole of what a snapshot saves and
+    restores.  ``query(request)`` is written once, here: it opens the
+    EXPLAIN report, calls ``serve`` and closes the funnel.
 
 :class:`EngineRegistry` / :func:`register_engine`
     The process-wide catalogue of engine classes.  Everything downstream is
@@ -145,10 +145,11 @@ class Engine(ABC):
     ``config``, ``ontology`` and foundation outputs (``space``,
     ``encoder``, ``annotations``, ``column_sets``) ``build`` reads.
 
-    An adapter that holds one index object stores it in :attr:`raw` from
-    ``build`` and inherits the rest: ``is_built()`` is ``raw is not None``,
-    ``stats()`` is ``raw.stats()``, and the snapshot payload is ``raw``
-    itself.  Adapters holding other state override those four.
+    An adapter stores its index object in :attr:`raw` from ``build`` and
+    keeps no other state: ``is_built()`` is ``raw is not None``,
+    ``stats()`` is ``raw.stats()``, and a snapshot pickles ``raw`` and
+    restores it as it is.  ``raw`` holds no lake or table or column of it:
+    an index that searches the lake receives it in ``build``.
     """
 
     name: ClassVar[str]
@@ -212,15 +213,6 @@ class Engine(ABC):
         """The hits for ``request``; a given ``report`` gets the query
         string, the params and this engine's own funnel stages."""
         raise LakeError(f"engine {self.name!r} does not serve queries")
-
-    # -- snapshots ---------------------------------------------------------------
-    def to_payload(self) -> Any:
-        """Pickle-ready state for the snapshot payload."""
-        return self.raw
-
-    def from_payload(self, payload: Any) -> None:
-        """Restore the state produced by :meth:`to_payload`."""
-        self.raw = payload
 
     # -- description -------------------------------------------------------------
     def describe(self) -> dict[str, Any]:

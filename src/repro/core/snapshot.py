@@ -11,18 +11,16 @@ snapshot is a directory with two files:
     the lake contents, a checksum of the payload, and the stages that ran.
 
 ``payload.pkl``
-    One pickle of the complete built state: the config, the ontology, a
-    per-engine payload for every registered engine (plus the foundation
-    stages' shared outputs), each produced by that engine's
-    ``to_payload()``, and the lake's own pickled bytes.  The engine and
-    foundation payloads are dumped together so shared objects (the
-    embedding space referenced by several indexes, the ``column_sets``
-    store and signature rows the three join engines read) stay shared on
-    reload via pickle's memo.  No payload holds the lake or one of its
-    tables or columns: an engine that searches the lake gets the restored
-    system's lake back in ``from_payload``.  So a reloaded system holds
-    one lake, the caller's live lake when one is given (whose stored
-    bytes are then never unpickled), else the stored one.
+    One pickle of the complete built state: the config, the ontology, the
+    ``raw`` of every built engine and foundation stage, keyed by registry
+    name, and the lake's own pickled bytes.  The ``raw`` objects are
+    dumped together so shared objects (the embedding space referenced by
+    several indexes, the ``column_sets`` store and signature rows the
+    three join engines read) stay shared on reload via pickle's memo.  No
+    ``raw`` holds the lake or one of its tables or columns (an index that
+    searches the lake receives it in ``build``), so a reloaded system
+    holds one lake: the caller's live lake when one is given (whose
+    stored bytes are then never unpickled), else the stored one.
 
 ``load()`` refuses to serve anything it cannot prove matches: a format
 version this code does not read, a payload whose checksum disagrees with
@@ -108,8 +106,12 @@ log = get_logger("core.snapshot")
 #: frequency table.  Version 23: the ``embeddings``, ``domains`` and
 #: ``annotation`` foundation payloads are their artifacts themselves (the
 #: contextual encoder, which holds the space; the domain list; the
-#: annotation dict) instead of dicts naming them.
-FORMAT_VERSION = 23
+#: annotation dict) instead of dicts naming them.  Version 24: the payload
+#: holds each built engine's and foundation's ``raw`` in one ``raw`` dict;
+#: the TUS, Starmie and SANTOS indexes keep no lake slot, TUS keeps the
+#: lake's table count, and the navigation ``Organization`` holds its table
+#: vectors.
+FORMAT_VERSION = 24
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"
@@ -228,13 +230,12 @@ def save_snapshot(
     """Persist a built system's complete state under ``directory``."""
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    # One payload per registered engine (built ones only) plus the
-    # foundation stages' shared outputs; a single pickle dump keeps
-    # structures co-owned by several engines shared on reload.
-    engine_payloads = {
-        name: engine.to_payload()
-        for name, engine in system.engines.items()
-        if engine.is_built()
+    # The raw of every built foundation and engine; a single pickle dump
+    # keeps structures co-owned by several engines shared on reload.
+    raws = {
+        name: unit.raw
+        for name, unit in {**system.foundations, **system.engines}.items()
+        if unit.is_built()
     }
     payload: dict[str, Any] = {
         "config": system.config,
@@ -243,11 +244,7 @@ def save_snapshot(
         "ontology": system.ontology,
         "stats": system.stats,
         "skipped_stages": sorted(system.skipped_stages),
-        "foundation": {
-            name: foundation.to_payload()
-            for name, foundation in system.foundations.items()
-        },
-        "engines": engine_payloads,
+        "raw": raws,
     }
     with TRACER.span("snapshot.save", force=True, dir=str(path)) as sp:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -264,7 +261,7 @@ def save_snapshot(
             build_jobs=int(system.provenance.get("build_jobs", 1)),
             tables=system.stats.tables,
             columns=system.stats.columns,
-            engines=sorted(engine_payloads),
+            engines=sorted(set(raws) & set(system.engines)),
         )
         (path / PAYLOAD_NAME).write_bytes(blob)
         (path / MANIFEST_NAME).write_text(
@@ -351,8 +348,7 @@ def load_snapshot(
         try:
             payload = pickle.loads(blob)
             saved_config: DiscoveryConfig = payload["config"]
-            foundation_payloads = payload["foundation"]
-            engine_payloads = payload["engines"]
+            raws = payload["raw"]
             if lake is None:
                 lake = pickle.loads(payload["lake"])
         except SnapshotError:
@@ -369,18 +365,9 @@ def load_snapshot(
         )
         system.stats = payload["stats"]
         system.skipped_stages = set(payload.get("skipped_stages", ()))
-        for name, state in foundation_payloads.items():
-            foundation = system.foundations.get(name)
-            if foundation is None:
-                log.warning(
-                    "snapshot holds unknown foundation stage %r; skipping",
-                    name,
-                )
-                continue
-            foundation.from_payload(state)
-        for name, state in engine_payloads.items():
-            engine = system.engines.get(name)
-            if engine is None:
+        units = {**system.foundations, **system.engines}
+        for name, raw in raws.items():
+            if name not in units:
                 log.warning(
                     "snapshot holds payload for unknown engine %r "
                     "(saved by a build with more engines registered); "
@@ -388,7 +375,7 @@ def load_snapshot(
                     name,
                 )
                 continue
-            engine.from_payload(state)
+            units[name].raw = raw
         system._built = True
         system.provenance = {
             "source": "snapshot",

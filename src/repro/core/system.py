@@ -877,11 +877,12 @@ class DiscoverySystem:
         )
 
     def explore_results(self, tables: list[str]) -> Organization:
-        """RONIN-style online organization of a search result set (§2.6)."""
-        self._require_built()
-        return RoninExplorer(
-            self.engines["organization"].table_vectors
-        ).organize_results(tables)
+        """RONIN-style online organization of a search result set (§2.6),
+        over the vectors the lake-wide organization was built with."""
+        vectors = self.organization().vectors
+        for name in tables:
+            self.lake.table(name)  # LakeError for a name the lake lacks
+        return RoninExplorer(vectors).organize_results(tables)
 
     def knowledge_graph(self) -> EnterpriseKnowledgeGraph:
         """Aurum-style EKG over the lake, built lazily (§2.6)."""
@@ -893,8 +894,9 @@ class DiscoverySystem:
     def related_columns(
         self, ref: ColumnRef, k: int = 10
     ) -> list[tuple[ColumnRef, float]]:
-        """EKG neighbourhood of a column."""
-        return self.knowledge_graph().neighbors(ref)[:k]
+        """EKG neighbourhood of a lake column."""
+        request, _ = self._column_request(ref, k=k)
+        return self.knowledge_graph().neighbors(request.column_ref)[:k]
 
     # -- online: data science support ------------------------------------------------------
 
@@ -903,10 +905,13 @@ class DiscoverySystem:
     ) -> AugmentationReport:
         """ARDA-style feature augmentation for a prediction task (§2.7)."""
         self._require_built()
-        if isinstance(base, str):
-            base = self.lake.table(base)
+        request = self._table_request(
+            base, key_column=key_column, value_column=target_column
+        )
         augmenter = ArdaAugmenter(self.lake).build()
-        return augmenter.augment(base, key_column, target_column)
+        return augmenter.augment(
+            request.table, request.key_column, request.value_column
+        )
 
     def augment_entities(
         self,

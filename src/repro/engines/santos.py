@@ -21,4 +21,4 @@ class SantosEngine(UnionIndexEngine):
         ctx = self.ctx
         if ctx.ontology is None:
             return
-        self.raw = SantosUnionSearch(ctx.lake, ctx.ontology).build()
+        self.raw = SantosUnionSearch(ctx.ontology).build(ctx.lake)

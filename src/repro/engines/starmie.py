@@ -20,4 +20,4 @@ class StarmieEngine(UnionIndexEngine):
         ctx = self.ctx
         if ctx.encoder is None:
             return
-        self.raw = StarmieUnionSearch(ctx.lake, ctx.encoder).build()
+        self.raw = StarmieUnionSearch(ctx.encoder).build(ctx.lake)

@@ -22,8 +22,7 @@ class TusEngine(UnionIndexEngine):
         if ctx.column_sets is None:
             return
         self.raw = TableUnionSearch(
-            ctx.lake,
             ontology=ctx.ontology,
             space=ctx.space,
             config=TusConfig(measure=ctx.config.union_measure),
-        ).build(ctx.column_sets)
+        ).build(ctx.lake, ctx.column_sets)

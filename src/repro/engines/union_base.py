@@ -4,18 +4,11 @@ facade resolved the table to the lake's own."""
 
 from __future__ import annotations
 
-import copy
-from typing import Any
-
 from repro.core.engine import Engine, QueryRequest
 
 
 class UnionIndexEngine(Engine):
-    """Base adapter for the table-in, tables-out union engines.
-
-    Each index keeps the lake it searches as ``raw.lake``.  A snapshot
-    saves the lake once, by itself, so the payload is the index without
-    it, and a restore hands the index the system's lake."""
+    """Base adapter for the table-in, tables-out union engines."""
 
     stage = "union_index"
     query_label = "union"
@@ -30,12 +23,3 @@ class UnionIndexEngine(Engine):
             report=report,
             by_ref=request.table_ref is not None,
         )
-
-    def to_payload(self) -> Any:
-        raw = copy.copy(self.raw)
-        raw.lake = None
-        return raw
-
-    def from_payload(self, payload: Any) -> None:
-        super().from_payload(payload)
-        payload.lake = self.ctx.lake

@@ -32,10 +32,13 @@ class OrgNode:
 
 
 class Organization:
-    """A navigation hierarchy over tables with vector representations."""
+    """A navigation hierarchy over tables with vector representations:
+    ``vectors`` maps each table under ``root`` to the vector it was
+    placed by."""
 
-    def __init__(self, root: OrgNode):
+    def __init__(self, root: OrgNode, vectors: dict[str, np.ndarray]):
         self.root = root
+        self.vectors = vectors
 
     @classmethod
     def build(
@@ -62,7 +65,7 @@ class Organization:
                     node.children = [make_node(g) for g in groups]
             return node
 
-        return cls(make_node(names))
+        return cls(make_node(names), vectors)
 
     # -- navigation model -------------------------------------------------------------
 

@@ -141,10 +141,11 @@ class KeywordSearchEngine:
         ranked = sorted((-s, name) for name, s in scores.items() if s > 0)
         out = [KeywordHit(name, -neg) for neg, name in ranked[:k]]
         METRICS.inc("search.keyword.queries")
-        METRICS.inc("search.keyword.docs_scored", n)
+        # The documents the query tokens' postings reached, not the lake.
+        METRICS.inc("search.keyword.docs_scored", len(scores))
         METRICS.inc("search.keyword.hits_returned", len(out))
         sp = TRACER.current()
-        sp.set("keyword.docs_scored", n)
+        sp.set("keyword.docs_scored", len(scores))
         sp.set("keyword.candidates", len(ranked))
         if report is not None:
             report.query = query

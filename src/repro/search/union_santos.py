@@ -58,12 +58,10 @@ class SantosUnionSearch:
 
     def __init__(
         self,
-        lake: DataLake,
         ontology: Ontology,
         config: SantosConfig | None = None,
         use_synthesized_kb: bool = True,
     ):
-        self.lake = lake
         self.ontology = ontology
         self.config = config or SantosConfig()
         self.use_synthesized_kb = use_synthesized_kb
@@ -78,12 +76,10 @@ class SantosUnionSearch:
 
     # -- offline -------------------------------------------------------------------
 
-    def build(self) -> "SantosUnionSearch":
+    def build(self, lake: DataLake) -> "SantosUnionSearch":
         if self.use_synthesized_kb:
-            self._synth = synthesize_kb(
-                list(self.lake), self.config.synth_min_pair_count
-            )
-        for table in self.lake:
+            self._synth = synthesize_kb(list(lake), self.config.synth_min_pair_count)
+        for table in lake:
             self._semantics[table.name] = self._table_semantics(table)
         self._names = sorted(self._semantics)
         sems = [self._semantics[name] for name in self._names]
@@ -249,7 +245,7 @@ class ColumnOnlySantosBaseline(SantosUnionSearch):
     """Ablation for E5: identical pipeline with relationship weight 0 —
     i.e. class-overlap-only matching (what SANTOS improves upon)."""
 
-    def __init__(self, lake: DataLake, ontology: Ontology, **kwargs):
+    def __init__(self, ontology: Ontology, **kwargs):
         config = kwargs.pop("config", None) or SantosConfig()
         config.relationship_weight = 0.0
-        super().__init__(lake, ontology, config=config, **kwargs)
+        super().__init__(ontology, config=config, **kwargs)

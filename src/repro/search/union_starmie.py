@@ -35,11 +35,9 @@ class StarmieUnionSearch:
 
     def __init__(
         self,
-        lake: DataLake,
         encoder: ContextualColumnEncoder,
         config: StarmieConfig | None = None,
     ):
-        self.lake = lake
         self.encoder = encoder
         self.config = config or StarmieConfig()
         #: every indexed column vector, one row each, in ``str(ref)`` order
@@ -50,9 +48,9 @@ class StarmieUnionSearch:
 
     # -- offline -----------------------------------------------------------------
 
-    def build(self) -> "StarmieUnionSearch":
+    def build(self, lake: DataLake) -> "StarmieUnionSearch":
         vectors: dict[ColumnRef, np.ndarray] = {}
-        for table in self.lake:
+        for table in lake:
             vecs = self.encoder.encode_table(table)
             for i, col in enumerate(table.columns):
                 if col.is_numeric or np.linalg.norm(vecs[i]) == 0:

@@ -86,12 +86,10 @@ class TableUnionSearch:
 
     def __init__(
         self,
-        lake: DataLake,
         ontology: Ontology | None = None,
         space: EmbeddingSpace | None = None,
         config: TusConfig | None = None,
     ):
-        self.lake = lake
         self.ontology = ontology
         self.space = space
         self.config = config or TusConfig()
@@ -109,20 +107,25 @@ class TableUnionSearch:
         self._class_vectors = np.zeros((0, 0))
         #: table name -> (first, last + 1) row of its columns
         self._slices: dict[str, tuple[int, int]] = {}
+        #: tables in the lake at build, the ``tables_in_lake`` EXPLAIN count
+        self._tables = 0
 
     # -- offline ------------------------------------------------------------------
 
-    def build(self, sets: ColumnSets | None = None) -> "TableUnionSearch":
-        """Index the rows of ``sets``, the :class:`ColumnSets` of this
-        lake (built here when not given): its columns, in its row order,
-        and its signature matrix as it is."""
-        sets = sets or ColumnSets(self.lake)
+    def build(
+        self, lake: DataLake, sets: ColumnSets | None = None
+    ) -> "TableUnionSearch":
+        """Index the rows of ``sets``, the :class:`ColumnSets` of ``lake``
+        (built here when not given): its columns, in its row order, and
+        its signature matrix as it is."""
+        sets = sets or ColumnSets(lake)
         refs = sets.refs
         slices: dict[str, tuple[int, int]] = {}
         for r, ref in enumerate(refs):
             slices[ref.table] = (slices.get(ref.table, (r,))[0], r + 1)
-        value_sets = [self.lake.column(ref).value_set() for ref in refs]
+        value_sets = [lake.column(ref).value_set() for ref in refs]
         self.refs, self._slices = refs, slices
+        self._tables = len(lake.table_names())
         self._signatures = sets.sigs
         self._agree = agreement_matrix(self._signatures)
         self._embeddings = self._embed(value_sets)
@@ -272,7 +275,7 @@ class TableUnionSearch:
         if report is not None:
             report.query = query.name
             report.params = {"measure": measure, "by_ref": by_ref}
-            report.stage("tables_in_lake", len(self.lake.table_names()))
+            report.stage("tables_in_lake", self._tables)
             report.stage("candidates", len(names))
             report.stage("positive", len(results))
         return out

@@ -237,8 +237,8 @@ class TestNoisyKeyMatchesCleanForm:
             },
         )
         santos = SantosUnionSearch(
-            _lake(clean, noisy), self._ontology(), use_synthesized_kb=False
-        ).build()
+            self._ontology(), use_synthesized_kb=False
+        ).build(_lake(clean, noisy))
         want = ((("city", "country"), 1.0),)
         assert santos._semantics["clean"].relationship_support == want
         assert santos._semantics["noisy"].relationship_support == want

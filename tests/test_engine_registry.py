@@ -102,12 +102,6 @@ class TestRegistryValidation:
             def stats(self):
                 return {}
 
-            def to_payload(self):
-                return None
-
-            def from_payload(self, payload):
-                pass
-
         with pytest.raises(ValueError, match="no name"):
             reg.register(Nameless)
 
@@ -127,12 +121,6 @@ class TestRegistryValidation:
 
                 def stats(self):
                     return {}
-
-                def to_payload(self):
-                    return None
-
-                def from_payload(self, payload):
-                    pass
 
             return Dummy
 
@@ -157,12 +145,6 @@ class TestRegistryValidation:
             def stats(self):
                 return {}
 
-            def to_payload(self):
-                return None
-
-            def from_payload(self, payload):
-                pass
-
         with pytest.raises(ValueError, match="category"):
             reg.register(BadCat)
 
@@ -182,12 +164,6 @@ class TestRegistryValidation:
 
             def stats(self):
                 return {}
-
-            def to_payload(self):
-                return None
-
-            def from_payload(self, payload):
-                pass
 
         reg.register(Dangling)
         with pytest.raises(ValueError, match="unknown stage"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.datalake.generate import make_keyword_corpus, make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table, tokenize
+from repro.obs import METRICS
 from repro.search.auctus import AuctusSearch
 from repro.search.explain import ExplainReport
 from repro.search.keyword import KeywordHit, KeywordSearchEngine
@@ -126,6 +127,29 @@ class TestEdgeCases:
         e = KeywordSearchEngine()
         e.index_lake(lake)
         assert [h.table for h in e.search("finance")] == ["doc"]
+
+
+class TestDocsScored:
+    """``search.keyword.docs_scored`` counts the documents the query
+    tokens' postings reached, not every indexed document."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        lake = DataLake(
+            [
+                Table.from_dict(f"t{i}", {"zebra" if i < 2 else f"col{i}": ["1"]})
+                for i in range(5)
+            ]
+        )
+        e = KeywordSearchEngine()
+        e.index_lake(lake)
+        return e
+
+    @pytest.mark.parametrize("query, reached", [("zebra", 2), ("okapi", 0)])
+    def test_adds_documents_reached(self, engine, query, reached):
+        before = METRICS.counter("search.keyword.docs_scored")
+        engine.search(query)
+        assert METRICS.counter("search.keyword.docs_scored") - before == reached
 
 
 class TestReindex:

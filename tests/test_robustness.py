@@ -73,6 +73,15 @@ def system(hostile_lake):
     ).build()
 
 
+def _skipped_navigation(lake):
+    config = DiscoveryConfig(embedding_dim=8, embedding_min_count=1)
+    return DiscoverySystem(lake, config).build(skip={"navigation"})
+
+
+def _without_embeddings(lake):
+    return DiscoverySystem(lake, DiscoveryConfig(enable_embeddings=False)).build()
+
+
 class TestPipelineSurvives:
     def test_build_completes(self, system):
         assert system.stats.tables == 9
@@ -180,6 +189,46 @@ class TestQueryValidation:
     )
     def test_rejected(self, system, call, error):
         with pytest.raises(error):
+            call(system)
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda s: s.related_columns(ColumnRef("nope", 0)), LakeError, "nope"),
+            (lambda s: s.related_columns(ColumnRef("normal", 99)), LakeError, "99"),
+            (lambda s: s.related_columns(ColumnRef("normal", 0), k=-1), ConfigError, "k"),
+            (lambda s: s.augment_for_ml("normal", 99, 1), LakeError, "column 99"),
+            (lambda s: s.augment_for_ml("normal", 0, 99), LakeError, "column 99"),
+            (lambda s: s.augment_for_ml("nope", 0, 1), LakeError, "nope"),
+            (lambda s: s.explore_results(["normal", "nope"]), LakeError, "nope"),
+            (
+                lambda s: _skipped_navigation(s.lake).explore_results(["normal"]),
+                LakeError,
+                "'navigation' was skipped",
+            ),
+            (
+                lambda s: _without_embeddings(s.lake).explore_results(["normal"]),
+                LakeError,
+                "'embeddings' did not run",
+            ),
+        ],
+        ids=[
+            "related-unknown-table",
+            "related-column-out-of-range",
+            "related-k-negative",
+            "arda-key-column-out-of-range",
+            "arda-target-column-out-of-range",
+            "arda-unknown-table",
+            "explore-unknown-table",
+            "explore-navigation-skipped",
+            "explore-navigation-unbuilt",
+        ],
+    )
+    def test_other_entry_points_rejected(self, system, call, error, match):
+        """The facade's non-engine entry points resolve and check their
+        inputs as the engine queries do: no silent ``[]``, sliced list,
+        ``IndexError`` or ``ValueError``."""
+        with pytest.raises(error, match=match):
             call(system)
 
     @pytest.mark.parametrize(

@@ -151,6 +151,15 @@ class TestRoundTrip:
             assert "build_ms" not in report.to_dict()
 
 
+def _systems(built, snapdir, lake):
+    """The live system and its two reloads, by label."""
+    return {
+        "live": built,
+        "load(lake=)": DiscoverySystem.load(snapdir, lake=lake),
+        "load()": DiscoverySystem.load(snapdir),
+    }
+
+
 def _union_engines(system):
     engines = [
         engine
@@ -161,16 +170,25 @@ def _union_engines(system):
     return engines
 
 
+def _serves(system, lake):
+    """Each union engine reaches ``lake`` through its context, the
+    system, keeps no lake in its index, and answers a query by name."""
+    assert system.lake is lake
+    table = lake.table_names()[0]
+    for engine in _union_engines(system):
+        assert engine.ctx is system, engine.name
+        assert getattr(engine.raw, "lake", None) is None, engine.name
+        hits = system.unionable_search(table, k=5, method=engine.name)
+        assert hits, engine.name
+
+
 class TestOneLake:
-    """A reloaded system holds exactly one lake, and every engine that
-    searches the lake searches that one."""
+    """A reloaded system holds exactly one lake: no engine keeps one of
+    its own, and every engine that searches the lake searches that one."""
 
     def test_load_with_lake_serves_the_live_lake(self, snapdir, union_corpus):
         live = union_corpus.lake
-        loaded = DiscoverySystem.load(snapdir, lake=live)
-        assert loaded.lake is live
-        for engine in _union_engines(loaded):
-            assert engine.raw.lake is live, engine.name
+        _serves(DiscoverySystem.load(snapdir, lake=live), live)
 
     def test_load_without_lake_shares_the_stored_lake(
         self, snapdir, union_corpus
@@ -178,17 +196,16 @@ class TestOneLake:
         loaded = DiscoverySystem.load(snapdir)
         assert loaded.lake is not union_corpus.lake
         assert loaded.lake.table_names() == union_corpus.lake.table_names()
-        for engine in _union_engines(loaded):
-            assert engine.raw.lake is loaded.lake, engine.name
+        _serves(loaded, loaded.lake)
 
-    def test_saving_leaves_the_live_engines_their_lake(self, built):
-        for engine in _union_engines(built):
-            assert engine.raw.lake is built.lake, engine.name
+    def test_saving_leaves_the_live_engines_their_lake(self, built, snapdir):
+        # ``snapdir`` is saved from ``built``: saving changes no live engine.
+        _serves(built, built.lake)
 
-    def test_payloads_hold_no_lake_object(self, built):
-        """The engine and foundation payloads, pickled as the snapshot
-        pickles them, reference no lake, table or column."""
-        found = []
+    def test_payloads_hold_no_lake_object(self, built, snapdir, union_corpus):
+        """Every foundation's and built engine's ``raw``, the whole of what
+        a snapshot saves, pickled as the snapshot pickles them, references
+        no lake, table or column: live and after either reload."""
 
         class Probe(pickle.Pickler):
             def persistent_id(self, obj):
@@ -196,28 +213,40 @@ class TestOneLake:
                     found.append(type(obj).__name__)
                 return None
 
-        payloads = {
-            "engines": {
-                name: engine.to_payload()
-                for name, engine in built.engines.items()
-                if engine.is_built()
-            },
-            "foundation": {
-                name: foundation.to_payload()
-                for name, foundation in built.foundations.items()
-            },
+        for label, system in _systems(built, snapdir, union_corpus.lake).items():
+            raws = {
+                name: unit.raw
+                for name, unit in {**system.foundations, **system.engines}.items()
+                if unit.is_built()
+            }
+            assert {"tus", "starmie", "santos", "organization"} <= set(raws), label
+            found = []
+            Probe(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(raws)
+            assert found == [], label
+
+    def test_explore_results_equal_live_and_both_loads(
+        self, built, snapdir, union_corpus
+    ):
+        """The organization keeps its table vectors, so a reload organizes
+        a result set exactly as the live system does."""
+
+        def shape(node):
+            return (node.tables, node.centroid.tolist(), [shape(c) for c in node.children])
+
+        tables = union_corpus.lake.table_names()[:8]
+        orgs = {
+            label: system.explore_results(tables)
+            for label, system in _systems(built, snapdir, union_corpus.lake).items()
         }
-        Probe(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(payloads)
-        assert found == []
+        want = shape(orgs.pop("live").root)
+        assert sorted(want[0]) == sorted(tables)
+        for label, org in orgs.items():
+            assert shape(org.root) == want, label
 
     def test_hits_and_funnels_equal_live_and_both_loads(
         self, built, snapdir, union_corpus
     ):
-        systems = {
-            "live": built,
-            "load(lake=)": DiscoverySystem.load(snapdir, lake=union_corpus.lake),
-            "load()": DiscoverySystem.load(snapdir),
-        }
+        systems = _systems(built, snapdir, union_corpus.lake)
 
         def answers(system):
             out = {}
@@ -327,7 +356,7 @@ class TestRejection:
         d = tmp_path / "snap"
         built.save(d)
         manifest = json.loads((d / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == FORMAT_VERSION == 23
+        assert manifest["format_version"] == FORMAT_VERSION == 24
         manifest["format_version"] = 21
         (d / MANIFEST_NAME).write_text(json.dumps(manifest))
         err = self._assert_miss(d)

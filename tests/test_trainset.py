@@ -10,11 +10,10 @@ from repro.search.union_tus import TableUnionSearch
 @pytest.fixture(scope="module")
 def builder(union_corpus, union_space):
     search = TableUnionSearch(
-        union_corpus.lake,
         ontology=union_corpus.ontology,
         space=union_space,
-    ).build()
-    return TrainingSetBuilder(search)
+    ).build(union_corpus.lake)
+    return TrainingSetBuilder(union_corpus.lake, search)
 
 
 class TestDiscovery:

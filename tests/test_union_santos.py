@@ -29,12 +29,12 @@ def rel_corpus():
 
 @pytest.fixture(scope="module")
 def santos(rel_corpus):
-    return SantosUnionSearch(rel_corpus.lake, rel_corpus.ontology).build()
+    return SantosUnionSearch(rel_corpus.ontology).build(rel_corpus.lake)
 
 
 class TestLifecycle:
     def test_search_before_build_rejected(self, rel_corpus):
-        s = SantosUnionSearch(rel_corpus.lake, rel_corpus.ontology)
+        s = SantosUnionSearch(rel_corpus.ontology)
         with pytest.raises(RuntimeError):
             s.search(rel_corpus.lake.table("relq_00"))
 
@@ -49,9 +49,9 @@ class TestRelationshipMatching:
             assert p5 >= 0.8, q
 
     def test_column_only_baseline_confused(self, rel_corpus, santos):
-        baseline = ColumnOnlySantosBaseline(
-            rel_corpus.lake, rel_corpus.ontology
-        ).build()
+        baseline = ColumnOnlySantosBaseline(rel_corpus.ontology).build(
+            rel_corpus.lake
+        )
         q = sorted(rel_corpus.truth)[0]
         res_base = baseline.search(rel_corpus.lake.table(q), k=10)
         # Baseline gives confounders the same score as positives.
@@ -96,12 +96,12 @@ class TestSynthesizedKB:
         for v, c in rel_corpus.ontology._value_to_class.items():
             bare.add_value(v, c)
         # No facts, no relations in `bare`.
-        with_synth = SantosUnionSearch(
-            rel_corpus.lake, bare, use_synthesized_kb=True
-        ).build()
-        without = SantosUnionSearch(
-            rel_corpus.lake, bare, use_synthesized_kb=False
-        ).build()
+        with_synth = SantosUnionSearch(bare, use_synthesized_kb=True).build(
+            rel_corpus.lake
+        )
+        without = SantosUnionSearch(bare, use_synthesized_kb=False).build(
+            rel_corpus.lake
+        )
         q = "relq_00"
         res_with = with_synth.search(rel_corpus.lake.table(q), k=5)
         res_without = without.search(rel_corpus.lake.table(q), k=5)
@@ -219,10 +219,10 @@ class TestOldLookupPathEquivalence:
 
     def test_santos_semantics_and_hits_equal(self, recorded_corpus):
         corpus, declared = recorded_corpus
-        new = SantosUnionSearch(corpus.lake, corpus.ontology).build()
-        old = OldPathSantos(
-            corpus.lake, ScanOntology(corpus.ontology, declared)
-        ).build()
+        new = SantosUnionSearch(corpus.ontology).build(corpus.lake)
+        old = OldPathSantos(ScanOntology(corpus.ontology, declared)).build(
+            corpus.lake
+        )
         assert new._semantics == old._semantics
         support = [
             v for sem in new._semantics.values()
@@ -282,7 +282,7 @@ def _generated_index(kind, seed, hold_out, baseline):
         [t for t in corpus.lake if not (hold_out and _group(t.name) == first)]
     )
     cls = ColumnOnlySantosBaseline if baseline else SantosUnionSearch
-    return cls(lake, corpus.ontology).build()
+    return cls(corpus.ontology).build(lake)
 
 
 def _mixed_query(first, second, rotate):

@@ -25,7 +25,7 @@ def encoder(union_space):
 
 @pytest.fixture(scope="module")
 def starmie(union_corpus, encoder):
-    return StarmieUnionSearch(union_corpus.lake, encoder).build()
+    return StarmieUnionSearch(encoder).build(union_corpus.lake)
 
 
 def _column_vectors(lake, encoder):
@@ -90,7 +90,7 @@ _NEAREST = {"linear": _linear, "lsh": _lsh, "hnsw": _hnsw}
 
 class TestLifecycle:
     def test_search_before_build_rejected(self, union_corpus, encoder):
-        s = StarmieUnionSearch(union_corpus.lake, encoder)
+        s = StarmieUnionSearch(encoder)
         with pytest.raises(RuntimeError):
             s.search(next(iter(union_corpus.lake)))
 
@@ -104,11 +104,11 @@ class TestLifecycle:
     def test_rebuild_keeps_one_row_per_column(self, union_corpus, encoder):
         """A second build replaces the table -> rows map instead of adding
         to it, so a query by reference reads each column once."""
-        s = StarmieUnionSearch(union_corpus.lake, encoder).build()
+        s = StarmieUnionSearch(encoder).build(union_corpus.lake)
         query = union_corpus.lake.table(union_corpus.groups[0][0])
         rows = {name: list(r) for name, r in s._table_rows.items()}
         want = s.search(query, k=5, by_ref=True)
-        s.build()
+        s.build(union_corpus.lake)
         assert s._table_rows == rows
         assert s.search(query, k=5, by_ref=True) == want
 
@@ -230,7 +230,7 @@ class TestExactProperty:
         names = system.lake.table_names()
         query = system.lake.table(names[pick % len(names)])
         want = _brute_force(system.lake, system.encoder, query, k)
-        direct = StarmieUnionSearch(system.lake, system.encoder).build()
+        direct = StarmieUnionSearch(system.encoder).build(system.lake)
         _assert_same_hits(direct.search(query, k=k), want)
         _assert_same_hits(
             system.unionable_search(query.name, k=k, method="starmie"), want
@@ -244,13 +244,11 @@ class TestContextEffect:
         from repro.bench.metrics import precision_at_k
 
         plain = StarmieUnionSearch(
-            union_corpus.lake,
             ContextualColumnEncoder(union_space, context_weight=0.0),
-        ).build()
+        ).build(union_corpus.lake)
         ctx = StarmieUnionSearch(
-            union_corpus.lake,
             ContextualColumnEncoder(union_space, context_weight=0.4),
-        ).build()
+        ).build(union_corpus.lake)
 
         def quality(engine):
             total = 0.0

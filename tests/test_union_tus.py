@@ -27,10 +27,9 @@ from repro.understanding.embedding import train_embeddings
 @pytest.fixture(scope="module")
 def tus(union_corpus, union_space):
     return TableUnionSearch(
-        union_corpus.lake,
         ontology=union_corpus.ontology,
         space=union_space,
-    ).build()
+    ).build(union_corpus.lake)
 
 
 def _copy_table(table, name=None):
@@ -132,16 +131,14 @@ class PairwiseTus:
 class TestLifecycle:
     def test_unknown_measure_rejected(self, union_corpus):
         with pytest.raises(ValueError):
-            TableUnionSearch(
-                union_corpus.lake, config=TusConfig(measure="bogus")
-            )
+            TableUnionSearch(config=TusConfig(measure="bogus"))
 
     def test_unknown_search_measure_rejected(self, union_corpus, tus):
         with pytest.raises(ValueError):
             tus.search(next(iter(union_corpus.lake)), measure="bogus")
 
     def test_search_before_build_rejected(self, union_corpus):
-        t = TableUnionSearch(union_corpus.lake)
+        t = TableUnionSearch()
         with pytest.raises(RuntimeError):
             t.search(next(iter(union_corpus.lake)))
 
@@ -204,7 +201,7 @@ class TestExactness:
     @given(case=_lakes(), k=st.integers(1, 10))
     def test_matches_pairwise_reference(self, case, k):
         lake, ontology, space = case
-        tus = TableUnionSearch(lake, ontology=ontology, space=space).build()
+        tus = TableUnionSearch(ontology=ontology, space=space).build(lake)
         reference = PairwiseTus(lake, ontology, space)
         for query in lake:
             candidates = reference.candidates(query)
@@ -237,7 +234,7 @@ class TestExactness:
         first = next(iter(union_corpus.lake))
         lake = DataLake(list(union_corpus.lake) + [_copy_table(first, "twin")])
         sets = ColumnSets(lake, JoinSearchConfig(num_perm=300))
-        tus = TableUnionSearch(lake, config=TusConfig(measure="set")).build(sets)
+        tus = TableUnionSearch(config=TusConfig(measure="set")).build(lake, sets)
         assert tus._agree.dtype == np.uint16
         assert tus.stats()["agreement_bytes"] == 2 * len(tus.refs) ** 2
         reference = PairwiseTus(lake, num_perm=300)
@@ -259,16 +256,16 @@ class TestExactness:
 
 class TestMeasures:
     def test_sem_requires_ontology(self, union_corpus, union_space):
-        t = TableUnionSearch(union_corpus.lake, space=union_space).build()
+        t = TableUnionSearch(space=union_space).build(union_corpus.lake)
         qname = union_corpus.groups[0][0]
         qcol = union_corpus.lake.table(qname).columns[0]
         other = ColumnRef(union_corpus.groups[0][1], 0)
         assert column_score(t, qcol, other, "sem") == 0.0
 
     def test_nl_requires_space(self, union_corpus):
-        t = TableUnionSearch(
-            union_corpus.lake, ontology=union_corpus.ontology
-        ).build()
+        t = TableUnionSearch(ontology=union_corpus.ontology).build(
+            union_corpus.lake
+        )
         qname = union_corpus.groups[0][0]
         qcol = union_corpus.lake.table(qname).columns[0]
         other = ColumnRef(union_corpus.groups[0][1], 0)
@@ -300,14 +297,13 @@ class TestMeasures:
 
     def test_partial_ontology_weakens_sem(self, union_corpus, union_space):
         weak_onto = subsample_ontology(union_corpus.ontology, 0.3, seed=2)
-        weak = TableUnionSearch(
-            union_corpus.lake, ontology=weak_onto, space=union_space
-        ).build()
+        weak = TableUnionSearch(ontology=weak_onto, space=union_space).build(
+            union_corpus.lake
+        )
         full = TableUnionSearch(
-            union_corpus.lake,
             ontology=union_corpus.ontology,
             space=union_space,
-        ).build()
+        ).build(union_corpus.lake)
         qname = union_corpus.groups[0][0]
         query = union_corpus.lake.table(qname)
         res_weak = weak.search(query, k=3, measure="sem")
@@ -335,8 +331,8 @@ class TestOneSignatureMatrix:
     def test_standalone_build_equals_the_engines(self, system, union_corpus):
         tus = system.engines["tus"].raw
         alone = TableUnionSearch(
-            union_corpus.lake, ontology=union_corpus.ontology, space=system.space
-        ).build()
+            ontology=union_corpus.ontology, space=system.space
+        ).build(union_corpus.lake)
         assert alone.refs == tus.refs
         assert np.array_equal(alone._signatures, tus._signatures)
         for query in union_corpus.lake:
